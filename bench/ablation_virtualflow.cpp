@@ -9,9 +9,9 @@
 #include "baselines/virtualflow.hpp"
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "models/eval.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -27,12 +27,12 @@ int main() {
                 "ResNet18, 4 logical workers");
   auto wd = models::make_dataset_for("ResNet18", 512, 256, 42);
 
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 8;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(kSteps);
   const auto ref_acc =
       models::evaluate(reference.model(), *wd.test, 32, 10).overall;

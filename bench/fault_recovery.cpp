@@ -10,9 +10,13 @@
 //                                      section (a CI smoke entry point)
 //   fault_recovery [--recovery-only]   run only the peer-vs-disk recovery
 //                                      section (emits BENCH_recovery.json)
-//   fault_recovery [--check-baseline <path>]
-//                                      additionally gate the recovery rows
-//                                      against a checked-in baseline
+//   fault_recovery [--check-baseline <path>]...
+//                                      additionally gate every row the run
+//                                      produces (supervised elastic/gang/
+//                                      comm/SDC rows and recovery rows)
+//                                      against checked-in baselines; may be
+//                                      repeated, the files are searched
+//                                      together
 //   fault_recovery [--controller-only] run only the replicated-control-
 //                                      plane section: failover latency and
 //                                      decisions/s under leader crashes
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +98,68 @@ void print_row(const char* policy, const Row& r) {
               r.stats.failed ? "FAILED" : (r.bitwise_ok ? "exact" : "-"));
 }
 
+/// Exact-integer gate over the checked-in baselines.  Every fault plan is
+/// seeded, so each row's integers are exact: a row's JSON line must appear
+/// verbatim in the baseline text, keyed by its first field.  Any drift is a
+/// behaviour change to review (and the baseline re-pinned on purpose).
+struct BaselineGate {
+  std::optional<std::string> text;  // concatenated --check-baseline files
+  bool ok = true;
+
+  bool load(const char* path) {
+    std::FILE* b = std::fopen(path, "rb");
+    if (b == nullptr) {
+      std::printf("ERROR: cannot read baseline %s\n", path);
+      return false;
+    }
+    if (!text.has_value()) text.emplace();
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) text->append(buf, n);
+    std::fclose(b);
+    return true;
+  }
+
+  void check(const std::string& line) {
+    if (!text.has_value()) return;
+    const std::string key = line.substr(0, line.find(','));
+    const std::size_t at = text->find(key);
+    const std::string pinned =
+        at == std::string::npos
+            ? std::string()
+            : text->substr(at, text->find('}', at) + 1 - at);
+    if (pinned == line) return;
+    ok = false;
+    std::printf("BASELINE: %s\n  measured %s\n  baseline %s\n",
+                pinned.empty() ? "row missing" : "row drifted", line.c_str(),
+                pinned.empty() ? "-" : pinned.c_str());
+  }
+};
+
+/// A supervised row's deterministic integers, as its baseline line.
+std::string row_line(const char* section, const char* mode, const Row& r) {
+  const auto& s = r.stats;
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"row\": \"%s/%s/%.2f\", \"faults\": %lld, \"recoveries\": %lld, "
+      "\"scale_ins\": %lld, \"lost_steps\": %lld, "
+      "\"verified_checkpoints\": %lld, \"peer_recoveries\": %lld, "
+      "\"disk_recoveries\": %lld, \"comm_retries\": %lld, "
+      "\"sdc_detections\": %lld, \"failed\": %d, \"exact\": %d}",
+      section, mode, r.fault_rate, static_cast<long long>(s.faults_seen),
+      static_cast<long long>(s.recoveries),
+      static_cast<long long>(s.scale_ins),
+      static_cast<long long>(s.lost_steps),
+      static_cast<long long>(s.verified_checkpoints),
+      static_cast<long long>(s.peer_recoveries),
+      static_cast<long long>(s.disk_recoveries),
+      static_cast<long long>(s.comm_retries),
+      static_cast<long long>(s.sdc_detections), s.failed ? 1 : 0,
+      r.bitwise_ok ? 1 : 0);
+  return buf;
+}
+
 struct RecoveryRow {
   std::string workload;
   double step_s = 0.0;
@@ -105,7 +172,7 @@ struct RecoveryRow {
 /// from the V100 throughput profile, its snapshot size from the memory
 /// profile.  The self-check requires peer recovery to lose STRICTLY fewer
 /// steps than disk walk-back for every workload.
-bool run_recovery_section(const char* baseline_path) {
+bool run_recovery_section(BaselineGate& gate) {
   std::printf("\npeer-replicated vs disk-only recovery (MTBF trace)\n");
   trace::FailureTraceConfig tcfg;
   tcfg.cluster = {32, 16, 16};  // the PR 1 Fig-14 cluster (V100, P100, T4)
@@ -170,47 +237,15 @@ bool run_recovery_section(const char* baseline_path) {
   bench::note("per-workload lost steps and recovery latency written to "
               "BENCH_recovery.json");
 
-  if (baseline_path != nullptr) {
-    // Gate the deterministic integers against the checked-in baseline: the
-    // model, trace and profiles are all seeded, so any drift is a real
-    // behaviour change that must be reviewed (and the baseline re-pinned).
-    std::FILE* b = std::fopen(baseline_path, "rb");
-    if (b == nullptr) {
-      std::printf("ERROR: cannot read baseline %s\n", baseline_path);
-      return false;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) text.append(buf, n);
-    std::fclose(b);
-    for (const auto& r : rows) {
-      const std::string key = "\"workload\": \"" + r.workload + "\"";
-      const char* at = std::strstr(text.c_str(), key.c_str());
-      long long want_disk = -1;
-      long long want_peer = -1;
-      if (at == nullptr ||
-          std::sscanf(std::strstr(at, "\"lost_steps_disk\":"),
-                      "\"lost_steps_disk\": %lld", &want_disk) != 1 ||
-          std::sscanf(std::strstr(at, "\"lost_steps_peer\":"),
-                      "\"lost_steps_peer\": %lld", &want_peer) != 1) {
-        std::printf("BASELINE: no row for %s in %s\n", r.workload.c_str(),
-                    baseline_path);
-        ok = false;
-        continue;
-      }
-      if (want_disk != r.result.lost_steps_disk ||
-          want_peer != r.result.lost_steps_peer) {
-        std::printf(
-            "BASELINE: %s drifted: lost_disk %lld (baseline %lld), "
-            "lost_peer %lld (baseline %lld)\n",
-            r.workload.c_str(),
-            static_cast<long long>(r.result.lost_steps_disk), want_disk,
-            static_cast<long long>(r.result.lost_steps_peer), want_peer);
-        ok = false;
-      }
-    }
-    if (ok) bench::note("recovery rows match the checked-in baseline");
+  for (const auto& r : rows) {
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"workload\": \"%s\", \"lost_steps_disk\": %lld, "
+                  "\"lost_steps_peer\": %lld}",
+                  r.workload.c_str(),
+                  static_cast<long long>(r.result.lost_steps_disk),
+                  static_cast<long long>(r.result.lost_steps_peer));
+    gate.check(line);
   }
   return ok;
 }
@@ -357,13 +392,14 @@ int main(int argc, char** argv) {
   bool sdc_only = false;
   bool recovery_only = false;
   bool controller_only = false;
-  const char* baseline_path = nullptr;
+  BaselineGate gate;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sdc-only") == 0) sdc_only = true;
     if (std::strcmp(argv[i], "--recovery-only") == 0) recovery_only = true;
     if (std::strcmp(argv[i], "--controller-only") == 0) controller_only = true;
-    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
+    if (std::strcmp(argv[i], "--check-baseline") == 0 && i + 1 < argc &&
+        !gate.load(argv[++i])) {
+      return 1;
     }
   }
   if (controller_only) {
@@ -379,7 +415,7 @@ int main(int argc, char** argv) {
     bench::banner("Fault recovery (peer replication)",
                   "lost steps and recovery latency: peer quorum vs disk "
                   "walk-back under the MTBF trace");
-    const bool ok = run_recovery_section(baseline_path);
+    const bool ok = run_recovery_section(gate) && gate.ok;
     bench::note(ok ? "recovery bench PASSED (BENCH_recovery.json written)"
                    : "recovery bench FAILED (see BENCH_recovery.json)");
     return ok ? 0 : 1;
@@ -413,6 +449,8 @@ int main(int argc, char** argv) {
                                  kSteps, clean);
     print_row("elastic", elastic);
     print_row("gang", gang);
+    gate.check(row_line("policy", "elastic", elastic));
+    gate.check(row_line("policy", "gang", gang));
   }
   // --- Comm-fault schedule: in-collective faults under the failure-aware
   // fabric.  The elastic job routes gradient sync through the resilient
@@ -460,6 +498,11 @@ int main(int argc, char** argv) {
           static_cast<long long>(r.stats.recoveries),
           r.stats.comm_wall_s, r.stats.goodput_fraction(),
           r.stats.failed ? "FAILED" : (r.bitwise_ok ? "exact" : "-"));
+      gate.check(row_line("comm",
+                          policy == fault::RecoveryPolicy::kElasticScaleIn
+                              ? "elastic"
+                              : "gang",
+                          r));
     }
   }
   }  // !sdc_only
@@ -517,6 +560,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(r.stats.devices_quarantined), latency,
                   witness_pct, r.stats.goodput_fraction(),
                   r.stats.failed ? "FAILED" : (r.bitwise_ok ? "exact" : "-"));
+      gate.check(row_line("sdc", every == 1 ? "defended-w1" : "defended-w2",
+                          r));
     }
     const auto u = run_sdc(/*defended=*/false, 1, rate);
     std::printf("%10s %6s %6.2f %5lld %6lld %5lld %8s %9s %9.3f %9s\n",
@@ -528,6 +573,7 @@ int main(int argc, char** argv) {
                 u.stats.sdc_events == 0
                     ? (u.bitwise_ok ? "exact" : "-")
                     : (u.bitwise_ok ? "exact" : "POISONED"));
+    gate.check(row_line("sdc", "undefended", u));
   }
   bench::note(
       "latency = average steps from a device turning corrupt to witness "
@@ -546,7 +592,11 @@ int main(int argc, char** argv) {
   bench::note(
       "gang restart pays a replacement wait per fault and fails after "
       "max_retries consecutive faults (§2.1 baseline)");
-  if (!run_recovery_section(baseline_path)) return 1;
+  if (!run_recovery_section(gate)) return 1;
   }  // !sdc_only
-  return 0;
+  if (gate.text.has_value()) {
+    bench::note(gate.ok ? "every row matches the checked-in baselines"
+                        : "rows drifted from the checked-in baselines");
+  }
+  return gate.ok ? 0 : 1;
 }

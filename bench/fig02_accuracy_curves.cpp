@@ -13,9 +13,9 @@
 #include "baselines/elastic_baselines.hpp"
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "models/eval.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -46,12 +46,12 @@ Curve eval_loop(const std::string& name,
 
 Curve run_ddp_reference(const data::Dataset& train, const data::Dataset& test,
                         const data::AugmentConfig& augment) {
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = kModel;
   cfg.world_size = 4;
   cfg.batch_per_worker = 8;
   cfg.seed = kSeed;
-  ddp::DDPTrainer t(cfg, train, augment);
+  parallel::Trainer t(cfg, train, augment);
   return eval_loop(
       "DDP-4GPU", [&] { t.run_epochs(1); },
       [&]() -> models::Workload& { return t.model(); }, test);

@@ -10,8 +10,8 @@
 
 #include "baselines/elastic_baselines.hpp"
 #include "bench_util.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -37,7 +37,7 @@ std::vector<double> epoch_mean_loss(const std::vector<float>& losses,
 }
 
 std::vector<double> run_ddp(float gamma, const models::WorkloadData& wd) {
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = kModel;
   cfg.world_size = 4;
   cfg.batch_per_worker = 8;
@@ -45,7 +45,7 @@ std::vector<double> run_ddp(float gamma, const models::WorkloadData& wd) {
   cfg.optim.lr = 0.2f;  // wide post-decay LR spread so the gamma trend shows
   cfg.lr_step_epochs = kDecayEpoch;
   cfg.gamma = gamma;
-  ddp::DDPTrainer t(cfg, *wd.train, wd.augment);
+  parallel::Trainer t(cfg, *wd.train, wd.augment);
   t.run_epochs(kEpochs);
   return epoch_mean_loss(t.loss_history(), t.steps_per_epoch());
 }

@@ -17,8 +17,8 @@
 
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -33,7 +33,7 @@ constexpr std::uint64_t kSeed = 42;
 std::vector<float> run_ddp(const std::string& workload,
                            kernels::KernelPolicy policy) {
   auto wd = models::make_dataset_for(workload, 256, 32, kSeed);
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = workload;
   cfg.world_size = 4;
   cfg.batch_per_worker = 4;
@@ -41,7 +41,7 @@ std::vector<float> run_ddp(const std::string& workload,
   cfg.policy = policy;
   cfg.optim.lr = 0.02f;  // keeps VGG19 (no BatchNorm) alive, large enough that
                          // single-step bitwise divergence survives rounding
-  ddp::DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  parallel::Trainer trainer(cfg, *wd.train, wd.augment);
   trainer.run_steps(3 * kStageSteps);
   return trainer.loss_history();
 }

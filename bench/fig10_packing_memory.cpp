@@ -14,9 +14,9 @@
 #include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/memory_model.hpp"
-#include "ddp/trainer.hpp"
 #include "kernels/device.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -50,11 +50,11 @@ double run_easyscale(const Case& c, std::int64_t k,
 
 double run_packing(const Case& c, std::int64_t k,
                    const models::WorkloadData& wd) {
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = c.model;
   cfg.world_size = k;
   cfg.batch_per_worker = c.batch;
-  ddp::DDPTrainer t(cfg, *wd.train, wd.augment);
+  parallel::Trainer t(cfg, *wd.train, wd.augment);
   t.run_steps(1);
   const double secs = bench::time_seconds([&] { t.run_steps(kSteps); });
   return static_cast<double>(k * c.batch * kSteps) / secs;

@@ -11,9 +11,9 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "ddp/trainer.hpp"
 #include "kernels/device.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -24,13 +24,13 @@ constexpr std::int64_t kSteps = 8;
 double time_policy(const std::string& workload, kernels::DeviceType device,
                    kernels::KernelPolicy policy,
                    const models::WorkloadData& wd) {
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = workload;
   cfg.world_size = 1;
   cfg.batch_per_worker = 8;
   cfg.policy = policy;
   cfg.devices = {device};
-  ddp::DDPTrainer t(cfg, *wd.train, wd.augment);
+  parallel::Trainer t(cfg, *wd.train, wd.augment);
   t.run_steps(2);  // warm-up
   return bench::time_seconds([&] { t.run_steps(kSteps); }) /
          static_cast<double>(kSteps);

@@ -18,8 +18,8 @@
 
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -193,11 +193,11 @@ int main(int argc, char** argv) {
   for (const auto& name : models::workload_names()) {
     auto wd = models::make_dataset_for(name, 256, 32, 42);
 
-    ddp::DDPConfig dcfg;
+    parallel::TrainerConfig dcfg;
     dcfg.workload = name;
     dcfg.world_size = kEsts;
     dcfg.batch_per_worker = 2;
-    ddp::DDPTrainer ddp(dcfg, *wd.train, wd.augment);
+    parallel::Trainer ddp(dcfg, *wd.train, wd.augment);
     ddp.run_steps(2);
     const double ddp_s = bench::time_seconds([&] { ddp.run_steps(kSteps); });
 

@@ -17,9 +17,9 @@
 
 #include "core/checkpoint_io.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "models/eval.hpp"
+#include "parallel/trainer.hpp"
 
 namespace {
 
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     std::printf("checkpoint written to %s\n", args.checkpoint.c_str());
   }
   if (args.verify && args.resume.empty()) {
-    ddp::DDPConfig dcfg;
+    parallel::TrainerConfig dcfg;
     dcfg.workload = args.workload;
     dcfg.world_size = args.ests;
     dcfg.batch_per_worker = args.batch;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     dcfg.policy = args.d2 ? kernels::KernelPolicy::kHardwareAgnostic
                           : kernels::KernelPolicy::kDeterministic;
     dcfg.optim = cfg.optim;
-    ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+    parallel::Trainer reference(dcfg, *wd.train, wd.augment);
     reference.run_epochs(static_cast<std::int64_t>(args.schedule.size()));
     const bool same = reference.params_digest() == engine.params_digest();
     std::printf("verification vs fixed-DoP DDP: %s\n",

@@ -8,9 +8,9 @@
 #include <cstdio>
 
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "models/eval.hpp"
+#include "parallel/trainer.hpp"
 
 int main() {
   using namespace easyscale;
@@ -42,12 +42,12 @@ int main() {
   engine.run_epochs(1);
 
   // ---- Reference: DDP on a fixed 4 GPUs ----------------------------------
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = workload;
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 8;
   dcfg.seed = seed;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_epochs(5);
 
   const auto acc = models::evaluate(engine.model_for_eval(0), *wd.test, 32, 10);

@@ -22,7 +22,7 @@ void ElasticTrainerBase::rebuild(std::int64_t world, float lr,
       saved.push_back(p->value);
     }
   }
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = config_.workload;
   cfg.world_size = world;
   cfg.batch_per_worker = batch;
@@ -31,7 +31,7 @@ void ElasticTrainerBase::rebuild(std::int64_t world, float lr,
   cfg.optim.momentum = config_.momentum;
   cfg.lr_step_epochs = config_.lr_step_epochs;
   cfg.gamma = config_.gamma;
-  trainer_ = std::make_unique<ddp::DDPTrainer>(cfg, *train_, augment_);
+  trainer_ = std::make_unique<parallel::Trainer>(cfg, *train_, augment_);
   if (!saved.empty()) {
     for (std::int64_t r = 0; r < world; ++r) {
       const auto& params = trainer_->model(r).params().all();

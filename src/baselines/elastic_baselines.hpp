@@ -14,8 +14,8 @@
 
 #include <memory>
 
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::baselines {
 
@@ -67,7 +67,7 @@ class ElasticTrainerBase {
  private:
   void rebuild(std::int64_t world, float lr, std::int64_t batch);
 
-  std::unique_ptr<ddp::DDPTrainer> trainer_;
+  std::unique_ptr<parallel::Trainer> trainer_;
   std::int64_t world_ = 0;
   float current_lr_ = 0.0f;
   std::int64_t current_batch_ = 0;

@@ -78,7 +78,8 @@ struct CollectiveReport {
   /// Share of this collective's virtual comm time hidden under backward
   /// compute, when the overlapped (pipelined) comm path ran it.  0 on the
   /// sequential path.  Filled in by the caller that owns the pipeline
-  /// (core::Engine / ddp::Trainer), since only it knows the compute window.
+  /// (core::Engine / parallel::Trainer), since only it knows the compute
+  /// window.
   double overlap_frac = 0.0;
 };
 

@@ -45,8 +45,37 @@ std::vector<std::uint8_t> read_bounded_section(std::FILE* f,
   return bytes;
 }
 
-void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
-                const DigestChain& chain, const ShardFrameMeta* shard) {
+}  // namespace
+
+void ShardFrameMeta::save(ByteWriter& w) const {
+  w.write(world_size);
+  w.write(shard_degree);
+  w.write(total_numel);
+  w.write_vector(chunk_begin);
+  w.write_vector(chunk_end);
+  chunk_chain.save(w);
+}
+
+ShardFrameMeta ShardFrameMeta::load(ByteReader& r) {
+  ShardFrameMeta meta;
+  meta.world_size = r.read<std::int32_t>();
+  meta.shard_degree = r.read<std::int32_t>();
+  meta.total_numel = r.read<std::int64_t>();
+  meta.chunk_begin = r.read_vector<std::int64_t>();
+  meta.chunk_end = r.read_vector<std::int64_t>();
+  ES_CHECK(meta.chunk_begin.size() == meta.chunk_end.size(),
+           "shard frame chunk bound arrays disagree");
+  ES_CHECK(meta.world_size >= 1 && meta.shard_degree >= 1 &&
+               meta.world_size % meta.shard_degree == 0,
+           "shard frame world/degree factorization invalid");
+  meta.chunk_chain = DigestChain::load(r);  // verifies every link
+  return meta;
+}
+
+void save_checkpoint_file(const std::string& path,
+                          const std::vector<std::uint8_t>& bytes,
+                          const DigestChain& chain,
+                          const ShardFrameMeta* shard) {
   const std::string tmp = path + ".tmp";
   {
     FileGuard guard;
@@ -87,60 +116,6 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes,
   }
   ES_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
            "cannot move checkpoint into place at " << path);
-}
-
-}  // namespace
-
-void ShardFrameMeta::save(ByteWriter& w) const {
-  w.write(world_size);
-  w.write(shard_degree);
-  w.write(total_numel);
-  w.write_vector(chunk_begin);
-  w.write_vector(chunk_end);
-  chunk_chain.save(w);
-}
-
-ShardFrameMeta ShardFrameMeta::load(ByteReader& r) {
-  ShardFrameMeta meta;
-  meta.world_size = r.read<std::int32_t>();
-  meta.shard_degree = r.read<std::int32_t>();
-  meta.total_numel = r.read<std::int64_t>();
-  meta.chunk_begin = r.read_vector<std::int64_t>();
-  meta.chunk_end = r.read_vector<std::int64_t>();
-  ES_CHECK(meta.chunk_begin.size() == meta.chunk_end.size(),
-           "shard frame chunk bound arrays disagree");
-  ES_CHECK(meta.world_size >= 1 && meta.shard_degree >= 1 &&
-               meta.world_size % meta.shard_degree == 0,
-           "shard frame world/degree factorization invalid");
-  meta.chunk_chain = DigestChain::load(r);  // verifies every link
-  return meta;
-}
-
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes) {
-  save_checkpoint_file(path, bytes, DigestChain());
-}
-
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain) {
-  write_file(path, bytes, chain, nullptr);
-}
-
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain,
-                          const ShardFrameMeta& shard) {
-  write_file(path, bytes, chain, &shard);
-}
-
-std::vector<std::uint8_t> load_checkpoint_file(const std::string& path) {
-  return load_checkpoint_file(path, nullptr, nullptr);
-}
-
-std::vector<std::uint8_t> load_checkpoint_file(const std::string& path,
-                                               DigestChain* chain_out) {
-  return load_checkpoint_file(path, chain_out, nullptr);
 }
 
 std::vector<std::uint8_t> load_checkpoint_file(

@@ -19,8 +19,8 @@
 //       shard_degree — the chunk chain of a run saved at degree N is
 //       byte-comparable to one saved at any other degree, which is how
 //       sharded round-trip tests prove cross-degree restores bitwise.
-//       v2 files (and the v2 writer overloads) are unchanged byte for
-//       byte.
+//       v2 files (written whenever no shard frame is given) are unchanged
+//       byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -50,35 +50,19 @@ struct ShardFrameMeta {
 };
 
 /// Write checkpoint bytes to `path` atomically (write temp + rename),
-/// with an empty digest chain.
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes);
-
-/// Same, recording a per-tensor digest chain alongside the payload.
+/// recording `chain` alongside the payload (version 2), plus the
+/// shard-layout frame when `shard` is given (version 3).
 void save_checkpoint_file(const std::string& path,
                           const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain);
-
-/// Same, additionally recording the shard-layout frame (writes version 3).
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain,
-                          const ShardFrameMeta& shard);
+                          const DigestChain& chain = {},
+                          const ShardFrameMeta* shard = nullptr);
 
 /// Read and verify a checkpoint file; throws on corruption or truncation
-/// (payload digest mismatch, broken chain links, framing damage).
+/// (payload digest mismatch, broken chain links, framing damage).  The
+/// stored digest chain (empty for version-1 files) and shard frame
+/// (nullopt for pre-v3 files) come back through the optional out-params.
 [[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path);
-
-/// Same, returning the stored digest chain through `chain_out` (empty for
-/// version-1 files, which predate the chain section).
-[[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path, DigestChain* chain_out);
-
-/// Same, additionally returning the shard frame through `shard_out`
-/// (nullopt for pre-v3 files).
-[[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path, DigestChain* chain_out,
-    std::optional<ShardFrameMeta>* shard_out);
+    const std::string& path, DigestChain* chain_out = nullptr,
+    std::optional<ShardFrameMeta>* shard_out = nullptr);
 
 }  // namespace easyscale::core

@@ -1,6 +1,6 @@
 // Re-execution witness: the engine-level SDC detector.
 //
-// Cross-replica voting (ddp/trainer) needs redundant replicas of the same
+// Cross-replica voting (parallel/trainer) needs redundant replicas of the same
 // logical thread; an EasyScale engine usually has none to spare.  The
 // witness instead exploits D1 determinism directly: every `witness_every`
 // steps, after gradients are computed but before all-reduce publishes

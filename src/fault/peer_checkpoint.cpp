@@ -111,10 +111,9 @@ bool PeerReplicaStore::drop(int owner, std::int64_t epoch) {
   return frames_.erase({owner, epoch}) != 0;
 }
 
-void PeerReplicaStore::gc_below(std::int64_t min_epoch,
-                                const std::set<std::int64_t>& pinned) {
+void PeerReplicaStore::gc_below(std::int64_t min_epoch) {
   for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->first.second < min_epoch && pinned.count(it->first.second) == 0) {
+    if (it->first.second < min_epoch) {
       it = frames_.erase(it);
     } else {
       ++it;
@@ -156,12 +155,6 @@ void PeerCheckpointService::mark_dead(int rank) {
   dead_[static_cast<std::size_t>(rank)] = 1;
   // The device's memory dies with it: every frame it held is gone.
   stores_[static_cast<std::size_t>(rank)].clear();
-}
-
-void PeerCheckpointService::revive(int rank) {
-  ES_CHECK(rank >= 0 && rank < world_, "rank " << rank << " out of range");
-  dead_[static_cast<std::size_t>(rank)] = 0;
-  stores_[static_cast<std::size_t>(rank)].clear();  // fresh device, empty shelf
 }
 
 bool PeerCheckpointService::drop_random_replica(int holder,
@@ -327,14 +320,13 @@ void PeerCheckpointService::gc_stores() {
       committed_[committed_.size() -
                  static_cast<std::size_t>(cfg_.keep_epochs)]
           .epoch;
-  for (auto& store : stores_) store.gc_below(min_epoch, pinned_);
+  for (auto& store : stores_) store.gc_below(min_epoch);
   // The commit log shrinks with the frames: a record whose frames are GC'd
-  // could only ever produce quorum failures.  Pinned epochs keep theirs.
+  // could only ever produce quorum failures.
   committed_.erase(
       std::remove_if(committed_.begin(), committed_.end(),
                      [&](const PeerCommitRecord& rec) {
-                       return rec.epoch < min_epoch &&
-                              pinned_.count(rec.epoch) == 0;
+                       return rec.epoch < min_epoch;
                      }),
       committed_.end());
 }

@@ -61,7 +61,7 @@ struct PeerCheckpointConfig {
   /// `owner / ranks_per_node` is skipped.
   int ranks_per_node = 1;
   /// Committed epochs retained in the stores; older frames are GC'd after
-  /// each successful commit.  Pinned epochs survive (see pin_epoch).
+  /// each successful commit.
   std::int64_t keep_epochs = 2;
   comm::PeerTransferConfig transfer;
 };
@@ -109,8 +109,8 @@ class PeerReplicaStore {
       int owner, std::int64_t epoch) const;
   /// Remove one frame; returns whether it was present.
   bool drop(int owner, std::int64_t epoch);
-  /// Remove every frame with epoch < min_epoch, except pinned epochs.
-  void gc_below(std::int64_t min_epoch, const std::set<std::int64_t>& pinned);
+  /// Remove every frame with epoch < min_epoch.
+  void gc_below(std::int64_t min_epoch);
   [[nodiscard]] std::vector<std::pair<int, std::int64_t>> entries() const;
   [[nodiscard]] std::size_t size() const { return frames_.size(); }
   void clear() { frames_.clear(); }
@@ -165,7 +165,7 @@ class PeerCheckpointService {
   /// visible to recovery, then GC stores down to keep_epochs.
   void commit_prepared();
 
-  /// stage + replicate + commit in one call (the supervisor's fast path).
+  /// stage + replicate + commit in one call, with no decision in between.
   bool snapshot(std::int64_t epoch, std::vector<std::uint8_t> bytes,
                 const std::set<int>& excluded);
 
@@ -175,16 +175,10 @@ class PeerCheckpointService {
   // --- membership & faults ----------------------------------------------
   /// The rank's device (and its DRAM) is gone: store cleared, rank dead.
   void mark_dead(int rank);
-  /// A fresh device takes the slot: alive again, store starts empty.
-  void revive(int rank);
   [[nodiscard]] bool rank_alive(int rank) const;
   /// Drop one seeded frame from `holder`'s store (replica-loss injection).
   /// Returns false when the store is empty or the rank is dead.
   bool drop_random_replica(int holder, std::uint64_t seed);
-
-  /// Keep this epoch's frames through GC (e.g. a known-good blessed state).
-  void pin_epoch(std::int64_t epoch) { pinned_.insert(epoch); }
-  void unpin_epoch(std::int64_t epoch) { pinned_.erase(epoch); }
 
   // --- recovery ----------------------------------------------------------
   struct Recovered {
@@ -233,7 +227,6 @@ class PeerCheckpointService {
   std::optional<Staged> staged_;      // double buffer: the inactive side
   std::optional<Prepared> prepared_;  // phase-1 complete, awaiting bless
   std::vector<PeerCommitRecord> committed_;
-  std::set<std::int64_t> pinned_;
   PeerCheckpointStats stats_;
 };
 

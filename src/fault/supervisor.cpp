@@ -136,32 +136,23 @@ int FaultSupervisor::peer_requester() const {
 
 void FaultSupervisor::take_peer_snapshot() {
   if (!peer_) return;
-  // Under sdc_defense a peer epoch must be as trustworthy as a verified
-  // disk generation: only witness-certified states enter the stores.
+  // Under sdc_defense a peer epoch must be as trustworthy as a blessed disk
+  // generation: only witness-certified states enter the stores.
   if (config_.sdc_defense &&
       engine_->last_clean_witness_step() != engine_->global_step()) {
     return;
   }
-  // Copy-on-snapshot staging is the only critical-path cost; the frame
-  // pushes ride the dedicated fabric's clock and surface as
-  // peer_background_s at the end of the run.
-  if (control_) {
-    // Replicated path: the epoch commit is a control decision.  Frames are
-    // staged and pushed first, the blessing commits on the decision log,
-    // and only then does the epoch become recoverable — a leader that dies
-    // between push and bless leaves an unblessed epoch the next leader's
-    // replayed log knows nothing about (exactly like a torn phase-1 disk
-    // write).
-    peer_->stage(engine_->global_step(), engine_->checkpoint());
-    if (peer_->replicate_staged(peer_excluded())) {
-      decide(DecisionKind::kBlessPeerEpoch, engine_->global_step());
-      peer_->commit_prepared();
-      ++stats_.peer_snapshots;
-    } else {
-      ++stats_.peer_snapshot_aborts;
-    }
-  } else if (peer_->snapshot(engine_->global_step(), engine_->checkpoint(),
-                             peer_excluded())) {
+  // Two-phase epoch commit.  Copy-on-snapshot staging is the only
+  // critical-path cost; the frame pushes ride the dedicated fabric's clock
+  // and surface as peer_background_s at the end of the run.  Under a
+  // control plane the blessing commits on the decision log between push and
+  // commit, so a leader that dies in between leaves an unblessed epoch the
+  // next leader's replayed log knows nothing about (exactly like a torn
+  // disk write).
+  peer_->stage(engine_->global_step(), engine_->checkpoint());
+  if (peer_->replicate_staged(peer_excluded())) {
+    decide(DecisionKind::kBlessPeerEpoch, engine_->global_step());
+    peer_->commit_prepared();
     ++stats_.peer_snapshots;
   } else {
     ++stats_.peer_snapshot_aborts;
@@ -213,100 +204,79 @@ double FaultSupervisor::step_cost() const {
 }
 
 void FaultSupervisor::save_checkpoint() {
-  // Replicated path: the blessing is a control decision FIRST; the write
-  // then carries the committing leader's fencing epoch so a deposed
-  // leader's save is rejected at the store.
+  // Under a control plane the blessing is a decision FIRST; the write then
+  // carries the committing leader's fencing epoch (0 without a control
+  // plane) so a deposed leader's save is rejected at the store.  Every
+  // generation records the parameter digest chain, but only sdc_defense
+  // blesses, and only when the state it captures is witness-certified: the
+  // anchor (step 0) or a step the re-execution witness just cleared.  A
+  // generation written while an undetected corruption was live stays
+  // unblessed and is skipped by the SDC walk-back.
   const auto bless =
       decide(DecisionKind::kBlessCheckpoint, config_.sdc_defense ? 1 : 0);
-  if (config_.sdc_defense) {
-    // Record the parameter digest chain with the payload, then bless the
-    // fresh generation ONLY when the engine state it captures is witness-
-    // certified: either the anchor (step 0) or a step the re-execution
-    // witness just cleared.  A generation written while an undetected
-    // corruption was live stays un-blessed and is skipped by the SDC
-    // walk-back.
-    if (bless.has_value()) {
-      checkpoints_->save_fenced(bless->epoch, engine_->checkpoint(),
-                                engine_->params_digest_chain());
-    } else {
-      checkpoints_->save(engine_->checkpoint(),
-                         engine_->params_digest_chain());
-    }
-    if (engine_->last_clean_witness_step() == engine_->global_step() &&
-        checkpoints_->verify_generation(0)) {
-      ++stats_.verified_checkpoints;
-    }
-  } else if (bless.has_value()) {
-    checkpoints_->save_fenced(bless->epoch, engine_->checkpoint());
-  } else {
-    checkpoints_->save(engine_->checkpoint());
+  const std::int64_t fence = bless.has_value() ? bless->epoch : 0;
+  checkpoints_->save(engine_->checkpoint(), engine_->params_digest_chain(),
+                     fence);
+  if (config_.sdc_defense &&
+      engine_->last_clean_witness_step() == engine_->global_step() &&
+      checkpoints_->bless_newest(fence)) {
+    ++stats_.verified_checkpoints;
   }
   ++stats_.checkpoints_saved;
   stats_.checkpoint_wall_s += config_.checkpoint_time_s;
   stats_.total_wall_s += config_.checkpoint_time_s;
 }
 
-bool FaultSupervisor::recover(bool shrink_one, int consecutive_faults) {
-  ++stats_.recoveries;
-  const std::int64_t before = engine_->global_step();
-  const double cost_before = step_cost();
-  const bool shrinking = config_.policy == RecoveryPolicy::kElasticScaleIn &&
-                         shrink_one && workers_ > 1;
-  // Two-phase condemnation on the decision log: the crashed device is
-  // proposed, then committed, BEFORE any state mutates — a failover in
-  // between replays both entries and lands in the same place.
-  if (shrinking) {
-    decide(DecisionKind::kCondemnPropose, device_of_slot_.back());
-    decide(DecisionKind::kCondemnCommit, device_of_slot_.back());
-  }
-  // The crashed device's DRAM is gone BEFORE any fetch: its replica store
-  // must not serve the recovery.  (By convention the highest slot dies —
-  // which slot is immaterial to training bits.)
-  if (shrinking) peer_mark_device_dead(device_of_slot_.back());
+bool FaultSupervisor::restore_latest(
+    core::Trust trust, std::int64_t before, double cost_before,
+    const std::function<void()>& reconfigure) {
   // Recovery lattice: peer quorum first (the newest commonly-available
   // committed epoch, fetched in-fabric), disk walk-back only when no intact
-  // quorum exists.
-  std::optional<std::vector<std::uint8_t>> bytes;
-  if (peer_) {
-    const int requester = peer_requester();
-    if (requester >= 0) {
-      const double fetch_before = peer_->stats().fetch_virtual_s;
-      auto rec = peer_->recover(requester, peer_excluded());
-      const double fetch_s = peer_->stats().fetch_virtual_s - fetch_before;
-      stats_.recovery_wall_s += fetch_s;
-      stats_.total_wall_s += fetch_s;
-      if (rec.has_value()) {
-        bytes = std::move(rec->snapshot);
-        ++stats_.peer_recoveries;
-      }
+  // quorum exists.  Under sdc_defense peer epochs are staged only at
+  // witness-certified steps, so a committed peer epoch is as trustworthy as
+  // a blessed disk generation, and newer.
+  std::optional<core::LoadedCheckpoint> state;
+  if (const int requester = peer_requester(); requester >= 0) {
+    const double fetch_before = peer_->stats().fetch_virtual_s;
+    auto rec = peer_->recover(requester, peer_excluded());
+    const double fetch_s = peer_->stats().fetch_virtual_s - fetch_before;
+    stats_.recovery_wall_s += fetch_s;
+    stats_.total_wall_s += fetch_s;
+    if (rec.has_value()) {
+      state.emplace().bytes = std::move(rec->snapshot);
+      ++stats_.peer_recoveries;
     }
   }
-  const bool from_peer = bytes.has_value();
-  if (!bytes.has_value()) {
-    bytes = control_ ? checkpoints_->load_latest_valid_fenced(control_->epoch())
-                     : checkpoints_->load_latest_valid();
-    if (bytes.has_value()) ++stats_.disk_recoveries;
-  }
-  if (!bytes.has_value()) {
-    ES_LOG_WARN("no peer quorum and no valid checkpoint generation on disk; "
-                "job lost");
-    return false;
+  const bool from_peer = state.has_value();
+  if (!from_peer) {
+    state = checkpoints_->load_latest(trust, control_ ? control_->epoch() : 0);
+    if (!state.has_value()) {
+      ES_LOG_WARN("no peer quorum and no "
+                  << (trust == core::Trust::kBlessed ? "blessed" : "valid")
+                  << " checkpoint generation on disk; job lost");
+      return false;
+    }
+    ++stats_.disk_recoveries;
   }
   // Which saved state this recovery restores from (0 = peer quorum,
   // 1 = disk walk-back) is itself a committed decision.
   decide(DecisionKind::kRecoveryPoint, from_peer ? 0 : 1, before);
-  if (shrinking) {
-    drop_slot(workers_ - 1);
-    --workers_;
-    ++stats_.scale_ins;
-    decide(DecisionKind::kMembershipEpoch, workers_, -1, 2);
-  }
-  reshape_workers();
-  engine_->restore(*bytes);
-  const std::int64_t lost = std::max<std::int64_t>(
-      0, before - engine_->global_step());
+  reconfigure();
+  engine_->restore(state->bytes);
+  // A disk generation read under kBlessed must restore exactly the
+  // parameters its stored chain attests.
+  ES_CHECK(from_peer || trust != core::Trust::kBlessed ||
+               engine_->params_digest_chain() == state->chain,
+           "restored parameters disagree with the blessed digest chain");
+  const std::int64_t lost =
+      std::max<std::int64_t>(0, before - engine_->global_step());
   stats_.lost_steps += lost;
   stats_.lost_wall_s += static_cast<double>(lost) * cost_before;
+  return true;
+}
+
+void FaultSupervisor::charge_backoff(int consecutive_faults,
+                                     double extra_wait_s) {
   // Bounded, jittered exponential backoff: the delay doubles per
   // consecutive fault but never beyond backoff_max_s, and the deterministic
   // jitter keeps a fleet of recovering jobs out of phase.
@@ -315,14 +285,47 @@ bool FaultSupervisor::recover(bool shrink_one, int consecutive_faults) {
   backoff.max_s = std::max(config_.backoff_base_s, config_.backoff_max_s);
   backoff.jitter_seed = config_.backoff_jitter_seed;
   bool capped = false;
-  double wait = config_.restore_time_s +
-                backoff.delay_s(consecutive_faults, &capped);
+  double wait =
+      config_.restore_time_s + backoff.delay_s(consecutive_faults, &capped);
   if (capped) ++stats_.capped_backoffs;
-  if (config_.policy == RecoveryPolicy::kGangRestart) {
-    wait += config_.replacement_wait_s;  // block until the gang is whole
-  }
+  wait += extra_wait_s;
   stats_.recovery_wall_s += wait;
   stats_.total_wall_s += wait;
+}
+
+bool FaultSupervisor::recover(bool shrink_one, int consecutive_faults) {
+  ++stats_.recoveries;
+  const std::int64_t before = engine_->global_step();
+  const double cost_before = step_cost();
+  const bool shrinking = config_.policy == RecoveryPolicy::kElasticScaleIn &&
+                         shrink_one && workers_ > 1;
+  if (shrinking) {
+    // Two-phase condemnation on the decision log: the crashed device is
+    // proposed, then committed, BEFORE any state mutates — a failover in
+    // between replays both entries and lands in the same place.
+    decide(DecisionKind::kCondemnPropose, device_of_slot_.back());
+    decide(DecisionKind::kCondemnCommit, device_of_slot_.back());
+    // The crashed device's DRAM is gone BEFORE any fetch: its replica store
+    // must not serve the recovery.  (By convention the highest slot dies —
+    // which slot is immaterial to training bits.)
+    peer_mark_device_dead(device_of_slot_.back());
+  }
+  const bool restored =
+      restore_latest(core::Trust::kIntact, before, cost_before, [&] {
+        if (shrinking) {
+          drop_slot(workers_ - 1);
+          --workers_;
+          ++stats_.scale_ins;
+          decide(DecisionKind::kMembershipEpoch, workers_, -1, 2);
+        }
+        reshape_workers();
+      });
+  if (!restored) return false;
+  // A gang job cannot run below strength: it also waits for a replacement.
+  charge_backoff(consecutive_faults,
+                 config_.policy == RecoveryPolicy::kGangRestart
+                     ? config_.replacement_wait_s
+                     : 0.0);
   return true;
 }
 
@@ -385,57 +388,14 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
   ++stats_.devices_quarantined;
   stats_.recovery_wall_s += config_.sdc_repair_s;
   stats_.total_wall_s += config_.sdc_repair_s;
-  // Restore lattice: peer quorum first — under sdc_defense peer epochs are
-  // staged only at witness-certified steps, so a committed peer epoch is as
-  // trustworthy as a verified disk generation, and newer.  Fall back to the
-  // last VERIFIED disk generation.  Merely-valid generations are never
-  // enough: one written during the detection window is well-formed but
-  // captures poisoned parameters.
-  std::optional<std::vector<std::uint8_t>> restored;
-  if (peer_) {
-    const int requester = peer_requester();
-    if (requester >= 0) {
-      const double fetch_before = peer_->stats().fetch_virtual_s;
-      auto rec = peer_->recover(requester, peer_excluded());
-      const double fetch_s = peer_->stats().fetch_virtual_s - fetch_before;
-      stats_.recovery_wall_s += fetch_s;
-      stats_.total_wall_s += fetch_s;
-      if (rec.has_value()) {
-        restored = std::move(rec->snapshot);
-        ++stats_.peer_recoveries;
-      }
-    }
+  // Walk back to a witness-certified state: a committed peer epoch or a
+  // BLESSED disk generation.  Merely-valid generations are never enough:
+  // one written during the detection window is well-formed but captures
+  // poisoned parameters.
+  if (!restore_latest(core::Trust::kBlessed, before, cost_before, [] {})) {
+    return false;
   }
-  decide(DecisionKind::kRecoveryPoint, restored.has_value() ? 0 : 1, before);
-  if (restored.has_value()) {
-    engine_->restore(*restored);
-  } else {
-    if (control_) checkpoints_->check_fence(control_->epoch(), "SDC restore");
-    const auto verified = checkpoints_->load_latest_verified();
-    if (!verified.has_value()) {
-      ES_LOG_WARN("no peer quorum and no verified checkpoint generation on "
-                  "disk; job lost");
-      return false;
-    }
-    ++stats_.disk_recoveries;
-    engine_->restore(verified->first);
-    ES_CHECK(engine_->params_digest_chain() == verified->second,
-             "restored parameters disagree with the verified digest chain");
-  }
-  const std::int64_t lost =
-      std::max<std::int64_t>(0, before - engine_->global_step());
-  stats_.lost_steps += lost;
-  stats_.lost_wall_s += static_cast<double>(lost) * cost_before;
-  comm::BackoffPolicy backoff;
-  backoff.base_s = config_.backoff_base_s;
-  backoff.max_s = std::max(config_.backoff_base_s, config_.backoff_max_s);
-  backoff.jitter_seed = config_.backoff_jitter_seed;
-  bool capped = false;
-  const double wait =
-      config_.restore_time_s + backoff.delay_s(consecutive_faults, &capped);
-  if (capped) ++stats_.capped_backoffs;
-  stats_.recovery_wall_s += wait;
-  stats_.total_wall_s += wait;
+  charge_backoff(consecutive_faults, 0.0);
   return true;
 }
 

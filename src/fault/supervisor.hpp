@@ -3,9 +3,10 @@
 //
 // The supervisor owns the checkpoint cadence (periodic saves plus an
 // on-demand save inside every revocation grace period), catches injected
-// failures, walks CheckpointManager back to the newest valid generation,
-// remaps the ESTs onto the surviving workers via configure_workers(), and
-// retries with bounded exponential backoff.  Because everything that
+// failures, restores the newest intact state (peer quorum, else the newest
+// valid CheckpointManager generation), remaps the ESTs onto the surviving
+// workers via configure_workers(), and retries with bounded exponential
+// backoff.  Because everything that
 // affects training state round-trips through the D1 checkpoint, a run that
 // crashes and recovers any number of times ends with the SAME params
 // digest as an undisturbed run — the keystone property of the fault tests.
@@ -69,9 +70,9 @@ struct SupervisorConfig {
   double comm_detect_s = 1.0;
 
   // --- Silent-data-corruption defense ---
-  /// Arm the full defense stack: the engine's re-execution witness, digest
-  /// chains + verification on periodic checkpoints, and — on detection —
-  /// device condemnation, quarantine, and a walk-back to the last VERIFIED
+  /// Arm the full defense stack: the engine's re-execution witness,
+  /// blessing of witness-certified checkpoints, and — on detection —
+  /// device condemnation, quarantine, and a walk-back to the last BLESSED
   /// checkpoint.  SDC fault events corrupt kernels regardless of this flag
   /// (the undefended baseline suffers them silently); the flag only
   /// controls whether anybody is watching.
@@ -262,12 +263,26 @@ class FaultSupervisor {
   /// run_to can catch ControllerUnavailableError around the whole run.
   void run_loop(std::int64_t target_step);
   void save_checkpoint();
-  /// Roll back to the newest valid generation; optionally drop one worker
+  /// The recovery lattice shared by crash and SDC recovery: the newest
+  /// committed peer epoch with an intact quorum, else the newest disk
+  /// generation meeting `trust` (read under the control plane's fence).
+  /// Once a state is found it commits the recovery point, runs
+  /// `reconfigure` (the caller's membership change), restores the engine —
+  /// checking a blessed generation against its stored digest chain — and
+  /// charges the steps rolled back since `before`.  Returns false (job lost)
+  /// when nothing survives.
+  bool restore_latest(core::Trust trust, std::int64_t before,
+                      double cost_before,
+                      const std::function<void()>& reconfigure);
+  /// Charge the restore time plus the bounded, jittered exponential backoff
+  /// for `consecutive_faults`, plus `extra_wait_s`, to the wall model.
+  void charge_backoff(int consecutive_faults, double extra_wait_s);
+  /// Roll back to the newest intact state; optionally drop one worker
   /// (elastic crash path).  Returns false when recovery is impossible.
   bool recover(bool shrink_one, int consecutive_faults);
   /// SDC respond path: condemn the detected device, quarantine it, and
-  /// walk back to the last VERIFIED checkpoint.  Returns false when no
-  /// verified generation survives.
+  /// walk back to the newest BLESSED state.  Returns false when none
+  /// survives.
   bool recover_from_sdc(const core::IntegrityError& e,
                         int consecutive_faults);
   /// Turn the device currently in `slot` sticky-corrupt per the event.

@@ -673,7 +673,7 @@ void Trainer::save_checkpoint(const std::string& path) {
   DigestChain chain;
   core::ShardFrameMeta meta;
   build_checkpoint_image(&payload, &chain, &meta);
-  core::save_checkpoint_file(path, payload, chain, meta);
+  core::save_checkpoint_file(path, payload, chain, &meta);
 }
 
 std::vector<std::uint8_t> Trainer::checkpoint_bytes() {

@@ -1,7 +1,6 @@
 // Planner-driven data-parallel trainer: the generalization of the old
-// ddp::DDPTrainer (which remains available as an alias) from pure
-// replicated data parallelism to a parallel::Plan of
-// data_replicas × shard_degree.
+// fixed-DoP DDP baseline trainer from pure replicated data parallelism to
+// a parallel::Plan of data_replicas × shard_degree.
 //
 // shard_degree == 1 is exactly the PyTorch-DDP fixed-DoP baseline: one
 // model/optimizer replica per rank, bucketed ring all-reduce over the

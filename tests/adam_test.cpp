@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "optim/adam.hpp"
 #include "optim/optimizer.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::optim {
 namespace {
@@ -98,14 +98,14 @@ TEST(AdamEquivalence, EasyScaleMatchesDDPWithAdam) {
   // state is a function of synchronized gradients, so elasticity cannot
   // perturb it.
   auto wd = models::make_dataset_for("Bert", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "Bert";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.optim.kind = OptimizerConfig::Kind::kAdam;
   dcfg.optim.lr = 1e-3f;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(5);
 
   core::EasyScaleConfig cfg;

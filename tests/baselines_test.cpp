@@ -6,8 +6,8 @@
 
 #include "baselines/elastic_baselines.hpp"
 #include "common/digest.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::baselines {
 namespace {
@@ -89,13 +89,13 @@ TEST(Baselines, BaselineAtDesignWorldStillDiffersFromDDPAfterRescale) {
   t.reconfigure(4);
   t.run_steps(3);
 
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 8;
   dcfg.seed = 42;
   auto wd2 = models::make_dataset_for("ResNet18", 128, 16, 42);
-  ddp::DDPTrainer ref(dcfg, *wd2.train, wd2.augment);
+  parallel::Trainer ref(dcfg, *wd2.train, wd2.augment);
   ref.run_steps(8);
   EXPECT_NE(t.params_digest(), ref.params_digest());
 }

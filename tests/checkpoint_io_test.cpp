@@ -98,9 +98,9 @@ TEST(CheckpointManager, WriterKilledAtEveryByteOffsetRecoversPreviousGen) {
       std::ofstream out(newest, std::ios::binary | std::ios::trunc);
       out.write(full.data(), static_cast<std::streamsize>(k));
     }
-    const auto recovered = mgr.load_latest_valid();
+    const auto recovered = mgr.load_latest(Trust::kIntact);
     ASSERT_TRUE(recovered.has_value()) << "crash point " << k;
-    EXPECT_EQ(*recovered, gen_a)
+    EXPECT_EQ(recovered->bytes, gen_a)
         << "torn generation accepted at crash point " << k;
   }
   // The complete file is the newest generation again.
@@ -108,9 +108,9 @@ TEST(CheckpointManager, WriterKilledAtEveryByteOffsetRecoversPreviousGen) {
     std::ofstream out(newest, std::ios::binary | std::ios::trunc);
     out.write(full.data(), static_cast<std::streamsize>(full.size()));
   }
-  const auto recovered = mgr.load_latest_valid();
+  const auto recovered = mgr.load_latest(Trust::kIntact);
   ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(*recovered, gen_b);
+  EXPECT_EQ(recovered->bytes, gen_b);
   mgr.clear();
 }
 
@@ -132,7 +132,8 @@ TEST(CheckpointManager, RotatesGenerations) {
   mgr.save({3});
   mgr.save({4});
   EXPECT_EQ(mgr.generations_on_disk(), 3);
-  EXPECT_EQ(mgr.load_latest_valid().value(), (std::vector<std::uint8_t>{4}));
+  EXPECT_EQ(mgr.load_latest(Trust::kIntact).value().bytes,
+            (std::vector<std::uint8_t>{4}));
   EXPECT_EQ(load_checkpoint_file(mgr.path_for(2)),
             (std::vector<std::uint8_t>{2}));  // oldest kept = 2
   mgr.clear();
@@ -152,9 +153,9 @@ TEST(CheckpointManager, FallsBackPastCorruptNewest) {
     const char junk = 99;
     f.write(&junk, 1);
   }
-  const auto bytes = mgr.load_latest_valid();
-  ASSERT_TRUE(bytes.has_value());
-  EXPECT_EQ(*bytes, (std::vector<std::uint8_t>{10, 11}));
+  const auto loaded = mgr.load_latest(Trust::kIntact);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->bytes, (std::vector<std::uint8_t>{10, 11}));
   mgr.clear();
 }
 
@@ -174,9 +175,9 @@ TEST(CheckpointManager, TornDigestFallsBackAndKeepsBothGenerations) {
     const char junk[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     f.write(junk, sizeof(junk));
   }
-  const auto bytes = mgr.load_latest_valid();
-  ASSERT_TRUE(bytes.has_value());
-  EXPECT_EQ(*bytes, (std::vector<std::uint8_t>{7, 7, 7}));
+  const auto loaded = mgr.load_latest(Trust::kIntact);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->bytes, (std::vector<std::uint8_t>{7, 7, 7}));
   EXPECT_EQ(mgr.generations_on_disk(), 2);
   mgr.clear();
 }
@@ -184,7 +185,7 @@ TEST(CheckpointManager, TornDigestFallsBackAndKeepsBothGenerations) {
 TEST(CheckpointManager, EmptyWhenNothingOnDisk) {
   CheckpointManager mgr(temp_path("none"), 2);
   mgr.clear();
-  EXPECT_FALSE(mgr.load_latest_valid().has_value());
+  EXPECT_FALSE(mgr.load_latest(Trust::kIntact).has_value());
 }
 
 TEST(CheckpointManager, EndToEndCrashRecoveryThroughRotation) {
@@ -217,9 +218,9 @@ TEST(CheckpointManager, EndToEndCrashRecoveryThroughRotation) {
   }
   EasyScaleEngine revived(cfg, *wd.train, wd.augment);
   revived.configure_workers(std::vector<WorkerSpec>(1));
-  const auto bytes = mgr.load_latest_valid();
-  ASSERT_TRUE(bytes.has_value());
-  revived.restore(*bytes);
+  const auto loaded = mgr.load_latest(Trust::kIntact);
+  ASSERT_TRUE(loaded.has_value());
+  revived.restore(loaded->bytes);
   EXPECT_EQ(revived.global_step(), 2);
   revived.run_steps(4);
   EXPECT_EQ(revived.params_digest(), reference.params_digest());

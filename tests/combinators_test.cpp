@@ -5,8 +5,8 @@
 
 #include "core/engine.hpp"
 #include "data/combinators.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "tensor/ops.hpp"
 
 namespace easyscale::data {
@@ -40,12 +40,12 @@ TEST(Concat, TrainingOnCombinatorsStaysConsistent) {
   SubsetDataset train(base, 0, 128);
   AugmentConfig augment;
 
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, train, augment);
+  parallel::Trainer reference(dcfg, train, augment);
   reference.run_steps(4);
 
   core::EasyScaleConfig cfg;
@@ -65,13 +65,13 @@ class HeterWorkloadTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(HeterWorkloadTest, D2KeepsMixedDevicesBitwiseConsistent) {
   const std::string workload = GetParam();
   auto wd = models::make_dataset_for(workload, 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = workload;
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.policy = kernels::KernelPolicy::kHardwareAgnostic;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
 
   core::EasyScaleConfig cfg;

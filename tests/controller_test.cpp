@@ -237,14 +237,19 @@ TEST(ControllerFence, CheckpointManagerRejectsDeposedWriters) {
       std::string(::testing::TempDir()) + "/ctrl_fence", 2);
   mgr.clear();
   const std::vector<std::uint8_t> bytes = {1, 2, 3, 4};
-  mgr.save_fenced(/*writer_epoch=*/2, bytes);
+  mgr.save(bytes, {}, /*fence=*/2);
   EXPECT_EQ(mgr.fence_epoch(), 2);
-  // A deposed leader (epoch 1) can neither write nor drive a restore.
-  EXPECT_THROW(mgr.save_fenced(1, bytes), Error);
-  EXPECT_THROW((void)mgr.load_latest_valid_fenced(1), Error);
-  // The current epoch passes both.
-  EXPECT_TRUE(mgr.load_latest_valid_fenced(2).has_value());
-  mgr.save_fenced(3, bytes);
+  ASSERT_TRUE(mgr.bless_newest(2));
+  // A deposed leader (epoch 1) can neither write, bless nor drive a
+  // restore at either trust level.
+  EXPECT_THROW(mgr.save(bytes, {}, 1), Error);
+  EXPECT_THROW((void)mgr.bless_newest(1), Error);
+  EXPECT_THROW((void)mgr.load_latest(core::Trust::kIntact, 1), Error);
+  EXPECT_THROW((void)mgr.load_latest(core::Trust::kBlessed, 1), Error);
+  // The current epoch passes every one.
+  EXPECT_TRUE(mgr.load_latest(core::Trust::kIntact, 2).has_value());
+  EXPECT_TRUE(mgr.load_latest(core::Trust::kBlessed, 2).has_value());
+  mgr.save(bytes, {}, 3);
   EXPECT_EQ(mgr.fence_epoch(), 3);
   mgr.clear();
 }
@@ -379,6 +384,69 @@ TEST(ControllerSupervisor, FailoverKeepsTrainingBitwiseEqual) {
   EXPECT_EQ(stormy.first, quiet.first);
   EXPECT_EQ(stormy.second, quiet.second);
 }
+
+// SDC defense under the control plane: the blessed-trust walk-back reads
+// behind the leader's fence.  The adversary tears the newest (blessed)
+// generation, then a device turns silently corrupt; the witness detection
+// must skip the torn file — or restore a committed peer epoch when peers
+// are on — and still finish bitwise equal to the fault-free run.
+class ControllerSdc : public ::testing::TestWithParam<int> {};
+
+TEST_P(ControllerSdc, TornNewestGenerationWalksBackToBlessedBitwise) {
+  const int peer_replicas = GetParam();
+  auto wd = models::make_dataset_for("NeuMF", 128, 16, 42);
+  core::EasyScaleConfig ecfg;
+  ecfg.workload = "NeuMF";
+  ecfg.num_ests = 4;
+  ecfg.batch_per_est = 4;
+  ecfg.seed = 42;
+  constexpr std::int64_t kSteps = 16;
+  core::EasyScaleEngine ref(ecfg, *wd.train, wd.augment);
+  ref.configure_workers(std::vector<core::WorkerSpec>(4));
+  ref.run_steps(kSteps);
+
+  // Both fire at step 9: the step-8 generation is torn, then device 1
+  // turns corrupt and the witness catches it on the next step.
+  const std::vector<FaultEvent> events = {
+      FaultEvent{.kind = FaultKind::kTornCheckpoint,
+                 .step = 9,
+                 .payload_seed = 0x7EA2u},
+      FaultEvent{.kind = FaultKind::kSdcBitFlip,
+                 .step = 9,
+                 .worker = 1,
+                 .payload_seed = 0xB17F11u},
+  };
+  core::EasyScaleEngine engine(ecfg, *wd.train, wd.augment);
+  core::CheckpointManager mgr(std::string(::testing::TempDir()) +
+                                  "/ctrl_sdc_" + std::to_string(peer_replicas),
+                              4);
+  mgr.clear();
+  SupervisorConfig scfg;
+  scfg.checkpoint_every = 4;
+  scfg.sdc_defense = true;
+  scfg.witness_every = 1;
+  scfg.peer_replicas = peer_replicas;
+  scfg.controller_replicas = 3;
+  FaultSupervisor sup(engine, mgr, FaultInjector(events), scfg);
+  const auto stats = sup.run_to(kSteps, 4);
+  ASSERT_FALSE(stats.failed);
+  EXPECT_EQ(stats.sdc_detections, 1);
+  EXPECT_GT(stats.controller_decisions, 0);
+  EXPECT_GT(mgr.fence_epoch(), 0) << "saves must carry the leader's epoch";
+  if (peer_replicas == 0) {
+    // The torn step-8 generation is skipped; the walk-back lands on the
+    // blessed step-4 generation.
+    EXPECT_EQ(stats.disk_recoveries, 1);
+    EXPECT_EQ(stats.lost_steps, 5);
+  } else {
+    EXPECT_EQ(stats.peer_recoveries, 1);
+    EXPECT_EQ(stats.disk_recoveries, 0);
+  }
+  EXPECT_EQ(engine.params_digest(), ref.params_digest());
+  mgr.clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(PeerReplicas, ControllerSdc, ::testing::Values(0, 2));
 
 TEST(ControllerSupervisor, ControllerFaultStreamLeavesExistingSchedulesAlone) {
   // The controller fault kinds draw from a FRESH salted Philox stream:

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale {
 namespace {
@@ -30,8 +30,8 @@ EasyScaleConfig base_config(const std::string& workload) {
   return cfg;
 }
 
-ddp::DDPConfig ddp_config(const std::string& workload) {
-  ddp::DDPConfig cfg;
+parallel::TrainerConfig ddp_config(const std::string& workload) {
+  parallel::TrainerConfig cfg;
   cfg.workload = workload;
   cfg.world_size = 4;
   cfg.batch_per_worker = 4;
@@ -42,7 +42,7 @@ ddp::DDPConfig ddp_config(const std::string& workload) {
 std::uint64_t ddp_digest_after(const std::string& workload,
                                std::int64_t steps) {
   auto wd = models::make_dataset_for(workload, kTrainSize, 32, kSeed);
-  ddp::DDPTrainer trainer(ddp_config(workload), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(workload), *wd.train, wd.augment);
   trainer.run_steps(steps);
   return trainer.params_digest();
 }
@@ -102,7 +102,7 @@ TEST(CoreEquivalence, RescaleMidTrainingMatchesDDP) {
 
 TEST(CoreEquivalence, LossHistoryMatchesDDPExactly) {
   auto wd = models::make_dataset_for("VGG19", kTrainSize, 32, kSeed);
-  ddp::DDPTrainer ddp(ddp_config("VGG19"), *wd.train, wd.augment);
+  parallel::Trainer ddp(ddp_config("VGG19"), *wd.train, wd.augment);
   ddp.run_steps(5);
 
   auto wd2 = models::make_dataset_for("VGG19", kTrainSize, 32, kSeed);

@@ -8,10 +8,10 @@
 
 #include "common/digest.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "kernels/custom.hpp"
 #include "kernels/gemm.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "rng/sampling.hpp"
 
 namespace easyscale::kernels {
@@ -83,14 +83,14 @@ TEST(CustomKernel, HeterogeneousTrainingStaysBitwiseConsistent) {
   // EasyScale-D2 with the Kahan kernel on a V100+T4 mix must equal
   // DDP-heter configured with the same custom kernel.
   auto wd = models::make_dataset_for("Bert", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "Bert";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.policy = KernelPolicy::kHardwareAgnostic;
   dcfg.custom_d2_gemm = kahan_handle();
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
 
   core::EasyScaleConfig cfg;

@@ -2,14 +2,14 @@
 // across DoPs — the gap EasyScale closes.
 #include <gtest/gtest.h>
 
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
-namespace easyscale::ddp {
+namespace easyscale::parallel {
 namespace {
 
-DDPConfig config(std::int64_t world, std::int64_t batch = 4) {
-  DDPConfig cfg;
+TrainerConfig config(std::int64_t world, std::int64_t batch = 4) {
+  TrainerConfig cfg;
   cfg.workload = "ResNet18";
   cfg.world_size = world;
   cfg.batch_per_worker = batch;
@@ -17,9 +17,9 @@ DDPConfig config(std::int64_t world, std::int64_t batch = 4) {
   return cfg;
 }
 
-std::uint64_t digest_after(const DDPConfig& cfg, std::int64_t steps) {
+std::uint64_t digest_after(const TrainerConfig& cfg, std::int64_t steps) {
   auto wd = models::make_dataset_for(cfg.workload, 128, 16, cfg.seed);
-  DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  Trainer trainer(cfg, *wd.train, wd.augment);
   trainer.run_steps(steps);
   return trainer.params_digest();
 }
@@ -44,7 +44,7 @@ TEST(DDP, SeedChangesResult) {
 
 TEST(DDP, BucketRebuildHappensAfterFirstStep) {
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer trainer(config(4), *wd.train, wd.augment);
+  Trainer trainer(config(4), *wd.train, wd.augment);
   const auto initial = trainer.current_layout();
   trainer.run_steps(1);
   const auto rebuilt = trainer.current_layout();
@@ -58,7 +58,7 @@ TEST(DDP, DisablingRebuildKeepsInitialLayout) {
   auto cfg = config(4);
   cfg.rebuild_buckets = false;
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  Trainer trainer(cfg, *wd.train, wd.augment);
   const auto initial = trainer.current_layout();
   trainer.run_steps(2);
   EXPECT_EQ(trainer.current_layout(), initial);
@@ -93,7 +93,7 @@ TEST(DDP, MixedDevicesDivergeWithoutD2) {
 
 TEST(DDP, LossHistoryLengthTracksSteps) {
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer trainer(config(2), *wd.train, wd.augment);
+  Trainer trainer(config(2), *wd.train, wd.augment);
   trainer.run_steps(7);
   EXPECT_EQ(trainer.loss_history().size(), 7u);
   EXPECT_EQ(trainer.global_step(), 7);
@@ -101,11 +101,11 @@ TEST(DDP, LossHistoryLengthTracksSteps) {
 
 TEST(DDP, ParallelRanksAreBitwiseIdenticalToSequential) {
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer seq(config(4), *wd.train, wd.augment);
+  Trainer seq(config(4), *wd.train, wd.augment);
   seq.run_steps(4);
   auto pcfg = config(4);
   pcfg.parallel_workers = true;
-  DDPTrainer par(pcfg, *wd.train, wd.augment);
+  Trainer par(pcfg, *wd.train, wd.augment);
   par.run_steps(4);
   EXPECT_EQ(seq.params_digest(), par.params_digest());
   for (std::size_t i = 0; i < seq.loss_history().size(); ++i) {
@@ -118,7 +118,7 @@ TEST(DDP, EpochsApplyLRSchedule) {
   cfg.lr_step_epochs = 1;
   cfg.gamma = 0.1f;
   auto wd = models::make_dataset_for("ResNet18", 64, 16, 42);
-  DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  Trainer trainer(cfg, *wd.train, wd.augment);
   trainer.run_epochs(3);
   // After 3 epochs the schedule has applied epoch=2 -> lr = 0.1 * 0.1^2.
   EXPECT_EQ(trainer.scheduler().last_epoch(), 2);
@@ -147,7 +147,7 @@ TEST(DDP, ResilientCommCleanAndFaultedRunsMatchPlainBitwise) {
   stall.stall_s = 5.0;  // beyond recv_deadline_s: forces a retry
   faulted_cfg.comm_faults = {drop, stall};
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer trainer(faulted_cfg, *wd.train, wd.augment);
+  Trainer trainer(faulted_cfg, *wd.train, wd.augment);
   trainer.run_steps(5);
   EXPECT_EQ(trainer.params_digest(), plain);
   EXPECT_GT(trainer.transport_stats().drops, 0);
@@ -158,7 +158,7 @@ TEST(DDP, ResilientCommRankDeathThrows) {
   auto cfg = config(3);
   cfg.resilient_comm = true;
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  Trainer trainer(cfg, *wd.train, wd.augment);
   trainer.run_steps(2);
   comm::CommFaultEvent death;
   death.kind = comm::LinkFaultKind::kRankDeath;
@@ -170,4 +170,4 @@ TEST(DDP, ResilientCommRankDeathThrows) {
 }
 
 }  // namespace
-}  // namespace easyscale::ddp
+}  // namespace easyscale::parallel

@@ -9,12 +9,12 @@
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
 #include "nn/attention.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/layernorm.hpp"
 #include "nn/pooling.hpp"
+#include "parallel/trainer.hpp"
 #include "rng/sampling.hpp"
 #include "tensor/ops.hpp"
 
@@ -103,12 +103,12 @@ TEST(EdgeEngine, SingleESTSingleWorker) {
   core::EasyScaleEngine e(cfg, *wd.train, wd.augment);
   e.configure_workers({core::WorkerSpec{}});
   e.run_steps(3);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "NeuMF";
   dcfg.world_size = 1;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 7;
-  ddp::DDPTrainer ref(dcfg, *wd.train, wd.augment);
+  parallel::Trainer ref(dcfg, *wd.train, wd.augment);
   ref.run_steps(3);
   EXPECT_EQ(e.params_digest(), ref.params_digest());
 }

@@ -5,8 +5,8 @@
 #include "common/digest.hpp"
 #include "core/engine.hpp"
 #include "core/memory_model.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::core {
 namespace {
@@ -97,13 +97,13 @@ TEST(Engine, HeterogeneousWorkersDivergeWithoutD2) {
 
 TEST(Engine, D1D2MatchesDDPHeterOnAnyMix) {
   auto wd = models::make_dataset_for("Bert", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "Bert";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.policy = kernels::KernelPolicy::kHardwareAgnostic;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(5);
 
   auto cfg = config("Bert");
@@ -208,14 +208,14 @@ TEST(Engine, LRScheduleMatchesDDPOverEpochs) {
   e.configure_workers(std::vector<WorkerSpec>(2));
   e.run_epochs(3);
 
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.lr_step_epochs = 1;
   dcfg.gamma = 0.5f;
-  ddp::DDPTrainer ref(dcfg, *wd.train, wd.augment);
+  parallel::Trainer ref(dcfg, *wd.train, wd.augment);
   ref.run_epochs(3);
   EXPECT_EQ(e.params_digest(), ref.params_digest());
 }

@@ -188,9 +188,9 @@ TEST(FaultSupervisor, RecoveryEquivalenceAcrossMappings) {
   }
   EasyScaleEngine revived(small_config(), *wd.train, wd.augment);
   revived.configure_workers(std::vector<WorkerSpec>(2));  // survivors
-  const auto bytes = mgr.load_latest_valid();
-  ASSERT_TRUE(bytes.has_value());
-  revived.restore(*bytes);
+  const auto loaded = mgr.load_latest(core::Trust::kIntact);
+  ASSERT_TRUE(loaded.has_value());
+  revived.restore(loaded->bytes);
   EXPECT_EQ(revived.global_step(), kCrashStep);
   revived.run_steps(kSteps - kCrashStep);
   EXPECT_EQ(revived.params_digest(), clean4);

@@ -15,12 +15,12 @@
 #include "core/checkpoint_manager.hpp"
 #include "core/engine.hpp"
 #include "core/integrity.hpp"
-#include "ddp/trainer.hpp"
 #include "fault/injector.hpp"
 #include "fault/integrity.hpp"
 #include "fault/streams.hpp"
 #include "fault/supervisor.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 #include "sched/intra_job.hpp"
@@ -33,6 +33,7 @@ namespace {
 using core::CheckpointManager;
 using core::EasyScaleConfig;
 using core::EasyScaleEngine;
+using core::Trust;
 using core::WorkerSpec;
 using fault::FaultEvent;
 using fault::FaultInjector;
@@ -285,17 +286,17 @@ TEST(CheckpointManagerVerify, SidecarLifecycle) {
   CheckpointManager mgr(temp_path("verify_lifecycle"), 3);
   mgr.clear();
   mgr.save(bytes, chain);
-  // A fresh generation is valid but UNVERIFIED until re-read and checked.
-  EXPECT_TRUE(mgr.load_latest_valid().has_value());
-  EXPECT_FALSE(mgr.is_verified(0));
-  EXPECT_FALSE(mgr.load_latest_verified().has_value());
+  // A fresh generation is intact but UNBLESSED until re-read and checked.
+  EXPECT_TRUE(mgr.load_latest(Trust::kIntact).has_value());
+  EXPECT_FALSE(mgr.is_blessed(0));
+  EXPECT_FALSE(mgr.load_latest(Trust::kBlessed).has_value());
 
-  EXPECT_TRUE(mgr.verify_generation(0));
-  EXPECT_TRUE(mgr.is_verified(0));
-  const auto verified = mgr.load_latest_verified();
+  EXPECT_TRUE(mgr.bless_newest());
+  EXPECT_TRUE(mgr.is_blessed(0));
+  const auto verified = mgr.load_latest(Trust::kBlessed);
   ASSERT_TRUE(verified.has_value());
-  EXPECT_EQ(verified->first, bytes);
-  EXPECT_EQ(verified->second, chain);
+  EXPECT_EQ(verified->bytes, bytes);
+  EXPECT_EQ(verified->chain, chain);
   mgr.clear();
 }
 
@@ -310,19 +311,19 @@ TEST(CheckpointManagerVerify, UnverifiedNewestIsSkipped) {
   CheckpointManager mgr(temp_path("verify_skip"), 3);
   mgr.clear();
   mgr.save(old_bytes, old_chain);
-  EXPECT_TRUE(mgr.verify_generation(0));
+  EXPECT_TRUE(mgr.bless_newest());
 
   engine.run_steps(2);
   mgr.save(engine.checkpoint(), engine.params_digest_chain());
   // The sidecar rotated along with its generation: gen 0 (newest) is
-  // unverified, gen 1 keeps its verification.
-  EXPECT_FALSE(mgr.is_verified(0));
-  EXPECT_TRUE(mgr.is_verified(1));
-  const auto verified = mgr.load_latest_verified();
+  // unblessed, gen 1 keeps its blessing.
+  EXPECT_FALSE(mgr.is_blessed(0));
+  EXPECT_TRUE(mgr.is_blessed(1));
+  const auto verified = mgr.load_latest(Trust::kBlessed);
   ASSERT_TRUE(verified.has_value());
-  EXPECT_EQ(verified->first, old_bytes);
-  // load_latest_valid still prefers the (well-formed) newest generation.
-  EXPECT_NE(mgr.load_latest_valid().value(), old_bytes);
+  EXPECT_EQ(verified->bytes, old_bytes);
+  // A kIntact read still prefers the (well-formed) newest generation.
+  EXPECT_NE(mgr.load_latest(Trust::kIntact).value().bytes, old_bytes);
   mgr.clear();
 }
 
@@ -335,23 +336,23 @@ TEST(CheckpointManagerVerify, TamperedGenerationLosesVerification) {
   CheckpointManager mgr(temp_path("verify_tamper"), 3);
   mgr.clear();
   mgr.save(engine.checkpoint(), engine.params_digest_chain());
-  EXPECT_TRUE(mgr.verify_generation(0));
-  EXPECT_TRUE(mgr.is_verified(0));
+  EXPECT_TRUE(mgr.bless_newest());
+  EXPECT_TRUE(mgr.is_blessed(0));
 
   // Mangle the file AFTER verification: the stale sidecar must not vouch
   // for bytes it no longer matches.
   ASSERT_TRUE(FaultInjector::tear_file(mgr.path_for(0), 0x7EA2));
-  EXPECT_FALSE(mgr.is_verified(0));
-  EXPECT_FALSE(mgr.verify_generation(0));
-  EXPECT_FALSE(mgr.load_latest_verified().has_value());
+  EXPECT_FALSE(mgr.is_blessed(0));
+  EXPECT_FALSE(mgr.bless_newest());
+  EXPECT_FALSE(mgr.load_latest(Trust::kBlessed).has_value());
   mgr.clear();
 }
 
 // ---------------------------------------------------------------------------
 // DDP cross-replica gradient-digest voting.
 
-ddp::DDPConfig ddp_config(std::int64_t world, std::int64_t logical) {
-  ddp::DDPConfig cfg;
+parallel::TrainerConfig ddp_config(std::int64_t world, std::int64_t logical) {
+  parallel::TrainerConfig cfg;
   cfg.workload = "NeuMF";
   cfg.world_size = world;
   cfg.batch_per_worker = 4;
@@ -362,11 +363,11 @@ ddp::DDPConfig ddp_config(std::int64_t world, std::int64_t logical) {
 
 TEST(DDPVote, RedundantGroupsMatchPlainDDPBitwise) {
   auto& wd = shared_data();
-  ddp::DDPTrainer voted(ddp_config(4, 2), *wd.train, wd.augment);
+  parallel::Trainer voted(ddp_config(4, 2), *wd.train, wd.augment);
   voted.run_steps(3);
   // Physical ranks {0,2} replay logical 0 and {1,3} logical 1; the
   // published reduction must equal a clean 2-rank DDP run bit for bit.
-  ddp::DDPTrainer plain(ddp_config(2, 0), *wd.train, wd.augment);
+  parallel::Trainer plain(ddp_config(2, 0), *wd.train, wd.augment);
   plain.run_steps(3);
   EXPECT_EQ(voted.params_digest(), plain.params_digest());
 
@@ -378,7 +379,7 @@ TEST(DDPVote, RedundantGroupsMatchPlainDDPBitwise) {
 
 TEST(DDPVote, CorruptRankLosesTheVote) {
   auto& wd = shared_data();
-  ddp::DDPTrainer trainer(ddp_config(3, 1), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(3, 1), *wd.train, wd.augment);
   SdcProfile profile;
   profile.seed = 0xE51;  // arbitrary nonzero pattern seed
   SdcCorruptor corr(profile);
@@ -396,7 +397,7 @@ TEST(DDPVote, CorruptRankLosesTheVote) {
 
 TEST(DDPVote, TwoWaySplitDetectsWithoutAttribution) {
   auto& wd = shared_data();
-  ddp::DDPTrainer trainer(ddp_config(2, 1), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(2, 1), *wd.train, wd.augment);
   SdcProfile profile;
   profile.seed = 0x5117;
   SdcCorruptor corr(profile);
@@ -412,14 +413,14 @@ TEST(DDPVote, DigestExchangeRidesTheCheckedTransport) {
   auto& wd = shared_data();
   auto cfg = ddp_config(4, 2);
   cfg.resilient_comm = true;
-  ddp::DDPTrainer voted(cfg, *wd.train, wd.augment);
+  parallel::Trainer voted(cfg, *wd.train, wd.augment);
   voted.run_steps(2);
   const auto& report = voted.last_vote_report();
   ASSERT_TRUE(report.has_value());
   EXPECT_TRUE(report->corrupt_ranks.empty());
   EXPECT_GT(report->digest_bytes_exchanged, 0);
   // Shipping digests over the fabric must not change what gets published.
-  ddp::DDPTrainer plain(ddp_config(2, 0), *wd.train, wd.augment);
+  parallel::Trainer plain(ddp_config(2, 0), *wd.train, wd.augment);
   plain.run_steps(2);
   EXPECT_EQ(voted.params_digest(), plain.params_digest());
 }

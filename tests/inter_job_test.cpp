@@ -3,8 +3,8 @@
 // job still trains bitwise-identically to its fixed-DoP reference.
 #include <gtest/gtest.h>
 
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "sched/inter_job.hpp"
 
 namespace easyscale::sched {
@@ -114,13 +114,13 @@ TEST(InterJob, TrainingThroughReschedulesStaysBitwiseConsistent) {
   auto reference = [&](const std::string& workload, std::uint64_t seed,
                        std::int64_t steps) {
     auto wd = models::make_dataset_for(workload, 128, 16, seed);
-    ddp::DDPConfig dcfg;
+    parallel::TrainerConfig dcfg;
     dcfg.workload = workload;
     dcfg.world_size = 4;
     dcfg.batch_per_worker = 4;
     dcfg.seed = seed;
     dcfg.policy = kernels::KernelPolicy::kHardwareAgnostic;
-    ddp::DDPTrainer t(dcfg, *wd.train, wd.augment);
+    parallel::Trainer t(dcfg, *wd.train, wd.augment);
     t.run_steps(steps);
     return t.params_digest();
   };

@@ -3,8 +3,8 @@
 // Role-3 slowdown fallback.
 #include <gtest/gtest.h>
 
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "sched/intra_job.hpp"
 
 namespace easyscale::sched {
@@ -38,13 +38,13 @@ TEST(IntraJob, NoPlanOnEmptyPool) {
 
 TEST(IntraJob, SchedulerDrivenRescalesStayBitwiseConsistent) {
   auto wd = models::make_dataset_for("Bert", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "Bert";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
   dcfg.policy = kernels::KernelPolicy::kHardwareAgnostic;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(6);
 
   core::EasyScaleEngine engine(engine_config(), *wd.train, wd.augment);

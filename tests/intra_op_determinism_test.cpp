@@ -8,13 +8,13 @@
 
 #include "common/digest.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/custom.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
 #include "kernels/scatter.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 
@@ -264,14 +264,14 @@ TEST(IntraOpDeterminism, ScratchArenaStopsGrowingAfterWarmup) {
 TEST(IntraOpDeterminism, DDPTrainerThreadInvariant) {
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
   auto run = [&](int threads, bool parallel_workers) {
-    ddp::DDPConfig cfg;
+    parallel::TrainerConfig cfg;
     cfg.workload = "ResNet18";
     cfg.world_size = 2;
     cfg.batch_per_worker = 4;
     cfg.seed = 42;
     cfg.parallel_workers = parallel_workers;
     cfg.intra_op_threads = threads;
-    ddp::DDPTrainer t(cfg, *wd.train, wd.augment);
+    parallel::Trainer t(cfg, *wd.train, wd.augment);
     t.run_steps(3);
     return t.params_digest();
   };

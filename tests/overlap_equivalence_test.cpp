@@ -14,9 +14,9 @@
 #include "comm/bucket.hpp"
 #include "comm/transport.hpp"
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "fault/integrity.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale {
 namespace {
@@ -136,9 +136,9 @@ TEST(OverlapEquivalence, EngineCommFaultAbortsAndReexecutesBitwise) {
 // ---------------------------------------------------------------------------
 // DDP trainer: overlapped == sequential, including the digest vote.
 
-ddp::DDPConfig ddp_config(bool overlap, std::int64_t world = 4,
+parallel::TrainerConfig ddp_config(bool overlap, std::int64_t world = 4,
                           std::int64_t logical = 0) {
-  ddp::DDPConfig cfg;
+  parallel::TrainerConfig cfg;
   cfg.workload = "ResNet18";
   cfg.world_size = world;
   cfg.batch_per_worker = 4;
@@ -148,9 +148,10 @@ ddp::DDPConfig ddp_config(bool overlap, std::int64_t world = 4,
   return cfg;
 }
 
-std::uint64_t ddp_digest(const ddp::DDPConfig& cfg, std::int64_t steps) {
+std::uint64_t ddp_digest(const parallel::TrainerConfig& cfg,
+                         std::int64_t steps) {
   auto& wd = shared_data();
-  ddp::DDPTrainer trainer(cfg, *wd.train, wd.augment);
+  parallel::Trainer trainer(cfg, *wd.train, wd.augment);
   trainer.run_steps(steps);
   return trainer.params_digest();
 }
@@ -172,7 +173,7 @@ TEST(OverlapEquivalence, DDPVoteDetectsCorruptionBeforePublish) {
   auto& wd = shared_data();
   // One group of four replicas: a single corrupt rank loses 3-1, so the
   // vote attributes it (a group of two would only detect, not attribute).
-  ddp::DDPTrainer trainer(ddp_config(true, 4, 1), *wd.train, wd.augment);
+  parallel::Trainer trainer(ddp_config(true, 4, 1), *wd.train, wd.augment);
   trainer.run_steps(1);  // sequential recording step, clean
   fault::SdcProfile profile;
   profile.seed = 0xE51;

@@ -106,7 +106,7 @@ TEST(PeerCheckpointPlacement, DegradesWhenClusterTooSmall) {
   EXPECT_TRUE(choose_peers(0, 2, 1, 1, {1}).empty());
 }
 
-TEST(PeerCheckpointStore, PutFindDropAndPinnedGc) {
+TEST(PeerCheckpointStore, PutFindDropAndGc) {
   PeerReplicaStore store;
   store.put(0, 5, pattern_bytes(8, 1));
   store.put(1, 5, pattern_bytes(8, 2));
@@ -116,12 +116,12 @@ TEST(PeerCheckpointStore, PutFindDropAndPinnedGc) {
   EXPECT_TRUE(store.drop(1, 5));
   EXPECT_FALSE(store.drop(1, 5));  // already gone
   store.put(1, 5, pattern_bytes(8, 2));
-  store.gc_below(9, /*pinned=*/{5});
-  // Epoch 5 was pinned through the GC; epoch 9 is above the floor.
-  EXPECT_NE(store.find(0, 5), nullptr);
-  EXPECT_NE(store.find(1, 5), nullptr);
+  store.gc_below(9);
+  // Epoch 5 fell below the floor; epoch 9 sits on it and survives.
+  EXPECT_EQ(store.find(0, 5), nullptr);
+  EXPECT_EQ(store.find(1, 5), nullptr);
   EXPECT_NE(store.find(0, 9), nullptr);
-  store.gc_below(10, /*pinned=*/{});
+  store.gc_below(10);
   EXPECT_EQ(store.size(), 0u);
 }
 
@@ -256,22 +256,19 @@ TEST(PeerCheckpointService, RetentionKeepsLastKeepEpochs) {
   }
 }
 
-TEST(PeerCheckpointService, PinnedEpochSurvivesGc) {
+TEST(PeerCheckpointService, RecoverAfterGcServesNewestRetainedEpoch) {
   comm::SimTransport fabric(4, fast_fabric());
   PeerCheckpointService svc(fabric, service_config(2));
-  ASSERT_TRUE(svc.snapshot(1, pattern_bytes(512, 0x01), {}));
-  svc.pin_epoch(1);
-  for (std::int64_t e = 2; e <= 5; ++e) {
+  for (std::int64_t e = 1; e <= 5; ++e) {
     ASSERT_TRUE(svc.snapshot(e, pattern_bytes(512, static_cast<std::uint8_t>(e)),
                              {}));
   }
   const auto rec = svc.recover(0, {});
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->epoch, 5);
-  // The pinned epoch's record and frames are still reachable.
-  bool pinned_committed = false;
-  for (const auto& c : svc.commits()) pinned_committed |= c.epoch == 1;
-  EXPECT_TRUE(pinned_committed);
+  EXPECT_EQ(rec->snapshot, pattern_bytes(512, 5));
+  // Retention reclaimed the oldest epoch's record along with its frames.
+  for (const auto& c : svc.commits()) EXPECT_NE(c.epoch, 1);
 }
 
 TEST(PeerCheckpointService, DropRandomReplicaIsSeededAndCounted) {
@@ -307,93 +304,73 @@ TEST(PeerCheckpointService, ExcludedRanksHoldNothingAndServeNothing) {
   EXPECT_EQ(rec->snapshot, pattern_bytes(3000, 0xCD));
 }
 
-// --- CheckpointManager epoch API: the on-disk half of the commit protocol.
-
-std::string temp_prefix(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+// --- The on-disk half of the commit protocol: CheckpointManager's rotating
+// generations, saved unblessed (phase 1) and blessed by bless_newest (phase
+// 2).  A kBlessed restore sees only phase-2 generations.
 
 core::CheckpointManager fresh_manager(const char* name) {
-  core::CheckpointManager mgr(temp_prefix(name), 3);
-  mgr.gc_epochs(0);  // reap leftovers from earlier runs of this binary
+  core::CheckpointManager mgr(std::string(::testing::TempDir()) + "/" + name,
+                              3);
+  mgr.clear();  // reap leftovers from earlier runs of this binary
   return mgr;
 }
 
 TEST(PeerCheckpointEpochDisk, TwoPhaseBlessRoundTrip) {
   auto mgr = fresh_manager("epoch_roundtrip");
   const auto bytes = pattern_bytes(256, 0x10);
-  mgr.save_epoch(3, bytes, DigestChain());
-  EXPECT_FALSE(mgr.is_blessed(3)) << "phase 1 must not bless";
-  EXPECT_FALSE(mgr.load_latest_blessed_epoch().has_value());
-  EXPECT_TRUE(mgr.bless_epoch(3));
-  EXPECT_TRUE(mgr.is_blessed(3));
-  const auto loaded = mgr.load_latest_blessed_epoch();
+  mgr.save(bytes);
+  EXPECT_FALSE(mgr.is_blessed(0)) << "phase 1 must not bless";
+  EXPECT_FALSE(mgr.load_latest(core::Trust::kBlessed).has_value());
+  EXPECT_TRUE(mgr.bless_newest());
+  EXPECT_TRUE(mgr.is_blessed(0));
+  const auto loaded = mgr.load_latest(core::Trust::kBlessed);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(std::get<0>(*loaded), 3);
-  EXPECT_EQ(std::get<1>(*loaded), bytes);
-  mgr.gc_epochs(0);
+  EXPECT_EQ(loaded->generation, 0);
+  EXPECT_EQ(loaded->bytes, bytes);
+  mgr.clear();
 }
 
 TEST(PeerCheckpointEpochDisk, TornEpochFileIsSkippedAndSurvivorsLoad) {
   auto mgr = fresh_manager("epoch_torn");
-  mgr.save_epoch(1, pattern_bytes(256, 0x21), DigestChain());
-  ASSERT_TRUE(mgr.bless_epoch(1));
-  mgr.save_epoch(2, pattern_bytes(256, 0x22), DigestChain());
-  ASSERT_TRUE(mgr.bless_epoch(2));
-  // The torn-write sweep on a survivor: mangle the NEWEST blessed epoch at
-  // a seeded offset; the walk-back must land on the older intact epoch.
-  FaultInjector::tear_file(mgr.epoch_path_for(2), /*seed=*/7);
-  const auto loaded = mgr.load_latest_blessed_epoch();
+  mgr.save(pattern_bytes(256, 0x21));
+  ASSERT_TRUE(mgr.bless_newest());
+  mgr.save(pattern_bytes(256, 0x22));
+  ASSERT_TRUE(mgr.bless_newest());
+  // The torn-write sweep on a survivor: mangle the NEWEST blessed
+  // generation at a seeded offset; the walk-back must land on the older
+  // intact one.
+  FaultInjector::tear_file(mgr.path_for(0), /*seed=*/7);
+  const auto loaded = mgr.load_latest(core::Trust::kBlessed);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(std::get<0>(*loaded), 1);
-  EXPECT_EQ(std::get<1>(*loaded), pattern_bytes(256, 0x21));
-  mgr.gc_epochs(0);
-}
-
-TEST(PeerCheckpointEpochDisk, GcKeepsNewestBlessedPlusPinned) {
-  auto mgr = fresh_manager("epoch_gc");
-  for (std::int64_t e = 1; e <= 5; ++e) {
-    mgr.save_epoch(e, pattern_bytes(64, static_cast<std::uint8_t>(e)),
-                   DigestChain());
-    ASSERT_TRUE(mgr.bless_epoch(e));
-  }
-  mgr.save_epoch(6, pattern_bytes(64, 6), DigestChain());  // unblessed
-  mgr.pin_epoch(1);
-  const int removed = mgr.gc_epochs(/*keep_blessed=*/2);
-  EXPECT_EQ(removed, 3);  // epochs 2, 3 and the unblessed 6 go; 1 pinned
-  EXPECT_EQ(mgr.epochs_on_disk(), (std::vector<std::int64_t>{1, 4, 5}));
-  // The torn-write sweep still passes on the survivors.
-  for (const auto e : mgr.epochs_on_disk()) {
-    EXPECT_TRUE(mgr.is_blessed(e)) << "epoch " << e;
-  }
-  mgr.unpin_epoch(1);
-  mgr.gc_epochs(0);
+  EXPECT_EQ(loaded->generation, 1);
+  EXPECT_EQ(loaded->bytes, pattern_bytes(256, 0x21));
+  mgr.clear();
 }
 
 TEST(PeerCheckpointEpochDisk, CrashBetweenPhasesLeavesEpochInvisible) {
   auto mgr = fresh_manager("epoch_crash");
-  mgr.save_epoch(1, pattern_bytes(64, 0x31), DigestChain());
-  ASSERT_TRUE(mgr.bless_epoch(1));
-  // Phase 1 of epoch 2 lands, then the process dies before the bless.
-  mgr.save_epoch(2, pattern_bytes(64, 0x32), DigestChain());
-  const auto loaded = mgr.load_latest_blessed_epoch();
+  mgr.save(pattern_bytes(64, 0x31));
+  ASSERT_TRUE(mgr.bless_newest());
+  // Phase 1 of the next generation lands, then the process dies before
+  // the bless.
+  mgr.save(pattern_bytes(64, 0x32));
+  const auto loaded = mgr.load_latest(core::Trust::kBlessed);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(std::get<0>(*loaded), 1) << "unblessed epoch must be invisible";
-  // ... and GC reaps the orphan rather than letting it shield anything.
-  mgr.gc_epochs(1);
-  EXPECT_EQ(mgr.epochs_on_disk(), (std::vector<std::int64_t>{1}));
-  mgr.gc_epochs(0);
+  EXPECT_EQ(loaded->generation, 1) << "unblessed generation must be invisible";
+  EXPECT_EQ(loaded->bytes, pattern_bytes(64, 0x31));
+  mgr.clear();
 }
 
 TEST(PeerCheckpointEpochDisk, StaleSidecarCannotBlessNewBytes) {
   auto mgr = fresh_manager("epoch_stale");
-  mgr.save_epoch(4, pattern_bytes(64, 0x41), DigestChain());
-  ASSERT_TRUE(mgr.bless_epoch(4));
-  // The epoch number is reused with different bytes (a rollback replay).
-  mgr.save_epoch(4, pattern_bytes(64, 0x42), DigestChain());
-  EXPECT_FALSE(mgr.is_blessed(4))
-      << "save_epoch must invalidate the previous life's sidecar";
-  mgr.gc_epochs(0);
+  mgr.save(pattern_bytes(64, 0x41));
+  ASSERT_TRUE(mgr.bless_newest());
+  // The same step is saved again with different bytes (a rollback replay).
+  mgr.save(pattern_bytes(64, 0x42));
+  EXPECT_FALSE(mgr.is_blessed(0))
+      << "save must not let the previous generation's sidecar bless it";
+  EXPECT_TRUE(mgr.is_blessed(1)) << "the blessing rotates with its file";
+  mgr.clear();
 }
 
 }  // namespace

@@ -5,10 +5,10 @@
 #include <tuple>
 
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 #include "rng/sampling.hpp"
 
 namespace easyscale {
@@ -132,12 +132,12 @@ class MappingSweepTest
 
 TEST_P(MappingSweepTest, AnyMappingMatchesReference) {
   auto wd = models::make_dataset_for("ShuffleNetv2", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ShuffleNetv2";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
 
   core::EasyScaleConfig cfg;
@@ -169,12 +169,12 @@ class DoPSweepTest : public ::testing::TestWithParam<int> {};
 TEST_P(DoPSweepTest, EngineMatchesDDPAtThatDoP) {
   const std::int64_t dop = GetParam();
   auto wd = models::make_dataset_for("NeuMF", 256, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "NeuMF";
   dcfg.world_size = dop;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
 
   core::EasyScaleConfig cfg;

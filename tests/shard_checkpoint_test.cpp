@@ -159,7 +159,7 @@ TEST(ShardCheckpoint, WriterKilledAtEveryByteOffsetIsDetected) {
   meta.chunk_end = {16, 32, 48, 64};
   for (std::uint64_t c = 0; c < 4; ++c) meta.chunk_chain.push(c, 0x100 + c);
   const std::vector<std::uint8_t> payload(57, 0x5A);
-  core::save_checkpoint_file(path, payload, chain, meta);
+  core::save_checkpoint_file(path, payload, chain, &meta);
 
   std::ifstream in(path, std::ios::binary);
   const std::vector<char> full((std::istreambuf_iterator<char>(in)),

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/virtualflow.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::baselines {
 namespace {
@@ -35,12 +35,12 @@ TEST(VirtualFlow, MatchesDDPWhenOneVirtualPerWorker) {
   // With world == virtual_nodes there is no accumulation and the physical
   // streams coincide with the per-virtual streams: this IS plain DDP.
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
   EXPECT_EQ(run(4, 4), reference.params_digest());
 }
@@ -50,12 +50,12 @@ TEST(VirtualFlow, DivergesFromDDPWhenAccumulating) {
   // the accumulated micro-batches, so training is bitwise different from
   // the designed 4-worker run — unlike EasyScale.
   auto wd = models::make_dataset_for("ResNet18", 128, 16, 42);
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = "ResNet18";
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(4);
   EXPECT_NE(run(2, 4), reference.params_digest());
   EXPECT_NE(run(1, 4), reference.params_digest());

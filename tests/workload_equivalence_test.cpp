@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
-#include "ddp/trainer.hpp"
 #include "models/datasets.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale {
 namespace {
@@ -18,12 +18,12 @@ TEST_P(WorkloadEquivalenceTest, EasyScaleMatchesDDPBitwise) {
   const std::string workload = GetParam();
   auto wd = models::make_dataset_for(workload, 128, 16, 42);
 
-  ddp::DDPConfig dcfg;
+  parallel::TrainerConfig dcfg;
   dcfg.workload = workload;
   dcfg.world_size = 4;
   dcfg.batch_per_worker = 4;
   dcfg.seed = 42;
-  ddp::DDPTrainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
   reference.run_steps(6);
 
   core::EasyScaleConfig cfg;
