@@ -1,6 +1,7 @@
 // Cluster-scheduler walkthrough: the intra-job companion's plan database
-// (Eq. 1 waste model), resource proposals, a small trace simulation, and
-// the multi-tenant cluster service driven from a checked-in trace file.
+// (Eq. 1 waste model), resource proposals, a small trace under the cluster
+// service's gang and greedy policies, and the multi-tenant (fair-share)
+// service driven from a checked-in trace file.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "cluster/service.hpp"
 #include "cluster/tenant.hpp"
 #include "sched/companion.hpp"
-#include "sim/simulator.hpp"
 #include "trace/generators.hpp"
 
 int main(int argc, char** argv) {
@@ -42,22 +42,30 @@ int main(int argc, char** argv) {
                 p.speedup_per_gpu());
   }
 
-  // --- end-to-end trace simulation ----------------------------------------
+  // --- end-to-end trace under the three allocation policies ----------------
   trace::TraceConfig tcfg;
   tcfg.num_jobs = 30;
   const auto jobs = trace::philly_like_trace(tcfg);
-  sim::SimConfig scfg;
-  scfg.cluster = {16, 8, 8};
   std::printf("\ntrace of %lld jobs on a 32-GPU cluster:\n",
               static_cast<long long>(tcfg.num_jobs));
-  for (auto [name, policy] :
-       {std::pair{"YARN-CS", sim::SchedulerPolicy::kYarnCS},
-        std::pair{"EasyScale_homo", sim::SchedulerPolicy::kEasyScaleHomo},
-        std::pair{"EasyScale_heter", sim::SchedulerPolicy::kEasyScaleHeter}}) {
-    scfg.policy = policy;
-    const auto r = sim::simulate_trace(jobs, scfg);
-    std::printf("  %-16s avg JCT %8.0f s   makespan %8.0f s\n", name,
-                r.avg_jct, r.makespan);
+  struct Row {
+    const char* name;
+    cluster::AllocationPolicy policy;
+    bool heter;
+  };
+  for (const Row& row :
+       {Row{"YARN-CS", cluster::AllocationPolicy::kGang, true},
+        Row{"EasyScale_homo", cluster::AllocationPolicy::kGreedy, false},
+        Row{"EasyScale_heter", cluster::AllocationPolicy::kGreedy, true}}) {
+    cluster::ClusterServiceConfig scfg;
+    scfg.capacity = {16, 8, 8};
+    scfg.policy = row.policy;
+    cluster::ClusterService sim({cluster::Tenant{}},
+                                cluster::single_tenant_jobs(jobs, row.heter),
+                                scfg);
+    const auto r = sim.run();
+    std::printf("  %-16s avg JCT %8.0f s   makespan %8.0f s\n", row.name,
+                r.mean_jct(), r.makespan);
   }
 
   // --- multi-tenant cluster service from a trace file ----------------------

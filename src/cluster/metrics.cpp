@@ -18,6 +18,25 @@ double percentile(std::vector<double> sample, double p) {
   return sample[rank > 0 ? rank - 1 : 0];
 }
 
+double ClusterMetrics::mean_jct() const {
+  double sum = 0.0;
+  for (const auto& tm : per_tenant) sum += tm.jct_sum;
+  return jobs_finished > 0 ? sum / static_cast<double>(jobs_finished) : 0.0;
+}
+
+double ClusterMetrics::mean_allocated_gpus() const {
+  if (makespan <= 0.0) return 0.0;
+  double area = 0.0;
+  for (std::size_t i = 0; i < allocated_gpus.size(); ++i) {
+    const double end = i + 1 < allocated_gpus.size()
+                           ? allocated_gpus[i + 1].t_s
+                           : makespan;
+    area += static_cast<double>(allocated_gpus[i].gpus) *
+            (end - allocated_gpus[i].t_s);
+  }
+  return area / makespan;
+}
+
 namespace {
 
 void append(std::string& out, const char* fmt, ...) {

@@ -35,6 +35,13 @@ struct TenantMetrics {
   double weight = 1.0;
 };
 
+/// One step of the allocated-GPU timeline: `gpus` GPUs are held by jobs
+/// from `t_s` until the next point (or the makespan).
+struct AllocationPoint {
+  double t_s = 0.0;
+  std::int64_t gpus = 0;
+};
+
 struct ClusterMetrics {
   double makespan = 0.0;
   std::int64_t jobs_finished = 0;
@@ -50,6 +57,18 @@ struct ClusterMetrics {
   /// job id, per-type GPU counts).  Two runs scheduled identically — and
   /// only then — share a digest.
   std::uint64_t schedule_digest = 0;
+  /// Gang kills (AllocationPolicy::kGang only; the elastic policies shrink
+  /// jobs and never kill one) and the global steps they discarded.
+  std::int64_t failed_jobs = 0;
+  std::int64_t lost_steps = 0;
+  /// Allocated-GPU step timeline: a point whenever a rebalance changes the
+  /// total allocation.  Like failed_jobs/lost_steps, not part of to_json().
+  std::vector<AllocationPoint> allocated_gpus;
+
+  /// Mean JCT over every finished job.
+  [[nodiscard]] double mean_jct() const;
+  /// Time-weighted mean of the allocated-GPU timeline over [0, makespan].
+  [[nodiscard]] double mean_allocated_gpus() const;
 
   /// Deterministic JSON (stable key order, %.9f / %llu formatting).
   /// `wall_s`/`events_per_second` describe the measuring run and are the

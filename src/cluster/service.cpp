@@ -22,6 +22,15 @@ namespace {
 
 }  // namespace
 
+const char* policy_name(AllocationPolicy policy) {
+  switch (policy) {
+    case AllocationPolicy::kFairShare: return "kFairShare";
+    case AllocationPolicy::kGreedy: return "kGreedy";
+    case AllocationPolicy::kGang: return "kGang";
+  }
+  return "?";
+}
+
 /// Per-job runtime state.  Progress is fluid and lazy: `remaining_steps`
 /// is exact as of `last_change_s`; between events the job advances at
 /// `rate` steps/second, so nothing is touched until its rate changes.
@@ -69,6 +78,9 @@ ClusterService::ClusterService(std::vector<Tenant> tenants,
   ES_CHECK(!tenants_.empty(), "cluster service needs tenants");
   ES_CHECK(!jobs_.empty(), "cluster service needs jobs");
   ES_CHECK(sched::total(cfg_.capacity) > 0, "cluster service needs GPUs");
+  ES_CHECK(cfg_.policy == AllocationPolicy::kFairShare || tenants_.size() == 1,
+           "policy " << policy_name(cfg_.policy)
+                     << " schedules a single tenant, got " << tenants_.size());
 
   std::unordered_map<std::int64_t, std::size_t> tenant_index;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -88,6 +100,12 @@ ClusterService::ClusterService(std::vector<Tenant> tenants,
     ES_CHECK(it != tenant_index.end(),
              "job " << jobs_[i].spec.id << " names unknown tenant "
                     << jobs_[i].tenant);
+    ES_CHECK(cfg_.policy != AllocationPolicy::kGang ||
+                 cfg_.capacity[static_cast<std::size_t>(
+                     jobs_[i].spec.preferred_type)] > 0,
+             "policy kGang: job " << jobs_[i].spec.id
+                                  << " prefers a device type the cluster "
+                                     "has no GPUs of");
     JobState& js = states_[i];
     js.tenant_index = it->second;
     js.companion = std::make_unique<sched::Companion>(jobs_[i].spec.workload,
@@ -128,6 +146,14 @@ ClusterService::ClusterService(std::vector<Tenant> tenants,
 }
 
 ClusterService::~ClusterService() = default;
+
+double ClusterService::start_s(std::size_t idx) const {
+  return states_.at(idx).start_s;
+}
+
+double ClusterService::finish_s(std::size_t idx) const {
+  return states_.at(idx).finish_s;
+}
 
 void ClusterService::build_capacity_steps() {
   // Sweep every capacity-affecting boundary once, in time order, keeping
@@ -235,6 +261,7 @@ void ClusterService::finish_job(std::size_t idx, double now) {
   js.done = true;
   js.finish_s = now;
   js.rate = 0.0;
+  allocated_ -= sched::total(js.alloc);
   ++metrics_.jobs_finished;
   const Tenant& tenant = tenants_[js.tenant_index];
   const double jct = now - jobs_[idx].spec.arrival_s;
@@ -267,6 +294,7 @@ ClusterMetrics ClusterService::run() {
         states_[idx].arrived = true;
         states_[idx].last_change_s = now;
         tenant_active_[states_[idx].tenant_index].push_back(idx);
+        if (cfg_.policy == AllocationPolicy::kGang) gang_queue_.push_back(idx);
         need_rebalance = true;
         break;
       }
@@ -343,15 +371,145 @@ ClusterMetrics ClusterService::run() {
 
 void ClusterService::rebalance(double now) {
   ++metrics_.reallocations;
+  switch (cfg_.policy) {
+    case AllocationPolicy::kFairShare: rebalance_fair_share(now); break;
+    case AllocationPolicy::kGreedy: rebalance_greedy(now); break;
+    case AllocationPolicy::kGang: rebalance_gang(now); break;
+  }
+  auto& timeline = metrics_.allocated_gpus;
+  if (timeline.empty() ? allocated_ != 0 : timeline.back().gpus != allocated_) {
+    timeline.push_back({now, allocated_});
+  }
+}
 
+std::vector<std::size_t>& ClusterService::live_jobs(std::size_t ti) {
+  auto& active = tenant_active_[ti];
+  active.erase(std::remove_if(active.begin(), active.end(),
+                              [&](std::size_t j) { return states_[j].done; }),
+               active.end());
+  return active;
+}
+
+void ClusterService::install(const std::vector<std::size_t>& order,
+                             const std::vector<sched::GpuVector>& mixes,
+                             double now) {
+  sched::GpuVector healthy_free = healthy_;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    sched::GpuVector degr{};
+    for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+      const std::int64_t from_healthy =
+          std::min(mixes[k][ty], healthy_free[ty]);
+      healthy_free[ty] -= from_healthy;
+      degr[ty] = mixes[k][ty] - from_healthy;
+    }
+    apply_plan(order[k], mixes[k], degr, now);
+  }
+}
+
+void ClusterService::rebalance_greedy(double now) {
+  const std::vector<std::size_t>& active = live_jobs(0);
+  sched::GpuVector free{};
+  for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+    free[ty] = healthy_[ty] + degraded_[ty];
+  }
+  // Rebuild from scratch (an EasyScale scale event is a seconds-scale
+  // checkpoint + restart): FIFO minimal starts on the best single GPU,
+  // then every bit of growth through globally ranked proposals, which
+  // doubles as migration off slow GPU types.
+  std::vector<sched::Plan> plans(active.size());
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    const sched::Companion& companion = *states_[active[k]].companion;
+    for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+      if (free[ty] <= 0) continue;
+      sched::GpuVector one{};
+      one[ty] = 1;
+      const sched::Plan p = companion.make_plan(one);
+      if (p.valid() && p.throughput > plans[k].throughput) plans[k] = p;
+    }
+    for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+      free[ty] -= plans[k].gpus[ty];
+    }
+  }
+  sched::grow_greedily(
+      active.size(), free,
+      [&](std::size_t k, const sched::GpuVector& spare) {
+        return plans[k].valid()
+                   ? states_[active[k]].companion->proposals(
+                         plans[k], spare, jobs_[active[k]].spec.allow_heter)
+                   : std::vector<sched::Companion::Proposal>{};
+      },
+      [&](std::size_t k, const sched::Companion::Proposal& prop) {
+        plans[k] = prop.plan;
+      });
+  std::vector<sched::GpuVector> mixes(active.size());
+  for (std::size_t k = 0; k < active.size(); ++k) mixes[k] = plans[k].gpus;
+  install(active, mixes, now);
+}
+
+void ClusterService::rebalance_gang(double now) {
+  const std::vector<std::size_t>& active = live_jobs(0);
+  sched::GpuVector free{};
+  for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+    free[ty] = healthy_[ty] + degraded_[ty];
+    for (std::size_t j : active) free[ty] -= states_[j].alloc[ty];
+  }
+  // A gang cannot shrink: while a type is over-subscribed, kill its most
+  // recently started gang (ties toward the higher job id); it loses its
+  // progress and rejoins the head of the queue.
+  for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
+    while (free[ty] < 0) {
+      std::size_t victim = jobs_.size();
+      for (std::size_t j : active) {
+        if (states_[j].alloc[ty] == 0) continue;
+        if (victim == jobs_.size() ||
+            states_[j].start_s > states_[victim].start_s ||
+            (states_[j].start_s == states_[victim].start_s &&
+             jobs_[j].spec.id > jobs_[victim].spec.id)) {
+          victim = j;
+        }
+      }
+      JobState& js = states_[victim];
+      for (std::size_t t = 0; t < sched::kNumDeviceTypes; ++t) {
+        free[t] += js.alloc[t];
+      }
+      apply_plan(victim, sched::GpuVector{}, sched::GpuVector{}, now);
+      const auto steps = static_cast<double>(jobs_[victim].spec.total_steps);
+      metrics_.lost_steps +=
+          static_cast<std::int64_t>(steps - js.remaining_steps);
+      js.remaining_steps = steps;
+      js.start_s = -1.0;  // the restart is a fresh gang
+      ++metrics_.failed_jobs;
+      gang_queue_.push_front(victim);
+    }
+  }
+  // Strict FIFO admission: only the head of the queue may start.  Users
+  // size gang requests to the partition, so a job never asks for more GPUs
+  // of its type than the cluster owns.  Running gangs keep their GPUs (a
+  // link-health change may still move them between the pools).
+  std::vector<sched::GpuVector> mixes(active.size());
+  for (std::size_t k = 0; k < active.size(); ++k) {
+    mixes[k] = states_[active[k]].alloc;
+  }
+  while (!gang_queue_.empty()) {
+    const std::size_t idx = gang_queue_.front();
+    const auto ty = static_cast<std::size_t>(jobs_[idx].spec.preferred_type);
+    const std::int64_t want =
+        std::min(jobs_[idx].spec.max_p, cfg_.capacity[ty]);
+    if (free[ty] < want) break;
+    free[ty] -= want;
+    const auto pos = std::find(active.begin(), active.end(), idx);
+    mixes[static_cast<std::size_t>(pos - active.begin())][ty] = want;
+    gang_queue_.pop_front();
+  }
+  install(active, mixes, now);
+}
+
+void ClusterService::rebalance_fair_share(double now) {
   // 1. Tenant demand from live jobs (compacting finished ones).
   std::vector<ShareRequest> requests;
   std::vector<std::size_t> req_tenant;
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
-    auto& active = tenant_active_[ti];
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [&](std::size_t j) { return states_[j].done; }),
-                 active.end());
+    const auto& active = live_jobs(ti);
     if (active.empty()) continue;
     ShareRequest r;
     r.tenant = tenants_[ti].id;
@@ -508,6 +666,7 @@ void ClusterService::apply_plan(std::size_t idx, const sched::GpuVector& mix,
     return;  // nothing changed; keep the in-flight finish prediction
   }
   settle(js, now);
+  allocated_ += new_count - old_count;
   js.alloc = mix;
   js.degraded_alloc = degr;
   js.rate = new_rate;

@@ -4,7 +4,10 @@
 //
 // Layering:
 //   ClusterService            event loop (calendar queue), placement,
-//     ├── fair_share          weighted max-min + SLA entitlements
+//     ├── allocation policy   kFairShare: weighted max-min + SLA
+//     │                       entitlements (the multi-tenant service);
+//     │                       kGreedy: the §3.4 EasyScale scheduler;
+//     │                       kGang: the YARN-CS baseline (Figs 14-15)
 //     ├── Companion+PlanCache Eq. (1) throughput of every placement
 //     └── capacity feeds      failures (repairable), SDC quarantine
 //                             (permanent), degraded fabric links, and the
@@ -20,7 +23,9 @@
 // (serving peaks, failures, quarantine) the fair-share targets drop and
 // affected jobs *scale in* — spot tenants first, then burst above quota,
 // guaranteed never below quota — no job is ever killed (§5.3: preemptions
-// yes, failures zero).
+// yes, failures zero).  kGreedy rebuilds its allocation inside the smaller
+// pool, so it never kills either; only kGang, which cannot shrink a job,
+// kills gangs (ClusterMetrics::failed_jobs).
 //
 // Determinism contract: same tenants + trace + config (including the
 // queue kind) ⇒ bitwise-identical schedule digest and metrics JSON, at
@@ -28,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -37,7 +43,7 @@
 #include "cluster/tenant.hpp"
 #include "fault/quarantine_feed.hpp"
 #include "sched/companion.hpp"
-#include "sim/simulator.hpp"
+#include "trace/generators.hpp"
 
 namespace easyscale::cluster {
 
@@ -52,9 +58,33 @@ struct LinkDegradeEvent {
   double penalty = 0.5;  // throughput fraction lost on degraded GPUs
 };
 
+/// How a rebalance turns the pool into per-job allocations.
+enum class AllocationPolicy : int {
+  /// Tenant-level weighted max-min fair share with SLA entitlements, then
+  /// FIFO within each tenant: one GPU per job first, the rest grows jobs
+  /// toward maxP.  Placement keeps unchanged jobs on their devices.
+  kFairShare,
+  /// The §3.4 EasyScale inter-job scheduler, rebuilt at every rebalance:
+  /// in FIFO order each job gets its best single-GPU plan, then
+  /// sched::grow_greedily accepts Companion proposals.  A job's
+  /// allow_heter picks EasyScale_heter over EasyScale_homo.
+  kGreedy,
+  /// YARN-CS gang scheduling: strict FIFO admission with head-of-line
+  /// blocking, each job asking min(max_p, capacity[preferred_type]) GPUs of
+  /// its preferred type.  When capacity drops under the running gangs of a
+  /// type, the most recently started one (ties: higher job id) is killed,
+  /// loses its progress and rejoins the head of the queue.
+  kGang,
+};
+
+[[nodiscard]] const char* policy_name(AllocationPolicy policy);
+
 struct ClusterServiceConfig {
   sched::GpuVector capacity{};  // healthy GPUs per device type
   QueueKind queue = QueueKind::kCalendar;
+  /// kGreedy and kGang schedule a single tenant (the trace experiment of
+  /// §5.2); the service rejects them with more than one.
+  AllocationPolicy policy = AllocationPolicy::kFairShare;
   double max_sim_s = 365.0 * 86400.0;  // safety bound
 
   /// SLA targets: a tier-`x` job attains its SLA when
@@ -66,7 +96,7 @@ struct ClusterServiceConfig {
   double sla_slack_s = 300.0;
 
   /// Capacity feeds (all optional, all deterministic inputs).
-  std::vector<sim::ClusterFailureEvent> failures;        // repairable
+  std::vector<trace::ClusterFailureEvent> failures;      // repairable
   std::vector<fault::QuarantineEvent> quarantines;       // permanent (SDC)
   std::vector<LinkDegradeEvent> link_degrades;           // fabric
   /// Serving co-location (Fig 1): lend up to `serving_peak_fraction` of
@@ -89,13 +119,30 @@ class ClusterService {
 
   [[nodiscard]] const sched::PlanCache& plan_cache() const { return cache_; }
 
+  /// Start and finish times of job `idx` (its index in the constructor's
+  /// job list); -1 until they happen.  The start is the first GPU grant —
+  /// under kGang, the grant of the gang that finished.
+  [[nodiscard]] double start_s(std::size_t idx) const;
+  [[nodiscard]] double finish_s(std::size_t idx) const;
+
  private:
   struct JobState;
   struct CapacityStep;
   struct Ev;
 
   void build_capacity_steps();
+  /// One allocator round under cfg_.policy; records a timeline point when
+  /// the total allocation changed.
   void rebalance(double now);
+  void rebalance_fair_share(double now);
+  void rebalance_greedy(double now);
+  void rebalance_gang(double now);
+  /// Tenant `ti`'s arrived jobs in FIFO order, with finished ones dropped.
+  std::vector<std::size_t>& live_jobs(std::size_t ti);
+  /// Install mixes[k] for job order[k], each drawing healthy GPUs before
+  /// degraded-link ones, in order.
+  void install(const std::vector<std::size_t>& order,
+               const std::vector<sched::GpuVector>& mixes, double now);
   void settle(JobState& js, double now);
   void finish_job(std::size_t idx, double now);
   /// Install a new allocation for job `idx`: settle progress, recompute
@@ -113,6 +160,8 @@ class ClusterService {
   std::vector<std::vector<std::size_t>> tenant_active_;
   std::vector<CapacityStep> capacity_steps_;
   std::unique_ptr<EventQueue<Ev>> queue_;
+  std::deque<std::size_t> gang_queue_;  // kGang admission order
+  std::int64_t allocated_ = 0;          // GPUs held by unfinished jobs
 
   sched::GpuVector healthy_{};   // currently schedulable, full-speed
   sched::GpuVector degraded_{};  // schedulable behind a degraded link

@@ -45,6 +45,17 @@ const char* tier_name(SlaTier tier) {
   return "?";
 }
 
+std::vector<ClusterJob> single_tenant_jobs(
+    const std::vector<sim::JobSpec>& specs, bool heter) {
+  std::vector<ClusterJob> jobs;
+  jobs.reserve(specs.size());
+  for (const auto& spec : specs) {
+    jobs.push_back({spec, 0});
+    jobs.back().spec.allow_heter = heter && spec.allow_heter;
+  }
+  return jobs;
+}
+
 std::vector<Tenant> make_tenants(std::int64_t num_tenants,
                                  std::int64_t cluster_gpus,
                                  std::uint64_t seed) {

@@ -30,12 +30,19 @@ struct Tenant {
 };
 
 /// One training job submitted by a tenant.  The embedded JobSpec is the
-/// simulator's job model, so companion plans and the Eq. (1) throughput
-/// model apply unchanged.
+/// trace generators' job model, so companion plans and the Eq. (1)
+/// throughput model apply unchanged.
 struct ClusterJob {
   sim::JobSpec spec;
   std::int64_t tenant = 0;
 };
+
+/// A plain job trace (trace::philly_like_trace) as tenant-0 submissions,
+/// the single-tenant input of the kGreedy and kGang policies; schedule it
+/// with `{Tenant{}}`.  `heter` false clears every job's allow_heter (the
+/// EasyScale_homo row of Figs 14-15).
+[[nodiscard]] std::vector<ClusterJob> single_tenant_jobs(
+    const std::vector<sim::JobSpec>& specs, bool heter);
 
 struct TenantTraceConfig {
   double horizon_s = 7.0 * 86400.0;  // submission window

@@ -102,8 +102,11 @@ class ByteReader {
                  << n << " element(s) of " << sizeof(T) << " byte(s), "
                  << remaining() << " byte(s) left");
     std::vector<T> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), bytes_.data() + pos_,
-                static_cast<std::size_t>(n) * sizeof(T));
+    // An empty vector's data() may be null, and memcpy must not see null.
+    if (n > 0) {
+      std::memcpy(v.data(), bytes_.data() + pos_,
+                  static_cast<std::size_t>(n) * sizeof(T));
+    }
     pos_ += static_cast<std::size_t>(n) * sizeof(T);
     return v;
   }

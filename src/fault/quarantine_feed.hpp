@@ -22,7 +22,7 @@
 namespace easyscale::fault {
 
 /// One device of `device_type` condemned at `t_s`, permanently (condemned
-/// hardware is never re-admitted; contrast sim::ClusterFailureEvent, which
+/// hardware is never re-admitted; contrast trace::ClusterFailureEvent, which
 /// repairs).
 struct QuarantineEvent {
   double t_s = 0.0;

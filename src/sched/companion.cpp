@@ -247,6 +247,44 @@ std::vector<Companion::Proposal> Companion::proposals(
   return out;
 }
 
+int grow_greedily(
+    std::size_t num_jobs, GpuVector& free,
+    const std::function<std::vector<Companion::Proposal>(
+        std::size_t, const GpuVector&)>& propose,
+    const std::function<void(std::size_t, const Companion::Proposal&)>&
+        accept) {
+  int accepted = 0;
+  for (;;) {
+    std::size_t best_job = num_jobs;
+    Companion::Proposal best;
+    for (std::size_t i = 0; i < num_jobs; ++i) {
+      for (auto& prop : propose(i, free)) {
+        if (best_job == num_jobs ||
+            prop.speedup_per_gpu() > best.speedup_per_gpu() ||
+            (prop.speedup_per_gpu() == best.speedup_per_gpu() &&
+             prop.gpu_count > best.gpu_count)) {
+          best_job = i;
+          best = std::move(prop);
+        }
+      }
+    }
+    if (best_job == num_jobs) break;
+    for (int t = 0; t < kNumDeviceTypes; ++t) {
+      if (best.extra_gpus[static_cast<std::size_t>(t)] >
+          free[static_cast<std::size_t>(t)]) {
+        return accepted;
+      }
+    }
+    for (int t = 0; t < kNumDeviceTypes; ++t) {
+      free[static_cast<std::size_t>(t)] -=
+          best.extra_gpus[static_cast<std::size_t>(t)];
+    }
+    accept(best_job, best);
+    ++accepted;
+  }
+  return accepted;
+}
+
 void Companion::report_throughput(const Plan& plan, double observed_mbps) {
   if (!plan.valid() || plan.throughput <= 0.0) return;
   const double ratio = observed_mbps / plan.throughput;

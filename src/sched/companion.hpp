@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -162,5 +163,20 @@ class Companion {
   int shard_degree_ = 1;
   PlanCache* cache_ = nullptr;
 };
+
+/// The §3.4 inter-job growth rule, shared by the live InterJobScheduler and
+/// the cluster service's kGreedy policy.  Each round collects every job's
+/// Role-2 proposals under `free` (`propose(i, free)`, empty for a job that
+/// holds no GPUs), accepts the one with the highest speedup-per-GPU (ties
+/// toward more GPUs, then toward the lower job index), subtracts its extra
+/// GPUs from `free` and installs it through `accept(i, proposal)`.  Stops
+/// when no proposal is left or the best one does not fit.  Returns the
+/// number of proposals accepted.
+int grow_greedily(
+    std::size_t num_jobs, GpuVector& free,
+    const std::function<std::vector<Companion::Proposal>(
+        std::size_t, const GpuVector&)>& propose,
+    const std::function<void(std::size_t, const Companion::Proposal&)>&
+        accept);
 
 }  // namespace easyscale::sched

@@ -95,34 +95,26 @@ int InterJobScheduler::reschedule() {
       break;
     }
   }
-  // FIFO minimal starts for unscheduled jobs.
+  // FIFO starts: each unscheduled job gets its best plan over the whole
+  // free pool.
   for (auto& j : jobs_) {
     if (j.intra->current_plan().valid()) continue;
     if (j.intra->apply_best_plan(free_pool())) ++changes;
   }
-  // Greedy proposal acceptance.
-  for (;;) {
-    GpuVector free = free_pool();
-    Job* best_job = nullptr;
-    Companion::Proposal best_prop;
-    for (auto& j : jobs_) {
-      if (!j.intra->current_plan().valid()) continue;
-      for (auto& prop : j.intra->make_proposals(free)) {
-        const bool better =
-            best_job == nullptr ||
-            prop.speedup_per_gpu() > best_prop.speedup_per_gpu() ||
-            (prop.speedup_per_gpu() == best_prop.speedup_per_gpu() &&
-             prop.gpu_count > best_prop.gpu_count);
-        if (better) {
-          best_job = &j;
-          best_prop = prop;
-        }
-      }
-    }
-    if (best_job == nullptr) break;
-    best_job->intra->apply_plan(best_prop.plan);
-    ++changes;
-  }
+  // Greedy proposal acceptance (the §3.4 rule shared with the cluster
+  // service's kGreedy policy).
+  GpuVector free = free_pool();
+  changes += grow_greedily(
+      jobs_.size(), free,
+      [&](std::size_t i, const GpuVector& spare) {
+        const IntraJobScheduler& intra = *jobs_[i].intra;
+        return intra.current_plan().valid()
+                   ? intra.make_proposals(spare)
+                   : std::vector<Companion::Proposal>{};
+      },
+      [&](std::size_t i, const Companion::Proposal& prop) {
+        jobs_[i].intra->apply_plan(prop.plan);
+      });
   ES_LOG_DEBUG("inter-job reschedule applied " << changes << " change(s)");
   return changes;
 }

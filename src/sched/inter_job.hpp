@@ -3,9 +3,10 @@
 // pairs), not simulator stubs.
 //
 // Jobs register with the cluster; each scheduling round the cluster
-//  1. grants GPU-less jobs their best available plan (FIFO),
-//  2. collects Role-2 proposals from every job's intra-job scheduler, and
-//  3. greedily approves the proposal with the highest marginal
+//  1. grants each GPU-less job, in FIFO order, Companion::best_plan over
+//     the whole free pool, then
+//  2. runs sched::grow_greedily: collect Role-2 proposals from every job's
+//     intra-job scheduler and approve the one with the highest marginal
 //     speedup-per-GPU (ties broken toward more GPUs), until nothing fits.
 // Capacity changes (e.g. serving jobs claiming GPUs) are applied with
 // set_capacity; affected jobs scale in at the next round — the co-location

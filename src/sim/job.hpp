@@ -1,4 +1,5 @@
-// Job model for the cluster simulations (§5.2, §5.3).
+// Job model for the cluster simulations (§5.2, §5.3): one submission as
+// the cluster service and the trace generators see it.
 #pragma once
 
 #include <cstdint>
@@ -16,17 +17,9 @@ struct JobSpec {
   double arrival_s = 0.0;
   std::int64_t total_steps = 1000;  // global steps to completion
   bool allow_heter = true;          // D2-eligible (core::d2_recommended)
-  /// Gang request for the YARN-CS baseline: max_p GPUs of this type.
+  /// Gang request under the YARN-CS baseline (cluster::AllocationPolicy::
+  /// kGang): min(max_p, the type's capacity) GPUs of this type.
   kernels::DeviceType preferred_type = kernels::DeviceType::kV100;
-};
-
-struct JobOutcome {
-  std::int64_t id = 0;
-  double arrival_s = 0.0;
-  double start_s = -1.0;   // first GPU granted
-  double finish_s = -1.0;
-  [[nodiscard]] double jct() const { return finish_s - arrival_s; }
-  [[nodiscard]] double queueing() const { return start_s - arrival_s; }
 };
 
 }  // namespace easyscale::sim

@@ -42,7 +42,7 @@ std::int64_t fail_and_recover(JobTimeline& job, double fail_t_s,
 }  // namespace
 
 RecoveryModelResult model_recovery(
-    const std::vector<ClusterFailureEvent>& failures,
+    const std::vector<trace::ClusterFailureEvent>& failures,
     const RecoveryModelConfig& config) {
   ES_CHECK(config.step_s > 0.0, "step time must be positive");
   ES_CHECK(config.disk_every >= 1, "disk cadence must be >= 1");
@@ -52,9 +52,10 @@ RecoveryModelResult model_recovery(
   ES_CHECK(config.replica_loss_rate >= 0.0 && config.replica_loss_rate <= 1.0,
            "replica loss rate must be a probability");
 
-  std::vector<ClusterFailureEvent> sorted = failures;
+  std::vector<trace::ClusterFailureEvent> sorted = failures;
   std::sort(sorted.begin(), sorted.end(),
-            [](const ClusterFailureEvent& a, const ClusterFailureEvent& b) {
+            [](const trace::ClusterFailureEvent& a,
+               const trace::ClusterFailureEvent& b) {
               return a.t_s < b.t_s;
             });
 

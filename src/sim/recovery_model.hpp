@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "comm/transport.hpp"
-#include "sim/simulator.hpp"
+#include "trace/generators.hpp"
 
 namespace easyscale::sim {
 
@@ -68,7 +68,7 @@ struct RecoveryModelResult {
 /// Replay `failures` (sorted or not; the model sorts a copy) against both
 /// strategies.  Deterministic for a config.
 [[nodiscard]] RecoveryModelResult model_recovery(
-    const std::vector<ClusterFailureEvent>& failures,
+    const std::vector<trace::ClusterFailureEvent>& failures,
     const RecoveryModelConfig& config);
 
 /// Fabric seconds to fetch one frame of `frame_bytes` (latency + wire).

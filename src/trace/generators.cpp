@@ -53,12 +53,12 @@ std::vector<sim::JobSpec> philly_like_trace(const TraceConfig& cfg) {
   return jobs;
 }
 
-std::vector<sim::ClusterFailureEvent> gpu_failure_trace(
+std::vector<ClusterFailureEvent> gpu_failure_trace(
     const FailureTraceConfig& cfg) {
   ES_CHECK(cfg.mtbf_per_gpu_s > 0.0, "MTBF must be positive");
   ES_CHECK(cfg.horizon_s > 0.0, "failure horizon must be positive");
   rng::Philox gen(cfg.seed);
-  std::vector<sim::ClusterFailureEvent> events;
+  std::vector<ClusterFailureEvent> events;
   // One independent Poisson process per device type (rate = gpus / MTBF),
   // sampled in fixed type order so the stream is seed-deterministic.
   for (int t = 0; t < sched::kNumDeviceTypes; ++t) {
@@ -73,8 +73,8 @@ std::vector<sim::ClusterFailureEvent> gpu_failure_trace(
     }
   }
   std::sort(events.begin(), events.end(),
-            [](const sim::ClusterFailureEvent& a,
-               const sim::ClusterFailureEvent& b) {
+            [](const ClusterFailureEvent& a,
+               const ClusterFailureEvent& b) {
               if (a.t_s != b.t_s) return a.t_s < b.t_s;
               return a.device_type < b.device_type;
             });

@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sched/companion.hpp"
 #include "sim/job.hpp"
-#include "sim/simulator.hpp"
 
 namespace easyscale::trace {
 
@@ -48,10 +48,19 @@ struct FailureTraceConfig {
   std::uint64_t seed = 13;
 };
 
+/// One GPU of `device_type` is revoked/broken at `t_s` and unavailable for
+/// `repair_s` seconds (spot reclamation or an MTBF failure process).
+struct ClusterFailureEvent {
+  double t_s = 0.0;
+  int device_type = 0;  // index into the GpuVector
+  double repair_s = 600.0;
+};
+
 /// Per-GPU MTBF revocation/failure process: each device type fails as a
 /// Poisson process with rate gpus/mtbf (exponential interarrivals), merged
-/// and sorted by time.  Deterministic for a seed; feeds SimConfig.failures.
-[[nodiscard]] std::vector<sim::ClusterFailureEvent> gpu_failure_trace(
+/// and sorted by time.  Deterministic for a seed; feeds the cluster
+/// service's failure feed (ClusterServiceConfig::failures).
+[[nodiscard]] std::vector<ClusterFailureEvent> gpu_failure_trace(
     const FailureTraceConfig& config);
 
 }  // namespace easyscale::trace

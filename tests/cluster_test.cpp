@@ -1,10 +1,13 @@
 // Multi-tenant cluster service: the calendar event core against the heap
-// reference, fair-share/preemption properties, tenant traces, and the
-// end-to-end service determinism contract (docs/SCHEDULER.md).
+// reference, fair-share/preemption properties, tenant traces, the
+// end-to-end service determinism contract (docs/SCHEDULER.md), and the
+// kGreedy/kGang allocation policies behind the Figs 14-15 trace experiment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -13,8 +16,10 @@
 #include "cluster/metrics.hpp"
 #include "cluster/service.hpp"
 #include "cluster/tenant.hpp"
+#include "common/error.hpp"
 #include "fault/quarantine_feed.hpp"
 #include "rng/philox.hpp"
+#include "trace/generators.hpp"
 
 namespace easyscale::cluster {
 namespace {
@@ -335,6 +340,246 @@ TEST(ClusterService, ServingColocationLendsAndReturnsCapacity) {
   EXPECT_GT(m.preemptions, 0);  // the serving peak must claw back GPUs
   const auto replay = fx.run();
   EXPECT_EQ(m.schedule_digest, replay.schedule_digest);
+}
+
+// --- allocation policies: the Figs 14-15 trace experiment ------------------
+//
+// The suite names below (PolicyTest, Simulator*, SimSdc) are kept from the
+// tick simulator these checks were first written against.
+
+std::vector<sim::JobSpec> small_trace(std::int64_t n = 20) {
+  trace::TraceConfig cfg;
+  cfg.num_jobs = n;
+  cfg.mean_interarrival_s = 60.0;
+  return trace::philly_like_trace(cfg);
+}
+
+ClusterServiceConfig policy_config(AllocationPolicy policy) {
+  ClusterServiceConfig cfg;
+  cfg.capacity = {8, 4, 4};
+  cfg.policy = policy;
+  return cfg;
+}
+
+struct PolicyRun {
+  ClusterMetrics m;
+  std::vector<double> start_s;
+  std::vector<double> finish_s;
+};
+
+PolicyRun run_policy(const std::vector<sim::JobSpec>& trace,
+                     const ClusterServiceConfig& cfg, bool heter = true) {
+  ClusterService service({Tenant{}}, single_tenant_jobs(trace, heter), cfg);
+  PolicyRun r;
+  r.m = service.run();
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    r.start_s.push_back(service.start_s(i));
+    r.finish_s.push_back(service.finish_s(i));
+  }
+  return r;
+}
+
+class PolicyTest : public ::testing::TestWithParam<AllocationPolicy> {};
+
+TEST_P(PolicyTest, AllJobsFinishWithValidTimestamps) {
+  const auto jobs = small_trace();
+  const auto r = run_policy(jobs, policy_config(GetParam()));
+  ASSERT_EQ(r.m.jobs_finished, static_cast<std::int64_t>(jobs.size()));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_GE(r.start_s[i], jobs[i].arrival_s);
+    EXPECT_GT(r.finish_s[i], r.start_s[i]);
+    EXPECT_LE(r.finish_s[i], r.m.makespan);
+  }
+  EXPECT_GT(r.m.mean_jct(), 0.0);
+}
+
+TEST_P(PolicyTest, AllocationNeverExceedsCluster) {
+  const auto cfg = policy_config(GetParam());
+  const auto r = run_policy(small_trace(), cfg);
+  ASSERT_FALSE(r.m.allocated_gpus.empty());
+  for (std::size_t i = 0; i < r.m.allocated_gpus.size(); ++i) {
+    const auto& p = r.m.allocated_gpus[i];
+    EXPECT_LE(p.gpus, sched::total(cfg.capacity));
+    EXPECT_GE(p.gpus, 0);
+    // A step timeline: a point only where the total changes.
+    if (i > 0) {
+      EXPECT_NE(p.gpus, r.m.allocated_gpus[i - 1].gpus);
+      EXPECT_GE(p.t_s, r.m.allocated_gpus[i - 1].t_s);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
+                         ::testing::Values(AllocationPolicy::kFairShare,
+                                           AllocationPolicy::kGreedy,
+                                           AllocationPolicy::kGang));
+
+TEST(Simulator, YarnIsFIFO) {
+  const auto jobs = small_trace();
+  const auto r = run_policy(jobs, policy_config(AllocationPolicy::kGang));
+  // Start order must follow arrival order (strict FIFO admission).
+  std::vector<std::size_t> by_arrival(jobs.size());
+  std::iota(by_arrival.begin(), by_arrival.end(), std::size_t{0});
+  std::stable_sort(by_arrival.begin(), by_arrival.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return jobs[a].arrival_s < jobs[b].arrival_s;
+                   });
+  for (std::size_t i = 1; i < by_arrival.size(); ++i) {
+    EXPECT_GE(r.start_s[by_arrival[i]], r.start_s[by_arrival[i - 1]]);
+  }
+}
+
+TEST(Simulator, ElasticBeatsGangSchedulingOnJctAndMakespan) {
+  const auto jobs = small_trace(30);
+  const auto yarn = run_policy(jobs, policy_config(AllocationPolicy::kGang));
+  const auto homo = run_policy(jobs, policy_config(AllocationPolicy::kGreedy),
+                               /*heter=*/false);
+  EXPECT_LT(homo.m.mean_jct(), yarn.m.mean_jct());
+  EXPECT_LE(homo.m.makespan, yarn.m.makespan);
+}
+
+TEST(Simulator, HeterUsesAtLeastAsManyGpusAsHomo) {
+  const auto jobs = small_trace(30);
+  const auto cfg = policy_config(AllocationPolicy::kGreedy);
+  const auto homo = run_policy(jobs, cfg, /*heter=*/false);
+  const auto heter = run_policy(jobs, cfg, /*heter=*/true);
+  EXPECT_GE(heter.m.mean_allocated_gpus(), homo.m.mean_allocated_gpus());
+}
+
+TEST(Simulator, EmptyTraceThrows) {
+  EXPECT_THROW(ClusterService({Tenant{}}, {},
+                              policy_config(AllocationPolicy::kGang)),
+               Error);
+}
+
+std::vector<sim::JobSpec> failure_trace_jobs() {
+  // Two gang-sized jobs sharing one V100 partition; a revocation while
+  // both run forces the gang baseline to kill one of them.
+  std::vector<sim::JobSpec> jobs(2);
+  for (std::int64_t i = 0; i < 2; ++i) {
+    auto& j = jobs[static_cast<std::size_t>(i)];
+    j.id = i;
+    j.workload = "ResNet50";
+    j.max_p = 4;
+    j.arrival_s = 0.0;
+    j.total_steps = 5000;
+    j.allow_heter = false;
+    j.preferred_type = kernels::DeviceType::kV100;
+  }
+  return jobs;
+}
+
+ClusterServiceConfig failure_config(AllocationPolicy policy) {
+  ClusterServiceConfig cfg;
+  cfg.capacity = {8, 0, 0};
+  cfg.policy = policy;
+  // Two V100s revoked at t=100s, repaired 500s later.
+  cfg.failures = {{100.0, 0, 500.0}, {100.0, 0, 500.0}};
+  return cfg;
+}
+
+TEST(SimulatorFailures, EasyScaleSurvivesRevocationsWithoutFailedJobs) {
+  const auto r = run_policy(failure_trace_jobs(),
+                            failure_config(AllocationPolicy::kGreedy));
+  EXPECT_EQ(r.m.jobs_finished, 2);
+  EXPECT_GT(r.m.preemptions, 0) << "the revocation must shrink a job";
+  EXPECT_EQ(r.m.failed_jobs, 0) << "elastic jobs scale in instead of dying";
+  EXPECT_EQ(r.m.lost_steps, 0);
+}
+
+TEST(SimulatorFailures, GangBaselineKillsAndLosesProgress) {
+  const auto r = run_policy(failure_trace_jobs(),
+                            failure_config(AllocationPolicy::kGang));
+  EXPECT_EQ(r.m.jobs_finished, 2);  // killed jobs restart and still finish
+  EXPECT_GT(r.m.failed_jobs, 0) << "gang jobs cannot shrink below strength";
+  EXPECT_GT(r.m.lost_steps, 0) << "restart discards the gang's progress";
+  // The victim is the later-started gang; ties go to the higher job id.
+  EXPECT_GT(r.start_s[1], r.start_s[0]);
+}
+
+TEST(SimulatorFailures, FailureFreeConfigMatchesBaselineBehaviour) {
+  // Without a failure feed the gang accounting stays zero.
+  const auto r =
+      run_policy(small_trace(10), policy_config(AllocationPolicy::kGang));
+  EXPECT_EQ(r.m.failed_jobs, 0);
+  EXPECT_EQ(r.m.lost_steps, 0);
+}
+
+TEST(SimulatorFailures, MtbfTraceDrivenRunCompletes) {
+  // End-to-end: a generated MTBF failure process feeding the service.
+  const auto jobs = small_trace(10);
+  auto cfg = policy_config(AllocationPolicy::kGreedy);
+  trace::FailureTraceConfig fcfg;
+  fcfg.cluster = cfg.capacity;
+  fcfg.horizon_s = 1.0e5;
+  fcfg.mtbf_per_gpu_s = 2.0e4;  // aggressive so failures actually land
+  cfg.failures = trace::gpu_failure_trace(fcfg);
+  ASSERT_FALSE(cfg.failures.empty());
+  const auto r = run_policy(jobs, cfg);
+  EXPECT_EQ(r.m.jobs_finished, static_cast<std::int64_t>(jobs.size()));
+  EXPECT_EQ(r.m.failed_jobs, 0);
+  EXPECT_EQ(r.m.lost_steps, 0);
+}
+
+TEST(SimSdc, DefendedFleetQuarantinesAndNeverPoisons) {
+  // SDC condemnations reach the cluster as the quarantine feed and remove
+  // devices for good; kGreedy rebuilds inside the smaller pool, so every
+  // job still finishes and none is killed.
+  const auto jobs = small_trace(12);
+  auto cfg = policy_config(AllocationPolicy::kGreedy);
+  fault::QuarantineTraceConfig qcfg;
+  qcfg.cluster = cfg.capacity;
+  qcfg.rate_per_gpu_s = {2e-5, 2e-5, 2e-5};
+  qcfg.horizon_s = 2e4;
+  cfg.quarantines = fault::sdc_quarantine_trace(qcfg);
+  ASSERT_FALSE(cfg.quarantines.empty());
+  const auto r = run_policy(jobs, cfg);
+  EXPECT_EQ(r.m.jobs_finished, static_cast<std::int64_t>(jobs.size()));
+  EXPECT_EQ(r.m.failed_jobs, 0);
+  EXPECT_EQ(r.m.lost_steps, 0);
+  const auto clean =
+      run_policy(jobs, policy_config(AllocationPolicy::kGreedy));
+  EXPECT_NE(r.m.schedule_digest, clean.m.schedule_digest);
+}
+
+TEST(ClusterService, QueueKindDoesNotChangeTheScheduleUnderAnyPolicy) {
+  const auto jobs = small_trace(16);
+  for (const auto policy :
+       {AllocationPolicy::kFairShare, AllocationPolicy::kGreedy,
+        AllocationPolicy::kGang}) {
+    auto cfg = policy_config(policy);
+    trace::FailureTraceConfig fcfg;
+    fcfg.cluster = cfg.capacity;
+    fcfg.horizon_s = 1.0e5;
+    fcfg.mtbf_per_gpu_s = 2.0e4;
+    cfg.failures = trace::gpu_failure_trace(fcfg);
+    auto heap_cfg = cfg;
+    heap_cfg.queue = QueueKind::kHeap;
+    const auto cal = run_policy(jobs, cfg);
+    const auto heap = run_policy(jobs, heap_cfg);
+    EXPECT_EQ(cal.m.schedule_digest, heap.m.schedule_digest)
+        << policy_name(policy);
+    EXPECT_EQ(cal.m.to_json(), heap.m.to_json()) << policy_name(policy);
+    EXPECT_EQ(cal.m.failed_jobs, heap.m.failed_jobs) << policy_name(policy);
+    EXPECT_EQ(cal.m.lost_steps, heap.m.lost_steps) << policy_name(policy);
+    EXPECT_EQ(cal.finish_s, heap.finish_s) << policy_name(policy);
+  }
+}
+
+TEST(ClusterService, SingleTenantPoliciesRejectMultiTenantConfigs) {
+  ServiceFixture fx;
+  for (const auto policy :
+       {AllocationPolicy::kGreedy, AllocationPolicy::kGang}) {
+    fx.cfg.policy = policy;
+    try {
+      ClusterService service(fx.tenants, fx.jobs, fx.cfg);
+      ADD_FAILURE() << policy_name(policy) << " accepted 9 tenants";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(policy_name(policy)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- quarantine feed --------------------------------------------------------

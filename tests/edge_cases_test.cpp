@@ -6,8 +6,6 @@
 #include <set>
 
 #include "common/log.hpp"
-#include "sim/simulator.hpp"
-#include "trace/generators.hpp"
 #include "core/engine.hpp"
 #include "models/datasets.hpp"
 #include "nn/attention.hpp"
@@ -173,20 +171,6 @@ TEST(EdgeSampler, WorldOfOneSeesEverySample) {
     for (auto i : s.batch_indices(step)) seen.insert(i);
   }
   EXPECT_EQ(seen.size(), 10u);
-}
-
-TEST(EdgeSim, RescheduleFrequencyDoesNotBreakCompletion) {
-  trace::TraceConfig tcfg;
-  tcfg.num_jobs = 10;
-  const auto jobs = trace::philly_like_trace(tcfg);
-  for (double period : {10.0, 300.0}) {
-    sim::SimConfig scfg;
-    scfg.cluster = {8, 4, 4};
-    scfg.policy = sim::SchedulerPolicy::kEasyScaleHeter;
-    scfg.reschedule_period_s = period;
-    const auto r = sim::simulate_trace(jobs, scfg);
-    EXPECT_EQ(r.outcomes.size(), jobs.size());
-  }
 }
 
 }  // namespace

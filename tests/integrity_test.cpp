@@ -24,8 +24,6 @@
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 #include "sched/intra_job.hpp"
-#include "sim/simulator.hpp"
-#include "trace/generators.hpp"
 
 namespace easyscale {
 namespace {
@@ -592,49 +590,6 @@ TEST(FaultSdcDefense, QuarantineRoutesThroughTheScheduler) {
   EXPECT_EQ(scheduler.quarantine_blocklist().size(), 1u);
   EXPECT_EQ(engine.params_digest(), clean);
   mgr.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Cluster simulator: fleet-level SDC accounting.
-
-std::vector<sim::JobSpec> sim_trace() {
-  trace::TraceConfig cfg;
-  cfg.num_jobs = 12;
-  cfg.mean_interarrival_s = 60.0;
-  return trace::philly_like_trace(cfg);
-}
-
-sim::SimConfig sim_sdc_config(bool defended) {
-  sim::SimConfig cfg;
-  cfg.cluster = {8, 4, 4};
-  cfg.policy = sim::SchedulerPolicy::kEasyScaleHeter;
-  cfg.sdc_rate_per_type = {0.001, 0.001, 0.001};
-  cfg.sdc_defense = defended;
-  return cfg;
-}
-
-TEST(SimSdc, DefendedFleetQuarantinesAndNeverPoisons) {
-  const auto jobs = sim_trace();
-  const auto r = sim::simulate_trace(jobs, sim_sdc_config(true));
-  ASSERT_EQ(r.outcomes.size(), jobs.size());
-  EXPECT_GT(r.sdc_events, 0);
-  EXPECT_EQ(r.devices_quarantined, r.sdc_events);
-  EXPECT_EQ(r.jobs_poisoned, 0);
-  EXPECT_GT(r.sdc_replay_s_total, 0.0);
-  for (const auto& o : r.outcomes) EXPECT_GT(o.finish_s, o.start_s);
-  // Philox-seeded draws: the whole fleet history replays exactly.
-  const auto again = sim::simulate_trace(jobs, sim_sdc_config(true));
-  EXPECT_EQ(again.sdc_events, r.sdc_events);
-  EXPECT_EQ(again.makespan, r.makespan);
-}
-
-TEST(SimSdc, UndefendedFleetFinishesPoisoned) {
-  const auto jobs = sim_trace();
-  const auto r = sim::simulate_trace(jobs, sim_sdc_config(false));
-  EXPECT_GT(r.sdc_events, 0);
-  EXPECT_EQ(r.devices_quarantined, 0);
-  EXPECT_EQ(r.sdc_replay_s_total, 0.0);
-  EXPECT_GT(r.jobs_poisoned, 0);
 }
 
 }  // namespace

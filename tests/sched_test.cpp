@@ -1,5 +1,5 @@
 // Companion module: Eq. (1) waste/throughput model, plan construction,
-// proposals and the inter-job ranking rules.
+// proposals and the inter-job ranking rules (sched::grow_greedily).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -155,6 +155,32 @@ TEST(Companion, ThroughputEqualsMaxPOverOverload) {
   const Plan p = c.make_plan(GpuVector{2, 1, 0});
   ASSERT_TRUE(p.valid());
   EXPECT_NEAR(p.throughput, 6.0 / p.f_overload, 1e-9);
+}
+
+TEST(GreedyGrowth, RanksBySpeedupPerGpuTiesToMoreGpusStopsWhenNothingFits) {
+  auto prop = [](std::int64_t v100, double speedup) {
+    Companion::Proposal p;
+    p.extra_gpus = {v100, 0, 0};
+    p.gpu_count = v100;
+    p.speedup = speedup;
+    return p;
+  };
+  // Jobs 0 and 1 tie at 0.5 speedup per GPU; job 1 asks for more GPUs, so
+  // it goes first.  Job 2 ranks last and no longer fits once both are in.
+  std::vector<std::vector<Companion::Proposal>> pending = {
+      {prop(1, 1.5)}, {prop(2, 2.0)}, {prop(1, 1.2)}};
+  std::vector<std::size_t> order;
+  GpuVector free{3, 0, 0};
+  const int accepted = grow_greedily(
+      pending.size(), free,
+      [&](std::size_t i, const GpuVector&) { return pending[i]; },
+      [&](std::size_t i, const Companion::Proposal&) {
+        order.push_back(i);
+        pending[i].clear();
+      });
+  EXPECT_EQ(accepted, 2);
+  EXPECT_EQ(order, (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(free, (GpuVector{0, 0, 0}));
 }
 
 TEST(PlanCache, ReusedPlansAreByteIdenticalToFresh) {
