@@ -24,6 +24,7 @@ AsyncCollectiveEngine::~AsyncCollectiveEngine() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
+  cv_slot_.notify_all();
   cv_submit_.notify_all();
   slot_.join();
 }
@@ -39,7 +40,6 @@ void AsyncCollectiveEngine::begin_step(BucketJob job) {
   cost_s_.clear();
   comm_busy_s_ = 0.0;
   comm_virtual_s_ = 0.0;
-  executed_ = 0;
   step_start_ = Clock::now();
 }
 
@@ -55,52 +55,51 @@ void AsyncCollectiveEngine::submit(std::size_t bucket) {
   // A failed step discards late submissions; drain() reports the failure.
   if (error_ != nullptr || stopping_) return;
   queue_.push_back({bucket, offset});
+  lock.unlock();
+  cv_slot_.notify_one();
+}
+
+void AsyncCollectiveEngine::run_front(std::unique_lock<std::mutex>& lock) {
+  const Pending next = queue_.front();
+  queue_.pop_front();
+  executing_ = true;
+  lock.unlock();
+  const auto t0 = Clock::now();
+  double virtual_s = 0.0;
+  std::exception_ptr err;
+  try {
+    virtual_s = job_(next.bucket);
+  } catch (...) {
+    err = std::current_exception();
+  }
+  const double busy = seconds_since(t0);
+  lock.lock();
+  executing_ = false;
+  if (err != nullptr) {
+    // The step failed: discard the jobs behind it, unblock submitters, and
+    // let drain() rethrow.
+    error_ = err;
+    queue_.clear();
+  } else {
+    ready_s_.push_back(next.submit_offset_s);
+    cost_s_.push_back(virtual_s > 0.0 ? virtual_s : busy);
+    comm_busy_s_ += busy;
+    comm_virtual_s_ += virtual_s;
+  }
   cv_submit_.notify_all();
 }
 
 void AsyncCollectiveEngine::comm_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Pending next;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_submit_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      next = queue_.front();
-      queue_.pop_front();
-      if (error_ != nullptr) {
-        // The step already failed: consume without executing so drain()'s
-        // idle condition still converges.
-        ++executed_;
-        if (queue_.empty()) cv_idle_.notify_all();
-        cv_submit_.notify_all();
-        continue;
-      }
-      executing_ = true;
-    }
-    const auto t0 = Clock::now();
-    double virtual_s = 0.0;
-    std::exception_ptr err;
-    try {
-      virtual_s = job_(next.bucket);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    const double busy = seconds_since(t0);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      executing_ = false;
-      ++executed_;
-      if (err != nullptr) {
-        if (error_ == nullptr) error_ = err;
-      } else {
-        ready_s_.push_back(next.submit_offset_s);
-        cost_s_.push_back(virtual_s > 0.0 ? virtual_s : busy);
-        comm_busy_s_ += busy;
-        comm_virtual_s_ += virtual_s;
-      }
-      if (queue_.empty()) cv_idle_.notify_all();
-    }
-    cv_submit_.notify_all();
+    cv_slot_.wait(lock, [this] {
+      return stopping_ || (!queue_.empty() && !executing_ && !draining_);
+    });
+    if (stopping_) return;
+    run_front(lock);
+    // A caller that entered drain() while this job ran waits for it, then
+    // takes over the queue.
+    if (draining_) cv_idle_.notify_one();
   }
 }
 
@@ -109,7 +108,12 @@ OverlapStats AsyncCollectiveEngine::drain() {
   const auto t0 = Clock::now();
   std::unique_lock<std::mutex> lock(mutex_);
   ES_CHECK(step_open_, "drain without begin_step");
-  cv_idle_.wait(lock, [this] { return queue_.empty() && !executing_; });
+  // From here the caller is the only thread that starts jobs: it runs the
+  // queue itself rather than waking the slot and sleeping on its progress.
+  draining_ = true;
+  cv_idle_.wait(lock, [this] { return !executing_; });
+  while (!queue_.empty()) run_front(lock);
+  draining_ = false;
   step_open_ = false;
   job_ = nullptr;
   if (error_ != nullptr) {

@@ -8,9 +8,14 @@
 //
 //  - AsyncCollectiveEngine owns one dedicated communicator slot (a
 //    long-lived thread, the analog of NCCL's comm stream) and a bounded
-//    in-flight queue of bucket jobs.  Jobs execute strictly in submission
-//    order, so the sequence of transport operations — and therefore every
-//    fault draw of the simulated fabric — is identical run to run.
+//    in-flight queue of bucket jobs.  The slot runs jobs while backward is
+//    still producing buckets; once the caller reaches drain() it runs the
+//    remaining jobs itself instead of sleeping through a thread handoff.
+//    Exactly one executor runs at a time, chosen under the engine mutex,
+//    and jobs pop strictly in submission order, so the sequence of
+//    transport operations — and therefore every fault draw of the
+//    simulated fabric — is identical run to run, whichever thread runs
+//    each job.
 //  - BucketReadyTracker turns per-parameter grad-ready marks from the
 //    backward walk into per-bucket completion events, using contribution
 //    counts recorded on an earlier sequential step (a parameter is final
@@ -56,8 +61,9 @@ struct AsyncConfig {
 /// window (begin_step -> drain entry); per-job comm cost is the fabric's
 /// virtual seconds when the job reports them, else the job's wall busy
 /// time (the plain path, where the reduction work itself stands in for
-/// transfer time).  The modeled step times answer "what would this step
-/// cost if the communicator slot had its own execution resource":
+/// transfer time), measured on whichever thread ran the job.  The modeled
+/// step times answer "what would this step cost if the communicator slot
+/// had its own execution resource":
 ///   modeled_seq_s     = compute_s + sum(comm)        (flush-at-the-end)
 ///   modeled_overlap_s = pipelined: job j starts at max(ready_j, end_{j-1})
 /// ready_j (the submit offset) is clamped to compute_s, so with >= 2
@@ -66,9 +72,11 @@ struct AsyncConfig {
 struct OverlapStats {
   std::int64_t buckets = 0;
   double compute_s = 0.0;
-  double comm_busy_s = 0.0;     // wall time the comm slot spent in jobs
+  double comm_busy_s = 0.0;     // wall time spent in jobs, either thread
   double comm_virtual_s = 0.0;  // fabric virtual seconds jobs reported
-  double drain_wait_s = 0.0;    // wall time the caller blocked in drain()
+  /// Wall time the caller spent in drain(): waiting for the slot's job in
+  /// flight plus running the jobs still queued at drain entry.
+  double drain_wait_s = 0.0;
   double modeled_seq_s = 0.0;
   double modeled_overlap_s = 0.0;
   /// Share of comm hidden under backward in the pipelined model:
@@ -76,10 +84,13 @@ struct OverlapStats {
   double overlap_frac = 0.0;
 };
 
-/// A bounded in-flight queue of bucket all-reduce jobs executed on one
-/// dedicated communicator slot.  The engine only sequences and times jobs;
-/// all reduction math lives in the job callback so the plain, voting and
-/// resilient flavors share one pipeline.
+/// A bounded in-flight queue of bucket all-reduce jobs, executed by one
+/// dedicated communicator slot during backward and by the draining caller
+/// after it.  One executor at a time pops the queue front under the mutex,
+/// so jobs run strictly FIFO and never concurrently, and the mutex handoff
+/// orders each job's writes before the next job's reads.  The engine only
+/// sequences and times jobs; all reduction math lives in the job callback
+/// so the plain, voting and resilient flavors share one pipeline.
 class AsyncCollectiveEngine {
  public:
   /// Performs the reduction for `bucket`; returns the job's comm cost in
@@ -103,7 +114,8 @@ class AsyncCollectiveEngine {
   /// submission is discarded — drain() rethrows the failure).
   void submit(std::size_t bucket);
 
-  /// Wait for every submitted job, rethrow the first job exception, and
+  /// Wait for the slot's job in flight, if any, then run every job still
+  /// queued on the calling thread; rethrow the first job exception and
   /// return the step's overlap accounting.  Leaves the engine ready for
   /// the next begin_step().
   OverlapStats drain();
@@ -115,26 +127,30 @@ class AsyncCollectiveEngine {
   };
 
   void comm_loop();
+  /// Pop the queue front and run it on the calling thread.  `lock` holds
+  /// mutex_ on entry and exit and is released while the job runs; the
+  /// caller guarantees a non-empty queue and no executor.
+  void run_front(std::unique_lock<std::mutex>& lock);
 
   AsyncConfig cfg_;
   BucketJob job_;
 
   std::mutex mutex_;
-  std::condition_variable cv_submit_;  // backpressure + shutdown
-  std::condition_variable cv_idle_;    // drain
+  std::condition_variable cv_slot_;    // slot: submit + shutdown only
+  std::condition_variable cv_submit_;  // backpressure
+  std::condition_variable cv_idle_;    // drain: the slot's job finished
   std::deque<Pending> queue_;
-  bool executing_ = false;
+  bool executing_ = false;  // some thread is inside a job
+  bool draining_ = false;   // the caller owns the queue until drain returns
   bool stopping_ = false;
   bool step_open_ = false;
   std::exception_ptr error_;
 
-  // Per-step accounting (touched by the comm thread and, after the idle
-  // handshake, by drain()).
+  // Per-step accounting, written by the executor under mutex_.
   std::vector<double> ready_s_;  // submit offsets, execution order
   std::vector<double> cost_s_;   // per-job comm basis, execution order
   double comm_busy_s_ = 0.0;
   double comm_virtual_s_ = 0.0;
-  std::int64_t executed_ = 0;
   std::chrono::steady_clock::time_point step_start_;
 
   std::thread slot_;  // the dedicated communicator slot
@@ -169,8 +185,8 @@ class BucketReadyTracker final : public autograd::GradReadySink {
 
 /// Counts participants into each bucket; the LAST publisher submits the
 /// bucket to the engine.  publish() uses acquire-release ordering on the
-/// per-bucket counter, so the comm thread observes every rank's bucket
-/// data once the job is queued.
+/// per-bucket counter, so whichever thread runs the job observes every
+/// rank's bucket data once it is queued.
 class OverlapCoordinator {
  public:
   OverlapCoordinator(std::size_t num_buckets, int num_parts,

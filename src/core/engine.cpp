@@ -214,7 +214,7 @@ void EasyScaleEngine::one_step() {
       host_of_part[static_cast<std::size_t>(est)] = static_cast<int>(w);
     }
   }
-  comm::CollectiveReport step_report;  // comm-thread-only until drain()
+  comm::CollectiveReport step_report;  // engine-executor-only until drain()
   std::unique_ptr<comm::OverlapCoordinator> coordinator;
   if (overlap) {
     if (async_engine_ == nullptr) {

@@ -225,13 +225,17 @@ void Trainer::one_step_overlapped() {
     engine_ = std::make_unique<comm::AsyncCollectiveEngine>(config_.async_comm);
   }
   const std::size_t num_buckets = layout_.num_buckets();
-  // Preallocate one gradient set per rank; each rank's flush copies a
-  // finished bucket's gradients in ("D2H") before publishing it.
-  std::vector<comm::GradientSet> sets;
-  sets.reserve(replicas_.size());
-  for (auto& rep : replicas_) {
-    sets.push_back(comm::GradientSet::zeros_like(rep.workload->params()));
+  // One gradient set per rank, kept across steps; each rank's flush copies
+  // a finished bucket's gradients in ("D2H") before publishing it, and
+  // finish() flushes every bucket, so no stale gradient survives a step.
+  if (overlap_sets_.empty()) {
+    overlap_sets_.reserve(replicas_.size());
+    for (auto& rep : replicas_) {
+      overlap_sets_.push_back(
+          comm::GradientSet::zeros_like(rep.workload->params()));
+    }
   }
+  std::vector<comm::GradientSet>& sets = overlap_sets_;
   std::vector<comm::GradientSet*> parts;
   parts.reserve(sets.size());
   for (auto& s : sets) parts.push_back(&s);
@@ -243,8 +247,8 @@ void Trainer::one_step_overlapped() {
     comm::validate_allreduce_inputs(layout_, parts);
   }
 
-  // Job-side state: only the single comm thread touches these between
-  // begin_step and the drain() idle handshake.
+  // Job-side state: touched only by the engine's one executor at a time
+  // (the comm slot or the draining caller) until drain() returns.
   comm::CollectiveReport step_report;
   VoteReport vote_report;
   auto job = [&](std::size_t b) -> double {

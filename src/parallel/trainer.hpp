@@ -266,6 +266,8 @@ class Trainer {
   std::optional<VoteReport> last_vote_report_;
   std::optional<comm::OverlapStats> last_overlap_stats_;
   std::unique_ptr<comm::AsyncCollectiveEngine> engine_;
+  /// Per-rank overlap flush buffers, built on the first overlapped step.
+  std::vector<comm::GradientSet> overlap_sets_;
   /// Per-parameter gradient contribution counts from the recorded first
   /// step; empty until recorded.  Feeds BucketReadyTracker.
   std::vector<int> contrib_counts_;

@@ -7,7 +7,10 @@
 // rules and unit tests of the pipeline building blocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "comm/async_allreduce.hpp"
@@ -276,7 +279,10 @@ TEST(OverlapUnits, TrackerFinishFlushesStragglersInLayoutOrder) {
 
 TEST(OverlapUnits, EngineExecutesJobsInSubmissionOrder) {
   comm::AsyncCollectiveEngine engine(comm::AsyncConfig{.max_in_flight = 1});
-  std::vector<std::size_t> executed;  // comm thread only; drain() fences
+  // Written by whichever thread runs each job (the comm slot or the
+  // draining caller); the engine's mutex orders every job, and drain()'s
+  // return orders the last one before the reads below.
+  std::vector<std::size_t> executed;
   engine.begin_step([&](std::size_t b) {
     executed.push_back(b);
     return 0.0;
@@ -286,6 +292,88 @@ TEST(OverlapUnits, EngineExecutesJobsInSubmissionOrder) {
   EXPECT_EQ(executed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(stats.buckets, 6);
   EXPECT_GE(stats.modeled_seq_s, stats.modeled_overlap_s);
+}
+
+TEST(OverlapUnits, EngineNeverRunsTwoJobsAtOnceWhenTheCallerHelps) {
+  comm::AsyncCollectiveEngine engine(comm::AsyncConfig{.max_in_flight = 4});
+  const auto caller = std::this_thread::get_id();
+  int caller_jobs = 0;
+  for (int step = 0; step < 20; ++step) {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    std::atomic<int> on_caller{0};
+    std::vector<std::size_t> executed;
+    engine.begin_step([&](std::size_t b) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      executed.push_back(b);
+      running.fetch_sub(1);
+      return 0.0;
+    });
+    for (std::size_t b = 0; b < 8; ++b) engine.submit(b);
+    const auto stats = engine.drain();
+    EXPECT_EQ(peak.load(), 1) << "step " << step;
+    EXPECT_EQ(executed, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}))
+        << "step " << step;
+    EXPECT_EQ(stats.buckets, 8);
+    // Backpressure holds the caller until at most 4 jobs are left, so the
+    // slot runs at least 4; the caller runs what is queued at drain entry.
+    EXPECT_LE(on_caller.load(), 4);
+    caller_jobs += on_caller.load();
+  }
+  EXPECT_GT(caller_jobs, 0);  // the caller did help
+}
+
+TEST(OverlapUnits, EngineCallerThreadFailureDiscardsQueuedJobs) {
+  comm::AsyncCollectiveEngine engine(comm::AsyncConfig{.max_in_flight = 4});
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> executed;
+  std::thread::id failed_on;
+  engine.begin_step([&](std::size_t b) -> double {
+    // Should the slot win bucket 0, hold it long enough for the caller to
+    // enter drain(), which then owns the queue.
+    if (b == 0 && std::this_thread::get_id() != caller) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    executed.push_back(b);
+    if (b == 1) {
+      failed_on = std::this_thread::get_id();
+      throw Error("bucket 1 failed");
+    }
+    return 0.0;
+  });
+  for (std::size_t b = 0; b < 4; ++b) engine.submit(b);
+  EXPECT_THROW(engine.drain(), Error);
+  EXPECT_EQ(failed_on, caller);
+  EXPECT_EQ(executed, (std::vector<std::size_t>{0, 1}));  // 2, 3 discarded
+  // The engine recovers: the next step runs every job.
+  executed.clear();
+  engine.begin_step([&](std::size_t b) {
+    executed.push_back(b);
+    return 0.0;
+  });
+  for (std::size_t b = 0; b < 3; ++b) engine.submit(b);
+  EXPECT_EQ(engine.drain().buckets, 3);
+  EXPECT_EQ(executed, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(OverlapUnits, EngineSubmitBackpressureUnblocksAtDepthOne) {
+  comm::AsyncCollectiveEngine engine(comm::AsyncConfig{.max_in_flight = 1});
+  std::atomic<int> done{0};
+  engine.begin_step([&](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    done.fetch_add(1);
+    return 0.0;
+  });
+  // Each submit past the first waits for the slot to finish the job ahead.
+  for (std::size_t b = 0; b < 5; ++b) engine.submit(b);
+  EXPECT_GE(done.load(), 4);
+  EXPECT_EQ(engine.drain().buckets, 5);
+  EXPECT_EQ(done.load(), 5);
 }
 
 TEST(OverlapUnits, EngineReportsVirtualCommSeconds) {
