@@ -386,6 +386,58 @@ std::vector<SimdMeasurement> measure_simd_kernels() {
   }
 
   {
+    // est_conv's layer1 conv (ResNet50-mini on 8x8 inputs, batch 8): the
+    // weight-gradient GEMM dW[f, c*kh*kw] += dOut[f, oh*ow] * cols^T, whose
+    // B^T the vector backends pack straight into their column tiles, and
+    // the whole im2col backward (W^T once, im2col, gemm_nt, gemm, col2im).
+    const kernels::Conv2dDims d{.batch = 8,
+                                .in_channels = 8,
+                                .in_h = 8,
+                                .in_w = 8,
+                                .out_channels = 8,
+                                .kernel_h = 3,
+                                .kernel_w = 3,
+                                .stride = 1,
+                                .pad = 1,
+                                .groups = 1};
+    const std::int64_t kdim = d.in_channels * d.kernel_h * d.kernel_w;
+    const std::int64_t ohow = d.out_h() * d.out_w();
+    rng::Philox gen(5);
+    auto input = std::make_shared<std::vector<float>>(static_cast<std::size_t>(
+        d.batch * d.in_channels * d.in_h * d.in_w));
+    auto weight = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(d.out_channels * kdim));
+    auto grad_out = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(d.batch * d.out_channels * ohow));
+    auto cols = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(kdim * ohow));
+    auto grad_input = std::make_shared<std::vector<float>>(input->size());
+    auto grad_weight = std::make_shared<std::vector<float>>(weight->size());
+    auto grad_bias = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(d.out_channels));
+    rng::fill_normal(gen, *input, 0.0f, 1.0f);
+    rng::fill_normal(gen, *weight, 0.0f, 0.1f);
+    rng::fill_normal(gen, *grad_out, 0.0f, 1.0f);
+    rng::fill_normal(gen, *cols, 0.0f, 1.0f);
+    const double gemm_flops = 2.0 * d.out_channels * kdim * ohow;
+    sweep("gemm_nt_l1", gemm_flops, [=](const kernels::ExecContext& ctx) {
+      kernels::gemm_nt(ctx, d.out_channels, kdim, ohow,
+                       std::span<const float>(grad_out->data(),
+                                              static_cast<std::size_t>(
+                                                  d.out_channels * ohow)),
+                       *cols, *grad_weight, false);
+      benchmark::DoNotOptimize(grad_weight->data());
+    });
+    sweep("conv_bwd_l1", 2.0 * d.batch * gemm_flops,
+          [=](const kernels::ExecContext& ctx) {
+            std::fill(grad_input->begin(), grad_input->end(), 0.0f);
+            kernels::conv2d_backward(ctx, d, *input, *weight, *grad_out,
+                                     *grad_input, *grad_weight, *grad_bias);
+            benchmark::DoNotOptimize(grad_input->data());
+          });
+  }
+
+  {
     const std::int64_t stride = 1024, count = 2048;
     rng::Philox gen(7);
     auto values = std::make_shared<std::vector<float>>(

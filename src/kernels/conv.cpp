@@ -1,6 +1,7 @@
 #include "kernels/conv.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "kernels/gemm.hpp"
@@ -26,6 +27,97 @@ void check_dims(const Conv2dDims& d) {
   ES_CHECK(d.out_h() > 0 && d.out_w() > 0, "conv2d: empty output");
 }
 
+/// Output positions [lo, hi) of one kernel offset `k` along one axis whose
+/// input index o * stride + k - pad lies inside [0, in).
+struct ValidRange {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+ValidRange valid_range(std::int64_t out, std::int64_t in, std::int64_t stride,
+                       std::int64_t k, std::int64_t pad) {
+  // Smallest o with o * stride >= a (0 when a <= 0).
+  const auto ceil_div = [stride](std::int64_t a) {
+    return a <= 0 ? std::int64_t{0} : (a + stride - 1) / stride;
+  };
+  const std::int64_t lo = std::min(out, ceil_div(pad - k));
+  return {lo, std::max(lo, std::min(out, ceil_div(in + pad - k)))};
+}
+
+/// One kernel tap (kh, kw) with its valid output rows and columns.  The
+/// ranges depend on the tap alone, so im2col and col2im walk taps in the
+/// outer loops and channels innermost.
+struct Tap {
+  std::int64_t kh;
+  std::int64_t kw;
+  ValidRange ys;
+  ValidRange xs;
+};
+
+/// Runs fn(tap, c) for every tap in (kh, kw) order and, per tap, every
+/// channel c of [c0, c1).  Each channel still sees its taps in (kh, kw)
+/// order.
+template <typename Fn>
+void for_each_tap(const Conv2dDims& d, std::int64_t c0, std::int64_t c1,
+                  Fn&& fn) {
+  const std::int64_t oh = d.out_h(), ow = d.out_w();
+  Tap tap{};
+  for (tap.kh = 0; tap.kh < d.kernel_h; ++tap.kh) {
+    tap.ys = valid_range(oh, d.in_h, d.stride, tap.kh, d.pad);
+    for (tap.kw = 0; tap.kw < d.kernel_w; ++tap.kw) {
+      tap.xs = valid_range(ow, d.in_w, d.stride, tap.kw, d.pad);
+      for (std::int64_t c = c0; c < c1; ++c) fn(tap, c);
+    }
+  }
+}
+
+/// One im2col tap of channel plane `plane` into its cols row `dst`
+/// ([oh, ow]).  Stride-1 convs whose output rows are as wide as their
+/// input rows (ow == in_w, "same" padding) map output (y, x) to input
+/// (y + kh - pad, x + kw - pad), so over the flattened plane the whole tap
+/// is dst[i] = plane[i + shift]: the valid rows are one contiguous run,
+/// clamped to the plane.  Other geometries copy each valid row's valid run
+/// (contiguous for stride 1, strided otherwise).  The boundary columns are
+/// zeroed last, which also overwrites the cells the shifted run wrapped in
+/// from neighbouring input rows, so every cell ends up holding exactly its
+/// input value or zero.
+void im2col_tap(const Conv2dDims& d, std::int64_t oh, std::int64_t ow,
+                const Tap& t, const float* plane, float* dst) {
+  std::fill(dst, dst + t.ys.lo * ow, 0.0f);
+  std::fill(dst + t.ys.hi * ow, dst + oh * ow, 0.0f);
+  if (d.stride == 1 && ow == d.in_w) {
+    const std::int64_t shift = (t.kh - d.pad) * d.in_w + (t.kw - d.pad);
+    const std::int64_t lo = std::max(t.ys.lo * ow, -shift);
+    const std::int64_t hi = std::min(t.ys.hi * ow, d.in_h * d.in_w - shift);
+    if (lo < hi) {
+      std::memcpy(dst + lo, plane + lo + shift,
+                  static_cast<std::size_t>(hi - lo) * sizeof(float));
+    }
+  } else {
+    for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) {
+      float* drow = dst + y * ow;
+      const float* srow = plane + (y * d.stride + t.kh - d.pad) * d.in_w;
+      if (d.stride == 1) {
+        std::copy(srow + (t.xs.lo + t.kw - d.pad),
+                  srow + (t.xs.hi + t.kw - d.pad), drow + t.xs.lo);
+        continue;
+      }
+      for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) {
+        drow[x] = srow[x * d.stride + t.kw - d.pad];
+      }
+    }
+  }
+  // The boundary columns are at most `pad` wide: zero them column by
+  // column (a fill per row would cost a memset call per row).
+  const auto zero_cols = [&](std::int64_t x0, std::int64_t x1) {
+    for (std::int64_t x = x0; x < x1; ++x) {
+      for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) dst[y * ow + x] = 0.0f;
+    }
+  };
+  zero_cols(0, t.xs.lo);
+  zero_cols(t.xs.hi, ow);
+}
+
 }  // namespace
 
 void im2col(const ExecContext& ctx, const Conv2dDims& d,
@@ -33,56 +125,22 @@ void im2col(const ExecContext& ctx, const Conv2dDims& d,
             std::span<float> cols) {
   const std::int64_t cg = d.in_channels / d.groups;
   const std::int64_t oh = d.out_h(), ow = d.out_w();
-  ES_CHECK(static_cast<std::int64_t>(cols.size()) ==
-               cg * d.kernel_h * d.kernel_w * oh * ow,
+  const std::int64_t taps = d.kernel_h * d.kernel_w;
+  ES_CHECK(static_cast<std::int64_t>(cols.size()) == cg * taps * oh * ow,
            "im2col: bad cols size");
   // Each input channel owns kernel_h*kernel_w disjoint rows of `cols`, so
-  // the channel loop parallelizes owner-computes; the copy never sums.
-  // Pure data movement, so the stride-1 fast path below (zero-fill the
-  // padding runs, memcpy the contiguous valid run) is backend-independent:
-  // it produces the same bytes on every SimdBackend.
+  // the channel loop parallelizes owner-computes.  The copy never sums: it
+  // is pure data movement and produces the same bytes on every
+  // SimdBackend.
   parallel_for(
-      ctx, cg, work_grain(d.kernel_h * d.kernel_w * oh * ow),
+      ctx, cg, work_grain(taps * oh * ow),
       [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          const std::int64_t ic = group * cg + c;
-          std::int64_t row = c * d.kernel_h * d.kernel_w;
-          for (std::int64_t kh = 0; kh < d.kernel_h; ++kh) {
-            for (std::int64_t kw = 0; kw < d.kernel_w; ++kw, ++row) {
-              float* dst = cols.data() + row * oh * ow;
-              for (std::int64_t y = 0; y < oh; ++y) {
-                const std::int64_t iy = y * d.stride + kh - d.pad;
-                float* drow = dst + y * ow;
-                if (iy < 0 || iy >= d.in_h) {
-                  std::fill(drow, drow + ow, 0.0f);
-                  continue;
-                }
-                const float* src = sample_input.data() +
-                                   (ic * d.in_h + iy) * d.in_w;
-                if (d.stride == 1) {
-                  // ix = x + kw - pad is valid for x in [x_lo, x_hi).
-                  std::int64_t x_lo =
-                      std::min(ow, std::max<std::int64_t>(0, d.pad - kw));
-                  std::int64_t x_hi = std::min(ow, d.in_w + d.pad - kw);
-                  if (x_hi < x_lo) x_hi = x_lo;
-                  std::fill(drow, drow + x_lo, 0.0f);
-                  std::copy(src + (x_lo + kw - d.pad),
-                            src + (x_hi + kw - d.pad), drow + x_lo);
-                  std::fill(drow + x_hi, drow + ow, 0.0f);
-                  continue;
-                }
-                for (std::int64_t x = 0; x < ow; ++x) {
-                  const std::int64_t ix = x * d.stride + kw - d.pad;
-                  float v = 0.0f;
-                  if (ix >= 0 && ix < d.in_w) {
-                    v = src[static_cast<std::size_t>(ix)];
-                  }
-                  drow[x] = v;
-                }
-              }
-            }
-          }
-        }
+        for_each_tap(d, c0, c1, [&](const Tap& t, std::int64_t c) {
+          im2col_tap(d, oh, ow, t,
+                     sample_input.data() + (group * cg + c) * d.in_h * d.in_w,
+                     cols.data() + (c * taps + t.kh * d.kernel_w + t.kw) *
+                                       oh * ow);
+        });
       });
 }
 
@@ -91,51 +149,38 @@ void col2im(const ExecContext& ctx, const Conv2dDims& d,
             std::span<float> sample_grad_input) {
   const std::int64_t cg = d.in_channels / d.groups;
   const std::int64_t oh = d.out_h(), ow = d.out_w();
-  // Channel c only accumulates into its own input-channel plane, and the
-  // (kh, kw, y, x) accumulation order within a channel is the sequential
-  // one — owner-computes over channels.  For stride 1 each (kh, kw, y) row
-  // touches a contiguous run of distinct input elements exactly once, so
-  // the lanewise add_vec below performs the identical single add per
-  // element as the scalar loop.
-  const SimdOps& ops = ctx.simd_ops();
+  const std::int64_t taps = d.kernel_h * d.kernel_w;
+  ES_CHECK(static_cast<std::int64_t>(cols.size()) == cg * taps * oh * ow,
+           "col2im: bad cols size");
+  // Channel c only accumulates into its own input-channel plane and sees
+  // the taps in the sequential (kh, kw) order — owner-computes over
+  // channels.  Within one tap distinct outputs (y, x) hit distinct input
+  // elements, so every element receives its adds in tap order no matter
+  // how a tap's rows are walked.  The adds stay inline on every backend:
+  // on the small planes the workloads use, an indirect add_vec call per
+  // row cost more than the adds.
   parallel_for(
-      ctx, cg, work_grain(d.kernel_h * d.kernel_w * oh * ow),
+      ctx, cg, work_grain(taps * oh * ow),
       [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          const std::int64_t ic = group * cg + c;
-          std::int64_t row = c * d.kernel_h * d.kernel_w;
-          for (std::int64_t kh = 0; kh < d.kernel_h; ++kh) {
-            for (std::int64_t kw = 0; kw < d.kernel_w; ++kw, ++row) {
-              const float* src = cols.data() + row * oh * ow;
-              for (std::int64_t y = 0; y < oh; ++y) {
-                const std::int64_t iy = y * d.stride + kh - d.pad;
-                if (iy < 0 || iy >= d.in_h) continue;
-                float* gin_row = sample_grad_input.data() +
-                                 (ic * d.in_h + iy) * d.in_w;
-                if (d.stride == 1) {
-                  std::int64_t x_lo =
-                      std::min(ow, std::max<std::int64_t>(0, d.pad - kw));
-                  std::int64_t x_hi = std::min(ow, d.in_w + d.pad - kw);
-                  if (x_hi < x_lo) x_hi = x_lo;
-                  float* gdst = gin_row + (x_lo + kw - d.pad);
-                  const float* gsrc = src + y * ow + x_lo;
-                  const std::int64_t len = x_hi - x_lo;
-                  if (ops.add_vec != nullptr) {
-                    ops.add_vec(gdst, gsrc, len);
-                  } else {
-                    for (std::int64_t i = 0; i < len; ++i) gdst[i] += gsrc[i];
-                  }
-                  continue;
-                }
-                for (std::int64_t x = 0; x < ow; ++x) {
-                  const std::int64_t ix = x * d.stride + kw - d.pad;
-                  if (ix < 0 || ix >= d.in_w) continue;
-                  gin_row[ix] += src[y * ow + x];
-                }
+        for_each_tap(d, c0, c1, [&](const Tap& t, std::int64_t c) {
+          float* plane =
+              sample_grad_input.data() + (group * cg + c) * d.in_h * d.in_w;
+          const float* src =
+              cols.data() + (c * taps + t.kh * d.kernel_w + t.kw) * oh * ow;
+          for (std::int64_t y = t.ys.lo; y < t.ys.hi; ++y) {
+            float* grow = plane + (y * d.stride + t.kh - d.pad) * d.in_w;
+            const float* srow = src + y * ow;
+            if (d.stride == 1) {
+              for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) {
+                grow[x + t.kw - d.pad] += srow[x];
               }
+              continue;
+            }
+            for (std::int64_t x = t.xs.lo; x < t.xs.hi; ++x) {
+              grow[x * d.stride + t.kw - d.pad] += srow[x];
             }
           }
-        }
+        });
       });
 }
 
@@ -378,6 +423,19 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
       ScratchArena::kConvCols, static_cast<std::size_t>(kdim * oh * ow));
   std::span<float> cols_grad = ctx.scratch.borrow(
       ScratchArena::kConvColsGrad, static_cast<std::size_t>(kdim * oh * ow));
+  // W^T per group, transposed once per call rather than once per sample:
+  // wt_g[kdim, fg] = W_g[fg, kdim]^T, the operand gemm_tn would build.
+  std::span<float> wt;
+  if (!grad_input.empty()) {
+    wt = ctx.scratch.borrow(ScratchArena::kGemmTranspose,
+                            static_cast<std::size_t>(d.groups * fg * kdim));
+    const auto block = static_cast<std::size_t>(fg * kdim);
+    for (std::int64_t g = 0; g < d.groups; ++g) {
+      const auto at = static_cast<std::size_t>(g) * block;
+      transpose(ctx, fg, kdim, weight.subspan(at, block),
+                wt.subspan(at, block));
+    }
+  }
   for (std::int64_t n = 0; n < d.batch; ++n) {
     std::span<const float> in_n(input.data() + n * in_sample,
                                 static_cast<std::size_t>(in_sample));
@@ -393,10 +451,10 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
         gemm_nt(ctx, fg, kdim, oh * ow, go_g, cols, gw_g, true);
       }
       if (!grad_input.empty()) {
-        std::span<const float> w_g(weight.data() + g * fg * kdim,
-                                   static_cast<std::size_t>(fg * kdim));
+        std::span<const float> wt_g(wt.data() + g * kdim * fg,
+                                    static_cast<std::size_t>(kdim * fg));
         // dcols[kdim, ohow] = W^T[kdim, fg] * dOut[fg, ohow]
-        gemm_tn(ctx, kdim, oh * ow, fg, w_g, go_g, cols_grad, false);
+        gemm(ctx, kdim, oh * ow, fg, wt_g, go_g, cols_grad, false);
         std::span<float> gin_n(grad_input.data() + n * in_sample,
                                static_cast<std::size_t>(in_sample));
         col2im(ctx, d, cols_grad, g, gin_n);

@@ -2,6 +2,7 @@
 
 #include "kernels/custom.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <vector>
@@ -136,6 +137,51 @@ inline float dot_with_variant(GemmVariant variant, const float* x,
   ES_THROW("unreachable gemm variant");
 }
 
+/// k indices per block of the [n, k] -> tile transpose: each source row
+/// contributes one 64-byte line per block while the block's destination
+/// tile rows stay cache-resident.
+constexpr std::int64_t kTransposeBlock = 16;
+
+/// Pack B into the backend's column-tile layout (kernels/simd.hpp
+/// gemm_tile_cols): tile t holds columns [t*tw, (t+1)*tw) row-major at row
+/// stride tw, zero-padded past column n.  B is read as [k, n], or as
+/// [n, k] when `b_nk` (gemm_nt's B^T goes straight into its tiles, with no
+/// intermediate transpose).  Tiles are disjoint, so the pack parallelizes
+/// owner-computes; it relocates each element once and never re-associates.
+void pack_tiles(const ExecContext& ctx, std::int64_t tw, std::int64_t n,
+                std::int64_t k, const float* b, bool b_nk, float* packed) {
+  const std::int64_t ntiles = (n + tw - 1) / tw;
+  parallel_for(ctx, ntiles, 1,
+               [&](int /*chunk*/, std::int64_t t0, std::int64_t t1) {
+                 for (std::int64_t tile = t0; tile < t1; ++tile) {
+                   float* dst = packed + tile * k * tw;
+                   const std::int64_t jlo = tile * tw;
+                   const std::int64_t w = std::min<std::int64_t>(tw, n - jlo);
+                   if (b_nk) {
+                     for (std::int64_t k0 = 0; k0 < k; k0 += kTransposeBlock) {
+                       const std::int64_t k1 =
+                           std::min(k, k0 + kTransposeBlock);
+                       for (std::int64_t p = 0; p < w; ++p) {
+                         const float* src = b + (jlo + p) * k;
+                         for (std::int64_t kk = k0; kk < k1; ++kk) {
+                           dst[kk * tw + p] = src[kk];
+                         }
+                       }
+                     }
+                   } else {
+                     for (std::int64_t kk = 0; kk < k; ++kk) {
+                       std::memcpy(dst + kk * tw, b + kk * n + jlo,
+                                   static_cast<std::size_t>(w) * sizeof(float));
+                     }
+                   }
+                   if (w == tw) continue;
+                   for (std::int64_t kk = 0; kk < k; ++kk) {
+                     std::fill(dst + kk * tw + w, dst + (kk + 1) * tw, 0.0f);
+                   }
+                 }
+               });
+}
+
 /// The one GEMM loop.  Every output element c[i,j] is one dot product with
 /// a fixed association (the variant's or the custom kernel's), so
 /// partitioning the flattened [0, m*n) output space is owner-computes:
@@ -143,15 +189,18 @@ inline float dot_with_variant(GemmVariant variant, const float* x,
 /// probes, the legacy explicit-variant entry point) it runs sequentially
 /// and allocates its own pack buffer.
 ///
-/// Under a vector backend the same partition is served by SIMD row panels
-/// over UNPACKED B: lanes are output columns, each replaying the variant's
-/// exact scalar k-order (kernels/simd_impl.hpp), so the panel path is
-/// bitwise-equal to the packed scalar path for every variant and chunking.
+/// B is stored [k, n], or [n, k] when `b_nk` (gemm_nt).  The scalar path
+/// dots A rows against rows of B^T, so an [n, k] B is used as-is and only
+/// a [k, n] B is transposed.  Under a vector backend the same partition is
+/// served by SIMD row panels: lanes are output columns, each replaying the
+/// variant's exact scalar k-order (kernels/simd_impl.hpp), so the panel
+/// path is bitwise-equal to the scalar path for every variant, B layout
+/// and chunking.
 void gemm_impl(const ExecContext* ctx, GemmVariant variant,
                const CustomDotFn* custom, const CustomPanelFn* custom_panel,
                std::int64_t m, std::int64_t n, std::int64_t k,
                std::span<const float> a, std::span<const float> b,
-               std::span<float> c, bool accumulate) {
+               std::span<float> c, bool accumulate, bool b_nk = false) {
   ES_CHECK(static_cast<std::int64_t>(a.size()) == m * k, "gemm: bad A size");
   ES_CHECK(static_cast<std::int64_t>(b.size()) == k * n, "gemm: bad B size");
   ES_CHECK(static_cast<std::int64_t>(c.size()) == m * n, "gemm: bad C size");
@@ -159,36 +208,30 @@ void gemm_impl(const ExecContext* ctx, GemmVariant variant,
   const SimdOps* ops = ctx != nullptr ? &ctx->simd_ops() : nullptr;
   if (ops != nullptr && ops->gemm_panel != nullptr &&
       (custom == nullptr || custom_panel != nullptr)) {
-    // Pack B into the backend's column-tile layout when enough A rows
-    // amortize the copy: power-of-two row strides (n = 128, 256, 1024...)
-    // alias L1 sets and TLB pages, and the packed tiles stream
-    // contiguously instead.  Packing relocates each element once and
-    // never re-associates a sum, so both layouts are bitwise-equal
-    // (custom D2 panels take raw B and always stay unpacked).
+    // Packing relocates each element once and never re-associates a sum,
+    // so packed and unpacked B are bitwise-equal.  An [n, k] B must move
+    // anyway, so it always goes straight into the tiles.  A [k, n] B is
+    // packed only where its row stride can alias: power-of-two strides
+    // (n = 128, 256, 1024...) alias L1 sets and TLB pages, the packed
+    // tiles stream contiguously instead, and m >= 8 rows amortize the
+    // copy.  Custom D2 panels read raw [k, n] B, so an [n, k] B gets a
+    // plain transpose in the pack slot for them.
+    const float* bkn = b.data();
     const float* packed = nullptr;
-    if (custom_panel == nullptr && ops->gemm_panel_packed != nullptr &&
-        m >= 8) {
+    const bool tiles =
+        custom_panel == nullptr && ops->gemm_panel_packed != nullptr;
+    if (tiles && (b_nk || (m >= 8 && n >= 128))) {
       const std::int64_t tw = ops->gemm_tile_cols;
-      const std::int64_t ntiles = (n + tw - 1) / tw;
       std::span<float> pb = ctx->scratch.borrow(
-          ScratchArena::kGemmPackB, static_cast<std::size_t>(ntiles * tw * k));
-      parallel_for(*ctx, ntiles, 1,
-                   [&](int /*chunk*/, std::int64_t t0, std::int64_t t1) {
-                     for (std::int64_t tile = t0; tile < t1; ++tile) {
-                       float* dst = pb.data() + tile * k * tw;
-                       const std::int64_t jlo = tile * tw;
-                       const std::int64_t w =
-                           std::min<std::int64_t>(tw, n - jlo);
-                       for (std::int64_t kk = 0; kk < k; ++kk) {
-                         float* drow = dst + kk * tw;
-                         std::memcpy(drow, b.data() + kk * n + jlo,
-                                     static_cast<std::size_t>(w) *
-                                         sizeof(float));
-                         for (std::int64_t p = w; p < tw; ++p) drow[p] = 0.0f;
-                       }
-                     }
-                   });
+          ScratchArena::kGemmPackB,
+          static_cast<std::size_t>((n + tw - 1) / tw * tw * k));
+      pack_tiles(*ctx, tw, n, k, b.data(), b_nk, pb.data());
       packed = pb.data();
+    } else if (b_nk) {
+      std::span<float> pb = ctx->scratch.borrow(
+          ScratchArena::kGemmPackB, static_cast<std::size_t>(k * n));
+      transpose(*ctx, n, k, b, pb);
+      bkn = pb.data();
     }
     // Chunk boundaries are identical to the scalar path (same n, same
     // grain); panels just walk each chunk row-run by row-run.
@@ -201,13 +244,12 @@ void gemm_impl(const ExecContext* ctx, GemmVariant variant,
         const float* arow = a.data() + i * k;
         float* crow = c.data() + i * n;
         if (custom_panel != nullptr) {
-          (*custom_panel)(*ops, arow, b.data(), k, n, j0, j1, crow,
-                          accumulate);
+          (*custom_panel)(*ops, arow, bkn, k, n, j0, j1, crow, accumulate);
         } else if (packed != nullptr) {
           ops->gemm_panel_packed(variant, arow, packed, k, n, j0, j1, crow,
                                  accumulate);
         } else {
-          ops->gemm_panel(variant, arow, b.data(), k, n, j0, j1, crow,
+          ops->gemm_panel(variant, arow, bkn, k, n, j0, j1, crow,
                           accumulate);
         }
         idx += j1 - j0;
@@ -220,15 +262,19 @@ void gemm_impl(const ExecContext* ctx, GemmVariant variant,
     return;
   }
   std::vector<float> local_bt;
-  std::span<float> bt;
-  if (ctx != nullptr) {
-    bt = ctx->scratch.borrow(ScratchArena::kGemmPackB,
-                             static_cast<std::size_t>(n * k));
-  } else {
-    local_bt.resize(static_cast<std::size_t>(n * k));
-    bt = local_bt;
+  std::span<const float> bt = b;
+  if (!b_nk) {
+    std::span<float> pack;
+    if (ctx != nullptr) {
+      pack = ctx->scratch.borrow(ScratchArena::kGemmPackB,
+                                 static_cast<std::size_t>(n * k));
+    } else {
+      local_bt.resize(static_cast<std::size_t>(n * k));
+      pack = local_bt;
+    }
+    pack_bt(ctx, n, k, b, pack);
+    bt = pack;
   }
-  pack_bt(ctx, n, k, b, bt);
   auto dot_range = [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t idx = i0; idx < i1; ++idx) {
       const std::int64_t i = idx / n;
@@ -316,65 +362,73 @@ void gemm_variant(const ExecContext& ctx, GemmVariant variant, std::int64_t m,
   gemm_impl(&ctx, variant, nullptr, nullptr, m, n, k, a, b, c, accumulate);
 }
 
-void gemm(const ExecContext& ctx, std::int64_t m, std::int64_t n,
-          std::int64_t k, std::span<const float> a, std::span<const float> b,
-          std::span<float> c, bool accumulate) {
+namespace {
+
+/// gemm and gemm_nt: policy/custom-kernel resolution, then the one loop.
+void gemm_entry(const ExecContext& ctx, std::int64_t m, std::int64_t n,
+                std::int64_t k, std::span<const float> a,
+                std::span<const float> b, std::span<float> c, bool accumulate,
+                bool b_nk) {
   if (ctx.policy == KernelPolicy::kHardwareAgnostic && ctx.custom_gemm != 0) {
     // User-registered D2 kernel (§3.3 future work): identical on every
     // device by construction, accumulation order chosen by the user.  With
     // a registered panel the vector backends run it lanewise; without one
-    // it keeps the scalar packed path everywhere.
+    // it keeps the scalar path everywhere.
     const CustomDotFn& dot = custom_gemm(ctx.custom_gemm);
     const CustomPanelFn* panel = custom_gemm_panel(ctx.custom_gemm);
     gemm_impl(&ctx, GemmVariant::kSequential, &dot, panel, m, n, k, a, b, c,
-              accumulate);
-    ctx.notify_post_op(KernelFamily::kGemm, c.data(),
-                       static_cast<std::int64_t>(c.size()));
-    return;
+              accumulate, b_nk);
+  } else {
+    gemm_impl(&ctx, select_gemm_variant(ctx, m, n, k), nullptr, nullptr, m,
+              n, k, a, b, c, accumulate, b_nk);
   }
-  gemm_impl(&ctx, select_gemm_variant(ctx, m, n, k), nullptr, nullptr, m, n,
-            k, a, b, c, accumulate);
   ctx.notify_post_op(KernelFamily::kGemm, c.data(),
                      static_cast<std::int64_t>(c.size()));
+}
+
+}  // namespace
+
+void gemm(const ExecContext& ctx, std::int64_t m, std::int64_t n,
+          std::int64_t k, std::span<const float> a, std::span<const float> b,
+          std::span<float> c, bool accumulate) {
+  gemm_entry(ctx, m, n, k, a, b, c, accumulate, /*b_nk=*/false);
+}
+
+void transpose(const ExecContext& ctx, std::int64_t rows, std::int64_t cols,
+               std::span<const float> src, std::span<float> dst) {
+  ES_CHECK(static_cast<std::int64_t>(src.size()) == rows * cols &&
+               static_cast<std::int64_t>(dst.size()) == rows * cols,
+           "transpose: bad size");
+  // Each chunk owns whole rows of dst (columns of src).
+  parallel_for(ctx, cols,
+               std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, rows)),
+               [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
+                 for (std::int64_t r = 0; r < rows; ++r) {
+                   for (std::int64_t c = c0; c < c1; ++c) {
+                     dst[static_cast<std::size_t>(c * rows + r)] =
+                         src[static_cast<std::size_t>(r * cols + c)];
+                   }
+                 }
+               });
 }
 
 void gemm_tn(const ExecContext& ctx, std::int64_t m, std::int64_t n,
              std::int64_t k, std::span<const float> a,
              std::span<const float> b, std::span<float> c, bool accumulate) {
-  // A is stored [k, m]; materialize A^T then multiply (transposition moves
-  // values, never re-associates sums).  Rows of A^T are disjoint per i.
+  // A is stored [k, m]; materialize A^T then multiply.
   std::span<float> at = ctx.scratch.borrow(ScratchArena::kGemmTranspose,
                                            static_cast<std::size_t>(m * k));
-  parallel_for(ctx, m,
-               std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, k)),
-               [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-                 for (std::int64_t kk = 0; kk < k; ++kk) {
-                   for (std::int64_t i = i0; i < i1; ++i) {
-                     at[static_cast<std::size_t>(i * k + kk)] =
-                         a[static_cast<std::size_t>(kk * m + i)];
-                   }
-                 }
-               });
+  transpose(ctx, k, m, a, at);
   gemm(ctx, m, n, k, at, b, c, accumulate);
 }
 
 void gemm_nt(const ExecContext& ctx, std::int64_t m, std::int64_t n,
              std::int64_t k, std::span<const float> a,
              std::span<const float> b, std::span<float> c, bool accumulate) {
-  // B is stored [n, k]; materialize B^T.  Columns of B^T are disjoint per j.
-  std::span<float> bt = ctx.scratch.borrow(ScratchArena::kGemmTranspose,
-                                           static_cast<std::size_t>(k * n));
-  parallel_for(ctx, n,
-               std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, k)),
-               [&](int /*chunk*/, std::int64_t j0, std::int64_t j1) {
-                 for (std::int64_t j = j0; j < j1; ++j) {
-                   for (std::int64_t kk = 0; kk < k; ++kk) {
-                     bt[static_cast<std::size_t>(kk * n + j)] =
-                         b[static_cast<std::size_t>(j * k + kk)];
-                   }
-                 }
-               });
-  gemm(ctx, m, n, k, a, bt, c, accumulate);
+  // B is stored [n, k].  The scalar path dots A rows against its rows in
+  // place; the vector backends pack B^T straight into their column tiles.
+  // Neither materializes an intermediate B^T.
+  gemm_entry(ctx, m, n, k, a, b, c, accumulate, /*b_nk=*/true);
 }
 
 }  // namespace easyscale::kernels

@@ -1,7 +1,7 @@
 // Per-context scratch buffers for kernel temporaries.
 //
-// gemm's B-pack, the gemm_tn/gemm_nt transpose materializations and conv's
-// im2col column matrices used to be per-call heap allocations — pure churn
+// gemm's B-pack, gemm_tn's A^T, conv backward's W^T and conv's im2col
+// column matrices used to be per-call heap allocations — pure churn
 // on the training hot path.  Each ExecContext (one per physical worker)
 // now owns a small slotted arena of grow-only buffers instead: after the
 // first step every borrow is a pointer into memory that already fits.
@@ -22,8 +22,8 @@ namespace easyscale::kernels {
 class ScratchArena {
  public:
   enum Slot : int {
-    kGemmPackB = 0,     // gemm's transposed-B pack
-    kGemmTranspose = 1, // gemm_tn's A^T / gemm_nt's B^T materialization
+    kGemmPackB = 0,     // B in the layout the gemm loop reads
+    kGemmTranspose = 1, // gemm_tn's A^T; conv backward's per-call W^T
     kConvCols = 2,      // conv im2col column matrix
     kConvColsGrad = 3,  // conv backward d(cols)
     kNumSlots = 4,

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/digest.hpp"
+#include "common/error.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
@@ -152,6 +153,28 @@ TEST(Gemm, TransposedWrappersMatchReference) {
   gemm_nt(ctx, m, n, k, a, bt, c, false);
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], ref[i], 1e-4f * (1.0f + std::abs(ref[i])));
+  }
+}
+
+TEST(Gemm, TransposeMovesEveryElementAndRejectsBadSize) {
+  const std::int64_t rows = 3, cols = 5;
+  const auto src = random_vec(static_cast<std::size_t>(rows * cols));
+  std::vector<float> dst(static_cast<std::size_t>(rows * cols));
+  ExecContext ctx;
+  transpose(ctx, rows, cols, src, dst);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(dst[static_cast<std::size_t>(c * rows + r)],
+                src[static_cast<std::size_t>(r * cols + c)]);
+    }
+  }
+  std::vector<float> short_dst(dst.size() - 1);
+  try {
+    transpose(ctx, rows, cols, src, short_dst);
+    ADD_FAILURE() << "transpose accepted a short destination";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("transpose: bad size"),
+              std::string::npos);
   }
 }
 
@@ -312,6 +335,83 @@ TEST(Conv, Im2colCol2imRoundTripAccumulates) {
   std::vector<float> back(16, 0.0f);
   col2im(ctx, d, cols, 0, back);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(back[i], input[i]);
+}
+
+// im2col's stride-1 fast paths (one shifted run per tap when ow == in_w,
+// per-row runs otherwise) against the per-element definition.  Shapes
+// include pads wider than the input, kernels taller than wide and inputs
+// smaller than the kernel, where the shifted run is clamped at both ends
+// of the channel plane.
+TEST(Conv, Im2colMatchesPerElementReference) {
+  const Conv2dDims dims[] = {
+      {1, 3, 5, 7, 1, 3, 3, 1, 1, 1},  // 3x3 pad 1: ow == in_w
+      {1, 2, 6, 6, 1, 5, 5, 1, 2, 1},  // 5x5 pad 2
+      {1, 2, 4, 9, 1, 1, 1, 1, 0, 1},  // 1x1: the run is the whole plane
+      {1, 1, 2, 2, 1, 7, 7, 1, 3, 1},  // pad wider than the input
+      {1, 2, 7, 5, 1, 5, 3, 1, 1, 1},  // taller than wide: oh != in_h
+      {1, 2, 1, 1, 1, 3, 3, 1, 1, 1},  // single pixel
+      {1, 4, 6, 8, 1, 3, 3, 1, 1, 2},  // grouped (group 1 below)
+      {1, 2, 6, 7, 1, 3, 3, 1, 0, 1},  // valid conv: per-row runs
+      {1, 2, 7, 7, 1, 3, 3, 2, 1, 1},  // stride 2: per-element
+  };
+  for (const Conv2dDims& d : dims) {
+    const std::int64_t cg = d.in_channels / d.groups;
+    const std::int64_t oh = d.out_h(), ow = d.out_w();
+    const auto input = random_vec(
+        static_cast<std::size_t>(d.in_channels * d.in_h * d.in_w));
+    for (std::int64_t g = 0; g < d.groups; ++g) {
+      std::vector<float> cols(
+          static_cast<std::size_t>(cg * d.kernel_h * d.kernel_w * oh * ow),
+          -7.0f);
+      im2col(ExecContext{}, d, input, g, cols);
+      std::size_t at = 0;
+      for (std::int64_t c = 0; c < cg; ++c) {
+        for (std::int64_t kh = 0; kh < d.kernel_h; ++kh) {
+          for (std::int64_t kw = 0; kw < d.kernel_w; ++kw) {
+            for (std::int64_t y = 0; y < oh; ++y) {
+              for (std::int64_t x = 0; x < ow; ++x, ++at) {
+                const std::int64_t iy = y * d.stride + kh - d.pad;
+                const std::int64_t ix = x * d.stride + kw - d.pad;
+                const bool in = iy >= 0 && iy < d.in_h && ix >= 0 &&
+                                ix < d.in_w;
+                const float want =
+                    in ? input[static_cast<std::size_t>(
+                             ((g * cg + c) * d.in_h + iy) * d.in_w + ix)]
+                       : 0.0f;
+                ASSERT_EQ(cols[at], want)
+                    << "in " << d.in_h << "x" << d.in_w << " k "
+                    << d.kernel_h << "x" << d.kernel_w << " pad " << d.pad
+                    << " stride " << d.stride << " c " << c << " kh " << kh
+                    << " kw " << kw << " y " << y << " x " << x;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv, Im2colAndCol2imRejectBadColsSize) {
+  const Conv2dDims d{1, 1, 4, 4, 1, 3, 3, 1, 1, 1};
+  const auto input = random_vec(16);
+  std::vector<float> cols(9 * 16 - 1);
+  std::vector<float> grad_input(16);
+  ExecContext ctx;
+  try {
+    im2col(ctx, d, input, 0, cols);
+    ADD_FAILURE() << "im2col accepted a short cols buffer";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("im2col: bad cols size"),
+              std::string::npos);
+  }
+  try {
+    col2im(ctx, d, cols, 0, grad_input);
+    ADD_FAILURE() << "col2im accepted a short cols buffer";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("col2im: bad cols size"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "kernels/conv.hpp"
@@ -290,20 +291,22 @@ TEST(Simd, ReduceStridedBatchEntryPointBitwise) {
   }
 }
 
+// Conv shapes for both sweeps: they mix strides (the stride-2 cases take
+// the scalar row path), padding, groups, and widths around both lane
+// counts.
+const Conv2dDims kConvDims[] = {
+    {2, 3, 9, 9, 4, 3, 3, 1, 1, 1},     // classic 3x3 pad 1
+    {1, 2, 8, 21, 6, 3, 3, 1, 1, 2},    // grouped, wide rows
+    {2, 4, 7, 34, 8, 5, 3, 1, 2, 1},    // pad 2, masked interior tail
+    {1, 3, 10, 10, 5, 3, 3, 2, 1, 1},   // stride 2: scalar rows
+    {1, 1, 4, 4, 2, 4, 4, 1, 0, 1},     // kernel == input, no interior
+    {2, 2, 6, 40, 4, 1, 1, 1, 0, 2},    // 1x1 kernel, pure interior
+};
+
 TEST(Simd, ConvForwardBothVariantsBitwiseAcrossBackendsAndThreads) {
   // Direct-canonical (D2) exercises conv_row's interior/boundary split;
-  // im2col-native exercises the GEMM panels plus the bias add.  Shapes mix
-  // strides (the stride-2 cases must take the scalar row path), padding,
-  // groups, and widths around both lane counts.
-  const Conv2dDims dims[] = {
-      {2, 3, 9, 9, 4, 3, 3, 1, 1, 1},     // classic 3x3 pad 1
-      {1, 2, 8, 21, 6, 3, 3, 1, 1, 2},    // grouped, wide rows
-      {2, 4, 7, 34, 8, 5, 3, 1, 2, 1},    // pad 2, masked interior tail
-      {1, 3, 10, 10, 5, 3, 3, 2, 1, 1},   // stride 2: scalar rows
-      {1, 1, 4, 4, 2, 4, 4, 1, 0, 1},     // kernel == input, no interior
-      {2, 2, 6, 40, 4, 1, 1, 1, 0, 2},    // 1x1 kernel, pure interior
-  };
-  for (const Conv2dDims& d : dims) {
+  // im2col-native exercises the GEMM panels plus the bias add.
+  for (const Conv2dDims& d : kConvDims) {
     const std::int64_t in_elems = d.batch * d.in_channels * d.in_h * d.in_w;
     const std::int64_t w_elems =
         d.out_channels * (d.in_channels / d.groups) * d.kernel_h * d.kernel_w;
@@ -335,35 +338,107 @@ TEST(Simd, ConvForwardBothVariantsBitwiseAcrossBackendsAndThreads) {
 }
 
 TEST(Simd, ConvBackwardBothVariantsBitwiseAcrossBackends) {
-  const Conv2dDims d = {2, 3, 9, 19, 4, 3, 3, 1, 1, 1};
-  const std::int64_t in_elems = d.batch * d.in_channels * d.in_h * d.in_w;
-  const std::int64_t w_elems =
-      d.out_channels * (d.in_channels / d.groups) * d.kernel_h * d.kernel_w;
-  const std::int64_t out_elems =
-      d.batch * d.out_channels * d.out_h() * d.out_w();
-  const auto input = random_vec(43, in_elems);
-  const auto weight = random_vec(47, w_elems);
-  const auto grad_out = random_vec(53, out_elems);
-  for (KernelPolicy policy :
-       {KernelPolicy::kHardwareAgnostic, KernelPolicy::kDeterministic}) {
-    std::vector<float> gi_ref(static_cast<std::size_t>(in_elems));
-    std::vector<float> gw_ref(static_cast<std::size_t>(w_elems));
-    std::vector<float> gb_ref(static_cast<std::size_t>(d.out_channels));
-    ExecContext sctx = make_ctx(SimdBackend::kScalar);
-    sctx.policy = policy;
-    conv2d_backward(sctx, d, input, weight, grad_out, gi_ref, gw_ref, gb_ref);
-    for (SimdBackend backend : vector_backends()) {
-      for (int threads : {1, 4}) {
-        std::vector<float> gi(static_cast<std::size_t>(in_elems));
-        std::vector<float> gw(static_cast<std::size_t>(w_elems));
-        std::vector<float> gb(static_cast<std::size_t>(d.out_channels));
-        ExecContext ctx = make_ctx(backend, threads);
-        ctx.policy = policy;
-        conv2d_backward(ctx, d, input, weight, grad_out, gi, gw, gb);
-        EXPECT_TRUE(bitwise_equal(gi_ref, gi))
-            << simd_backend_name(backend) << " threads=" << threads;
-        EXPECT_TRUE(bitwise_equal(gw_ref, gw));
-        EXPECT_TRUE(bitwise_equal(gb_ref, gb));
+  // im2col-native backward runs gemm_nt (B^T packed into tiles), gemm on
+  // the once-transposed W and col2im's lanewise adds; direct-canonical
+  // runs the scalar owner-computes passes.
+  for (const Conv2dDims& d : kConvDims) {
+    const std::int64_t in_elems = d.batch * d.in_channels * d.in_h * d.in_w;
+    const std::int64_t w_elems =
+        d.out_channels * (d.in_channels / d.groups) * d.kernel_h * d.kernel_w;
+    const std::int64_t out_elems =
+        d.batch * d.out_channels * d.out_h() * d.out_w();
+    const auto input = random_vec(43, in_elems);
+    const auto weight = random_vec(47, w_elems);
+    const auto grad_out = random_vec(53, out_elems);
+    for (KernelPolicy policy :
+         {KernelPolicy::kHardwareAgnostic, KernelPolicy::kDeterministic}) {
+      std::vector<float> gi_ref(static_cast<std::size_t>(in_elems));
+      std::vector<float> gw_ref(static_cast<std::size_t>(w_elems));
+      std::vector<float> gb_ref(static_cast<std::size_t>(d.out_channels));
+      ExecContext sctx = make_ctx(SimdBackend::kScalar);
+      sctx.policy = policy;
+      conv2d_backward(sctx, d, input, weight, grad_out, gi_ref, gw_ref,
+                      gb_ref);
+      for (SimdBackend backend : vector_backends()) {
+        for (int threads : {1, 4}) {
+          std::vector<float> gi(static_cast<std::size_t>(in_elems));
+          std::vector<float> gw(static_cast<std::size_t>(w_elems));
+          std::vector<float> gb(static_cast<std::size_t>(d.out_channels));
+          ExecContext ctx = make_ctx(backend, threads);
+          ctx.policy = policy;
+          conv2d_backward(ctx, d, input, weight, grad_out, gi, gw, gb);
+          const auto where = [&] {
+            return std::string(simd_backend_name(backend)) +
+                   " threads=" + std::to_string(threads) +
+                   " policy=" + std::to_string(static_cast<int>(policy)) +
+                   " in_w=" + std::to_string(d.in_w) +
+                   " stride=" + std::to_string(d.stride) +
+                   " groups=" + std::to_string(d.groups);
+          };
+          EXPECT_TRUE(bitwise_equal(gi_ref, gi)) << where();
+          EXPECT_TRUE(bitwise_equal(gw_ref, gw)) << where();
+          EXPECT_TRUE(bitwise_equal(gb_ref, gb)) << where();
+        }
+      }
+    }
+  }
+}
+
+// gemm_nt reads B as [n, k]: the scalar path dots against its rows in
+// place, the vector backends pack B^T straight into their column tiles and
+// a custom D2 panel gets a plain transpose.  Every route must equal the
+// scalar gemm on the explicitly transposed B, for m on both sides of the
+// packing threshold (8) and n on both sides of 128.
+TEST(Simd, GemmNtBitwiseAcrossBackendsThreadsAndPolicies) {
+  static const int kahan =
+      register_custom_gemm("kahan_nt_sweep", kahan_dot, kahan_panel());
+  const std::int64_t shapes[][3] = {{1, 17, 9},    {5, 100, 64},
+                                    {7, 127, 33},  {3, 128, 16},
+                                    {8, 72, 64},   {8, 129, 40},
+                                    {16, 256, 17}, {12, 96, 100}};
+  struct PolicyCase {
+    KernelPolicy policy;
+    DeviceType device;
+    int custom;
+  };
+  const PolicyCase policies[] = {
+      {KernelPolicy::kDeterministic, DeviceType::kV100, 0},
+      {KernelPolicy::kDeterministic, DeviceType::kT4, 0},
+      {KernelPolicy::kHardwareAgnostic, DeviceType::kV100, 0},
+      {KernelPolicy::kHardwareAgnostic, DeviceType::kP100, kahan},
+  };
+  for (const auto& s : shapes) {
+    const std::int64_t m = s[0], n = s[1], k = s[2];
+    const auto a = random_vec(59 * static_cast<std::uint64_t>(m + n), m * k);
+    const auto b_nk = random_vec(61 * static_cast<std::uint64_t>(n + k), n * k);
+    std::vector<float> b_kn(static_cast<std::size_t>(k * n));
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        b_kn[static_cast<std::size_t>(kk * n + j)] =
+            b_nk[static_cast<std::size_t>(j * k + kk)];
+      }
+    }
+    for (const PolicyCase& pc : policies) {
+      std::vector<float> ref(static_cast<std::size_t>(m * n), 0.5f);
+      ExecContext sctx = make_ctx(SimdBackend::kScalar);
+      sctx.policy = pc.policy;
+      sctx.device = pc.device;
+      sctx.custom_gemm = pc.custom;
+      gemm(sctx, m, n, k, a, b_kn, ref, true);
+      for (SimdBackend backend : available_simd_backends()) {
+        for (int threads : {1, 4}) {
+          std::vector<float> got(static_cast<std::size_t>(m * n), 0.5f);
+          ExecContext ctx = make_ctx(backend, threads);
+          ctx.policy = pc.policy;
+          ctx.device = pc.device;
+          ctx.custom_gemm = pc.custom;
+          gemm_nt(ctx, m, n, k, a, b_nk, got, true);
+          EXPECT_TRUE(bitwise_equal(ref, got))
+              << simd_backend_name(backend) << " threads=" << threads
+              << " policy=" << static_cast<int>(pc.policy)
+              << " custom=" << pc.custom << " m=" << m << " n=" << n
+              << " k=" << k;
+        }
       }
     }
   }
