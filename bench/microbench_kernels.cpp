@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the substrate hot paths: GEMM kernel
-// variants, SIMD backend sweeps, ring all-reduce, Philox, EST context
+// variants, SIMD backend sweeps (GEMM, conv, Bert attention and GELU
+// backward, reductions), ring all-reduce, Philox, EST context
 // capture/restore and on-demand checkpointing.
 //
 // Modes:
@@ -29,6 +30,8 @@
 #include "kernels/reduce.hpp"
 #include "kernels/simd.hpp"
 #include "models/datasets.hpp"
+#include "nn/activations.hpp"
+#include "nn/attention.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 
@@ -434,6 +437,55 @@ std::vector<SimdMeasurement> measure_simd_kernels() {
             kernels::conv2d_backward(ctx, d, *input, *weight, *grad_out,
                                      *grad_input, *grad_weight, *grad_bias);
             benchmark::DoNotOptimize(grad_input->data());
+          });
+  }
+
+  {
+    // est_elastic_bert's attention (Bert-mini: [4, 16, 32], 2 heads of 16),
+    // forward + backward: four projection GEMMs around the score, softmax
+    // and context row products.
+    const std::int64_t batch = 4, t = 16, dim = 32, heads = 2;
+    auto layer =
+        std::make_shared<nn::MultiheadSelfAttention>("attn", dim, heads);
+    rng::Philox gen(8);
+    layer->init_weights(gen);
+    auto x = std::make_shared<tensor::Tensor>(tensor::Shape{batch, t, dim});
+    auto gy = std::make_shared<tensor::Tensor>(tensor::Shape{batch, t, dim});
+    rng::fill_normal(gen, x->data(), 0.0f, 1.0f);
+    rng::fill_normal(gen, gy->data(), 0.0f, 1.0f);
+    const double proj_flops = 4.0 * 2.0 * batch * t * dim * dim;
+    const double core_flops = 2.0 * 2.0 * batch * t * t * dim;
+    sweep("attention_bert", 3.0 * (proj_flops + core_flops),
+          [=](const kernels::ExecContext& ctx) {
+            autograd::StepContext step;
+            step.exec = &ctx;
+            const tensor::Tensor out = layer->forward(step, *x);
+            const tensor::Tensor dx = layer->backward(step, *gy);
+            benchmark::DoNotOptimize(out.raw());
+            benchmark::DoNotOptimize(dx.raw());
+          });
+  }
+
+  {
+    // Bert-mini's feed-forward GELU backward ([4 * 16, 64]) from a cached
+    // forward: the gelu_bwd body against the scalar loop.
+    const tensor::Shape shape{4 * 16, 64};
+    auto gelu = std::make_shared<nn::GELU>();
+    auto x = std::make_shared<tensor::Tensor>(shape);
+    auto gy = std::make_shared<tensor::Tensor>(shape);
+    rng::Philox gen(9);
+    rng::fill_normal(gen, x->data(), 0.0f, 1.0f);
+    rng::fill_normal(gen, gy->data(), 0.0f, 1.0f);
+    kernels::ExecContext fwd_ctx;
+    autograd::StepContext fwd_step;
+    fwd_step.exec = &fwd_ctx;
+    (void)gelu->forward(fwd_step, *x);
+    sweep("gelu_bwd", 12.0 * static_cast<double>(shape.numel()),
+          [=](const kernels::ExecContext& ctx) {
+            autograd::StepContext step;
+            step.exec = &ctx;
+            const tensor::Tensor gx = gelu->backward(step, *gy);
+            benchmark::DoNotOptimize(gx.raw());
           });
   }
 

@@ -19,6 +19,15 @@
 // per-context SimdBackend so tests and the cross-backend audit can pin
 // backends explicitly; kAuto follows the process-wide resolution.
 //
+// The bodies (SimdOps below): GEMM row panels (unpacked, packed-B and
+// Kahan), the strided batched reduction, the direct-conv row interior and
+// elementwise maps.  The maps are ReLU forward/backward, sigmoid backward,
+// scalar and vector adds, divide by a scalar, the norm affines, and for
+// the transformer step axpy (attention's dv/dk updates), mul_vec (the
+// dropout mask), gelu_bwd (from the forward's cached tanh) and
+// adam_update.  Attention's score and context products run on the
+// kSequential panel.
+//
 // The scalar backend publishes no function pointers: call sites fall back
 // to the original scalar loops, which ARE the reference semantics the
 // vector bodies must reproduce bit-for-bit (tests/simd_backend_test.cpp
@@ -62,6 +71,21 @@ struct ConvRowArgs {
   float bias;
   std::int64_t x_lo;   // interior output columns: all taps in-bounds
   std::int64_t x_hi;
+};
+
+/// GELU's tanh-approximation constants (nn/activations.cpp and gelu_bwd).
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+
+/// One Adam step's scalars as adam_update consumes them (optim/adam.cpp).
+struct AdamArgs {
+  float beta1;
+  float beta2;
+  float lr;
+  float eps;
+  float weight_decay;  // 0 skips the decay term entirely
+  float bc1;           // 1 - beta1^t
+  float bc2;           // 1 - beta2^t
 };
 
 /// Function-pointer table of one backend's vector bodies.  Null members
@@ -127,6 +151,21 @@ struct SimdOps {
   void (*add_vec)(float* out, const float* add, std::int64_t n) = nullptr;
   /// out[i] = out[i] / c
   void (*div_scalar)(float* out, float c, std::int64_t n) = nullptr;
+  /// out[i] = out[i] + c * x[i]
+  void (*axpy)(float* out, float c, const float* x, std::int64_t n) = nullptr;
+  /// out[i] = a[i] * b[i]
+  void (*mul_vec)(const float* a, const float* b, float* out,
+                  std::int64_t n) = nullptr;
+  /// GELU backward from the forward's cached t = tanh(u):
+  /// du = C * (1 + (3A * x) * x); d = 0.5 * (1 + t) + ((0.5 * x) * (1 - t * t))
+  /// * du; gin[i] = g[i] * d, with C = sqrt(2/pi) and A = 0.044715.
+  void (*gelu_bwd)(const float* x, const float* t, const float* g, float* gin,
+                   std::int64_t n) = nullptr;
+  /// In-place Adam update of n elements (m, v, value), per element exactly
+  /// Adam::step_slices' scalar expression: sqrt and divide are IEEE-exact
+  /// on every backend, and the bias corrections stay divisions.
+  void (*adam_update)(const AdamArgs& args, const float* grad, float* m,
+                      float* v, float* value, std::int64_t n) = nullptr;
   /// xhat[i] = (x[i] - mean) * inv_std; out[i] = gamma[i] * xhat[i] + beta[i]
   void (*norm_affine_vec)(const float* x, const float* gamma,
                           const float* beta, float mean, float inv_std,

@@ -44,6 +44,7 @@ struct VecAvx2 {
   static Reg sub(Reg a, Reg b) { return _mm256_sub_ps(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm256_mul_ps(a, b); }
   static Reg div(Reg a, Reg b) { return _mm256_div_ps(a, b); }
+  static Reg sqrt(Reg a) { return _mm256_sqrt_ps(a); }
   /// x > 0 ? v : +0.0f — the AND with the ordered-compare mask yields
   /// exactly +0.0f on the false lanes, matching `x > 0.0f ? v : 0.0f`.
   static Reg keep_gt_zero(Reg x, Reg v) {

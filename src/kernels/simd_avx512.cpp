@@ -36,6 +36,11 @@ struct VecAvx512 {
   static Reg sub(Reg a, Reg b) { return _mm512_sub_ps(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm512_mul_ps(a, b); }
   static Reg div(Reg a, Reg b) { return _mm512_div_ps(a, b); }
+  /// All-lanes sqrt; the maskz form sidesteps GCC 12's spurious
+  /// -Wmaybe-uninitialized on _mm512_sqrt_ps's undefined passthrough.
+  static Reg sqrt(Reg a) {
+    return _mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF), a);
+  }
   /// x > 0 ? v : +0.0f (maskz_mov zeroes the false lanes to +0.0f).
   static Reg keep_gt_zero(Reg x, Reg v) {
     const __mmask16 gt =

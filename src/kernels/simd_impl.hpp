@@ -10,7 +10,7 @@
 //   using Reg;  static constexpr int kLanes;
 //   zero(), broadcast(float), load(p), store(p, v),
 //   maskload(p, m), maskstore(p, m, v)   // first m lanes; rest untouched/0
-//   add, sub, mul, div(Reg, Reg),
+//   add, sub, mul, div(Reg, Reg), sqrt(Reg)  // IEEE-exact, like std::sqrt
 //   keep_gt_zero(x, v)                   // x > 0 ? v : +0.0f, per lane
 //
 // The determinism argument, once, for all bodies here: lanes are DISTINCT
@@ -593,6 +593,87 @@ void div_scalar(float* out, float c, int64_t n) {
   });
 }
 
+// Full-width or first-m-lanes load/store for the elementwise bodies.
+template <typename V>
+inline typename V::Reg load_m(const float* p, int m) {
+  return m == V::kLanes ? V::load(p) : V::maskload(p, m);
+}
+template <typename V>
+inline void store_m(float* p, int m, typename V::Reg v) {
+  if (m == V::kLanes) {
+    V::store(p, v);
+  } else {
+    V::maskstore(p, m, v);
+  }
+}
+
+template <typename V>
+void axpy(float* out, float c, const float* x, int64_t n) {
+  const auto cv = V::broadcast(c);
+  foreach_block<V>(n, [&](int64_t i, int m) {
+    store_m<V>(out + i, m,
+               V::add(load_m<V>(out + i, m), V::mul(cv, load_m<V>(x + i, m))));
+  });
+}
+
+template <typename V>
+void mul_vec(const float* a, const float* b, float* out, int64_t n) {
+  foreach_block<V>(n, [&](int64_t i, int m) {
+    store_m<V>(out + i, m, V::mul(load_m<V>(a + i, m), load_m<V>(b + i, m)));
+  });
+}
+
+template <typename V>
+void gelu_bwd(const float* x, const float* t, const float* g, float* gin,
+              int64_t n) {
+  using Reg = typename V::Reg;
+  const Reg c = V::broadcast(kGeluC);
+  const Reg a3 = V::broadcast(3.0f * kGeluA);
+  const Reg one = V::broadcast(1.0f);
+  const Reg half = V::broadcast(0.5f);
+  foreach_block<V>(n, [&](int64_t i, int m) {
+    const Reg xv = load_m<V>(x + i, m);
+    const Reg tv = load_m<V>(t + i, m);
+    // du = C * (1 + 3A * x * x); d = 0.5 * (1 + t) + 0.5 * x * (1 - t * t)
+    // * du, each product associated left-to-right like the scalar loop.
+    const Reg du = V::mul(c, V::add(one, V::mul(V::mul(a3, xv), xv)));
+    const Reg d = V::add(
+        V::mul(half, V::add(one, tv)),
+        V::mul(V::mul(V::mul(half, xv), V::sub(one, V::mul(tv, tv))), du));
+    store_m<V>(gin + i, m, V::mul(load_m<V>(g + i, m), d));
+  });
+}
+
+template <typename V>
+void adam_update(const AdamArgs& args, const float* grad, float* mom,
+                 float* var, float* value, int64_t n) {
+  using Reg = typename V::Reg;
+  const Reg b1 = V::broadcast(args.beta1);
+  const Reg b2 = V::broadcast(args.beta2);
+  const Reg omb1 = V::broadcast(1.0f - args.beta1);
+  const Reg omb2 = V::broadcast(1.0f - args.beta2);
+  const Reg bc1 = V::broadcast(args.bc1);
+  const Reg bc2 = V::broadcast(args.bc2);
+  const Reg lr = V::broadcast(args.lr);
+  const Reg eps = V::broadcast(args.eps);
+  const bool decay = args.weight_decay != 0.0f;
+  const Reg lr_wd = V::broadcast(args.lr * args.weight_decay);
+  foreach_block<V>(n, [&](int64_t i, int m) {
+    const Reg g = load_m<V>(grad + i, m);
+    const Reg mv = V::add(V::mul(b1, load_m<V>(mom + i, m)), V::mul(omb1, g));
+    const Reg vv = V::add(V::mul(b2, load_m<V>(var + i, m)),
+                          V::mul(V::mul(omb2, g), g));
+    store_m<V>(mom + i, m, mv);
+    store_m<V>(var + i, m, vv);
+    const Reg mhat = V::div(mv, bc1);
+    const Reg vhat = V::div(vv, bc2);
+    Reg update = V::div(V::mul(lr, mhat), V::add(V::sqrt(vhat), eps));
+    const Reg p = load_m<V>(value + i, m);
+    if (decay) update = V::add(update, V::mul(lr_wd, p));
+    store_m<V>(value + i, m, V::sub(p, update));
+  });
+}
+
 template <typename V>
 void norm_affine_vec(const float* x, const float* gamma, const float* beta,
                      float mean, float inv_std, float* xhat, float* out,
@@ -659,6 +740,10 @@ SimdOps make_simd_ops(SimdBackend kind) {
   ops.add_scalar = &add_scalar<V>;
   ops.add_vec = &add_vec<V>;
   ops.div_scalar = &div_scalar<V>;
+  ops.axpy = &axpy<V>;
+  ops.mul_vec = &mul_vec<V>;
+  ops.gelu_bwd = &gelu_bwd<V>;
+  ops.adam_update = &adam_update<V>;
   ops.norm_affine_vec = &norm_affine_vec<V>;
   ops.norm_affine_scalar = &norm_affine_scalar<V>;
   return ops;

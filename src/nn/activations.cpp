@@ -52,38 +52,53 @@ Tensor ReLU::backward(StepContext& ctx, const Tensor& grad_out) {
   return grad_in;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
 Tensor GELU::forward(StepContext& ctx, const Tensor& x) {
   cached_input_ = x;
+  cached_tanh_ = Tensor(x.shape());
   Tensor out(x.shape());
-  kernels::parallel_for(ctx.ex(), x.numel(), kTranscendentalGrain,
-                        [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-                          for (std::int64_t i = i0; i < i1; ++i) {
-                            const float v = x.at(i);
-                            const float t =
-                                std::tanh(kGeluC * (v + kGeluA * v * v * v));
-                            out.at(i) = 0.5f * v * (1.0f + t);
-                          }
-                        });
+  // tanh stays scalar libm; the backward reuses the cached t bit-for-bit
+  // instead of recomputing it.
+  kernels::parallel_for(
+      ctx.ex(), x.numel(), kTranscendentalGrain,
+      [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
+        const float* xp = x.raw();
+        float* tp = cached_tanh_.raw();
+        float* op = out.raw();
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const float v = xp[i];
+          const float t = std::tanh(kernels::kGeluC *
+                                    (v + kernels::kGeluA * v * v * v));
+          tp[i] = t;
+          op[i] = 0.5f * v * (1.0f + t);
+        }
+      });
   return out;
 }
 
 Tensor GELU::backward(StepContext& ctx, const Tensor& grad_out) {
+  ES_CHECK(cached_tanh_.defined() && grad_out.shape() == cached_tanh_.shape(),
+           "GELU backward: grad shape != forward shape");
   Tensor grad_in(grad_out.shape());
+  // Pure per-index map; gelu_bwd keeps the scalar association per lane.
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
   kernels::parallel_for(
-      ctx.ex(), grad_out.numel(), kTranscendentalGrain,
+      ctx.ex(), grad_out.numel(), kActGrain,
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
+        const float* xp = cached_input_.raw();
+        const float* tp = cached_tanh_.raw();
+        const float* gp = grad_out.raw();
+        float* gin = grad_in.raw();
+        if (ops.gelu_bwd != nullptr) {
+          ops.gelu_bwd(xp + i0, tp + i0, gp + i0, gin + i0, i1 - i0);
+          return;
+        }
         for (std::int64_t i = i0; i < i1; ++i) {
-          const float v = cached_input_.at(i);
-          const float u = kGeluC * (v + kGeluA * v * v * v);
-          const float t = std::tanh(u);
-          const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
+          const float v = xp[i];
+          const float t = tp[i];
+          const float du =
+              kernels::kGeluC * (1.0f + 3.0f * kernels::kGeluA * v * v);
           const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-          grad_in.at(i) = grad_out.at(i) * d;
+          gin[i] = gp[i] * d;
         }
       });
   return grad_in;

@@ -24,6 +24,7 @@ class GELU : public Layer {
 
  private:
   Tensor cached_input_;
+  Tensor cached_tanh_;  // t = tanh(u) per element, reused by backward
 };
 
 class Sigmoid : public Layer {

@@ -35,6 +35,48 @@ void MultiheadSelfAttention::init_weights(rng::Philox& init) {
   wo_.init_weights(init);
 }
 
+namespace {
+
+/// c[j] = sum_kk a[kk] * b[kk * ldb + j] for j in [0, n): per output the
+/// sequential chain acc = 0; acc += a * b, which is exactly the lanes of
+/// the kSequential gemm_panel (its final 0 + acc fold is the identity on a
+/// chain that starts at +0).  The panel's `n` argument is only B's row
+/// stride, so a head slice of a [T, D] matrix passes ldb = D.
+void dot_row(const kernels::SimdOps& ops, const float* a, const float* b,
+             std::int64_t k, std::int64_t ldb, std::int64_t n, float* c) {
+  if (ops.gemm_panel != nullptr) {
+    ops.gemm_panel(kernels::GemmVariant::kSequential, a, b, k, ldb, 0, n, c,
+                   false);
+    return;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    float acc = 0.0f;
+    for (std::int64_t kk = 0; kk < k; ++kk) acc += a[kk] * b[kk * ldb + j];
+    c[j] = acc;
+  }
+}
+
+/// out[d] += c * x[d] for d in [0, n).
+void axpy(const kernels::SimdOps& ops, float* out, float c, const float* x,
+          std::int64_t n) {
+  if (ops.axpy != nullptr) {
+    ops.axpy(out, c, x, n);
+    return;
+  }
+  for (std::int64_t d = 0; d < n; ++d) out[d] += c * x[d];
+}
+
+/// dst[d * t + j] = src[j * ld + d]: one head's [t, hd] slice (row stride
+/// ld) as a dense [hd, t] buffer, so per-row products over j stream.
+void transpose_head(const float* src, std::int64_t t, std::int64_t hd,
+                    std::int64_t ld, float* dst) {
+  for (std::int64_t j = 0; j < t; ++j) {
+    for (std::int64_t d = 0; d < hd; ++d) dst[d * t + j] = src[j * ld + d];
+  }
+}
+
+}  // namespace
+
 Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
   ES_CHECK(x.shape().rank() == 3 && x.shape().dim(2) == dim_,
            "attention expects [N, T, D]");
@@ -50,28 +92,29 @@ Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
   Tensor ctx_out(Shape{n * t, dim_});
   // Each (sample, head) pair writes only its own probs plane and its own
   // head-offset column slice of ctx_out — owner-computes over n*heads.
+  // Scores and context are sequential-chain row products (dot_row); exp,
+  // the row max and the softmax denominator stay scalar in j order.
   const kernels::SimdOps& ops = ctx.ex().simd_ops();
+  const std::int64_t hd = head_dim_;
   kernels::parallel_for(
       ctx.ex(), n * heads_,
-      std::max<std::int64_t>(
-          1, 16384 / std::max<std::int64_t>(1, t * t * head_dim_)),
+      std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, t * t * hd)),
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
+        std::vector<float> k_t(static_cast<std::size_t>(hd * t));
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t s = p / heads_;
           const std::int64_t h = p % heads_;
-          const std::int64_t off = h * head_dim_;
+          const std::int64_t base = s * t * dim_ + h * hd;
+          const float* q = cached_q_.raw() + base;
+          const float* v = cached_v_.raw() + base;
           float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
+          transpose_head(cached_k_.raw() + base, t, hd, dim_, k_t.data());
           for (std::int64_t i = 0; i < t; ++i) {
-            const float* qi = cached_q_.raw() + (s * t + i) * dim_ + off;
-            float row_max = -1e30f;
             float* prow = probs + i * t;
+            dot_row(ops, q + i * dim_, k_t.data(), hd, t, t, prow);
+            float row_max = -1e30f;
             for (std::int64_t j = 0; j < t; ++j) {
-              const float* kj = cached_k_.raw() + (s * t + j) * dim_ + off;
-              float acc = 0.0f;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                acc += qi[d] * kj[d];
-              }
-              prow[j] = acc * inv_sqrt;
+              prow[j] *= inv_sqrt;
               row_max = std::max(row_max, prow[j]);
             }
             float denom = 0.0f;
@@ -79,21 +122,13 @@ Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
               prow[j] = std::exp(prow[j] - row_max);
               denom += prow[j];
             }
-            // Lanewise divide by the scalar denom — exp and the denom
-            // reduction above stay scalar (libm order preserved).
             if (ops.div_scalar != nullptr) {
               ops.div_scalar(prow, denom, t);
             } else {
               for (std::int64_t j = 0; j < t; ++j) prow[j] /= denom;
             }
-            float* out_i = ctx_out.raw() + (s * t + i) * dim_ + off;
-            for (std::int64_t d = 0; d < head_dim_; ++d) {
-              float acc = 0.0f;
-              for (std::int64_t j = 0; j < t; ++j) {
-                acc += prow[j] * cached_v_.at((s * t + j) * dim_ + off + d);
-              }
-              out_i[d] = acc;
-            }
+            dot_row(ops, prow, v, t, dim_, hd,
+                    ctx_out.raw() + base + i * dim_);
           }
         }
       });
@@ -110,51 +145,55 @@ Tensor MultiheadSelfAttention::backward(StepContext& ctx,
 
   Tensor dq(Shape{n * t, dim_}), dk(Shape{n * t, dim_}), dv(Shape{n * t, dim_});
   // dq/dk/dv writes for a (sample, head) pair stay inside that pair's
-  // head-offset column slice, and within a slice the accumulation order is
-  // i-ascending exactly as the sequential loop — owner-computes over
-  // n*heads with a chunk-local dprobs buffer.
+  // head-offset column slice, and within a slice every dv_j / dk_j element
+  // accumulates i-ascending exactly as the sequential loop — owner-computes
+  // over n*heads with chunk-local buffers.  dq_i is written once, by one
+  // row product over ds (it starts at zero); the softmax-backward dot
+  // stays scalar.
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
+  const std::int64_t hd = head_dim_;
   kernels::parallel_for(
       ctx.ex(), n * heads_,
-      std::max<std::int64_t>(
-          1, 16384 / std::max<std::int64_t>(1, t * t * head_dim_)),
+      std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, t * t * hd)),
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
+        std::vector<float> v_t(static_cast<std::size_t>(hd * t));
         std::vector<float> dprobs(static_cast<std::size_t>(t));
+        std::vector<float> ds(static_cast<std::size_t>(t));
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t s = p / heads_;
           const std::int64_t h = p % heads_;
-          const std::int64_t off = h * head_dim_;
+          const std::int64_t base = s * t * dim_ + h * hd;
+          const float* q = cached_q_.raw() + base;
+          const float* k = cached_k_.raw() + base;
+          const float* dc = d_ctx.raw() + base;
+          float* dq_h = dq.raw() + base;
+          float* dk_h = dk.raw() + base;
+          float* dv_h = dv.raw() + base;
           const float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
+          transpose_head(cached_v_.raw() + base, t, hd, dim_, v_t.data());
           for (std::int64_t i = 0; i < t; ++i) {
             const float* prow = probs + i * t;
-            const float* dci = d_ctx.raw() + (s * t + i) * dim_ + off;
+            const float* dci = dc + i * dim_;
             // dprobs_ij = <d_ctx_i, v_j>, dv_j += p_ij * d_ctx_i
+            dot_row(ops, dci, v_t.data(), hd, t, t, dprobs.data());
             for (std::int64_t j = 0; j < t; ++j) {
-              const float* vj = cached_v_.raw() + (s * t + j) * dim_ + off;
-              float* dvj = dv.raw() + (s * t + j) * dim_ + off;
-              float acc = 0.0f;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                acc += dci[d] * vj[d];
-                dvj[d] += prow[j] * dci[d];
-              }
-              dprobs[static_cast<std::size_t>(j)] = acc;
+              axpy(ops, dv_h + j * dim_, prow[j], dci, hd);
             }
             // softmax backward
             float dot = 0.0f;
             for (std::int64_t j = 0; j < t; ++j) {
               dot += prow[j] * dprobs[static_cast<std::size_t>(j)];
             }
-            float* dqi = dq.raw() + (s * t + i) * dim_ + off;
             for (std::int64_t j = 0; j < t; ++j) {
-              const float ds = prow[j] *
-                               (dprobs[static_cast<std::size_t>(j)] - dot) *
-                               inv_sqrt;
-              const float* kj = cached_k_.raw() + (s * t + j) * dim_ + off;
-              const float* qi = cached_q_.raw() + (s * t + i) * dim_ + off;
-              float* dkj = dk.raw() + (s * t + j) * dim_ + off;
-              for (std::int64_t d = 0; d < head_dim_; ++d) {
-                dqi[d] += ds * kj[d];
-                dkj[d] += ds * qi[d];
-              }
+              ds[static_cast<std::size_t>(j)] =
+                  prow[j] * (dprobs[static_cast<std::size_t>(j)] - dot) *
+                  inv_sqrt;
+            }
+            // dq_i = sum_j ds_j k_j; dk_j += ds_j * q_i
+            dot_row(ops, ds.data(), k, t, dim_, hd, dq_h + i * dim_);
+            for (std::int64_t j = 0; j < t; ++j) {
+              axpy(ops, dk_h + j * dim_, ds[static_cast<std::size_t>(j)],
+                   q + i * dim_, hd);
             }
           }
         }

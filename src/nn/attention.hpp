@@ -20,6 +20,8 @@ class MultiheadSelfAttention : public Layer {
   [[nodiscard]] const char* kind() const override {
     return "MultiheadSelfAttention";
   }
+  /// Softmax probabilities of the last forward, [N, heads, T, T].
+  [[nodiscard]] const Tensor& probs() const { return cached_probs_; }
 
  private:
   std::int64_t dim_;

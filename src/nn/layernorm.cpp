@@ -71,8 +71,13 @@ Tensor LayerNorm::forward(StepContext& ctx, const Tensor& x) {
 }
 
 Tensor LayerNorm::backward(StepContext& ctx, const Tensor& grad_out) {
+  ES_CHECK(cached_xhat_.defined() && grad_out.shape() == cached_shape_,
+           "LayerNorm backward: grad shape != forward shape");
   const std::int64_t rows = grad_out.numel() / dim_;
   Tensor grad_in(cached_shape_);
+  const float* gy = grad_out.raw();
+  const float* xhat = cached_xhat_.raw();
+  const float* gamma = gamma_.value.raw();
   // Two owner-computes passes: grad_in rows are independent; gamma/beta
   // gradients accumulate per column in ascending-row order, exactly as the
   // single sequential loop did.
@@ -81,31 +86,39 @@ Tensor LayerNorm::backward(StepContext& ctx, const Tensor& grad_out) {
       std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, dim_)),
       [&](int /*chunk*/, std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
+          const float* g_r = gy + r * dim_;
+          const float* xh_r = xhat + r * dim_;
+          float* gin_r = grad_in.raw() + r * dim_;
           float sum_dy = 0.0f, sum_dyxh = 0.0f;
           for (std::int64_t i = 0; i < dim_; ++i) {
-            const float dy = grad_out.at(r * dim_ + i) * gamma_.value.at(i);
+            const float dy = g_r[i] * gamma[i];
             sum_dy += dy;
-            sum_dyxh += dy * cached_xhat_.at(r * dim_ + i);
+            sum_dyxh += dy * xh_r[i];
           }
-          const float inv_std = cached_inv_std_.at(r);
+          const float inv_std = cached_inv_std_.raw()[r];
           const float m = static_cast<float>(dim_);
+          // (xh * sum_dyxh) / m, not xh * (sum_dyxh / m): hoisting the
+          // division would change bits.
           for (std::int64_t i = 0; i < dim_; ++i) {
-            const float dy = grad_out.at(r * dim_ + i) * gamma_.value.at(i);
-            const float xh = cached_xhat_.at(r * dim_ + i);
-            grad_in.at(r * dim_ + i) =
-                inv_std * (dy - sum_dy / m - xh * sum_dyxh / m);
+            const float dy = g_r[i] * gamma[i];
+            gin_r[i] = inv_std * (dy - sum_dy / m - xh_r[i] * sum_dyxh / m);
           }
         }
       });
+  // Rows outer, the chunk's columns inner: contiguous loads, and each
+  // column still sums its rows in ascending order.
   kernels::parallel_for(
       ctx.ex(), dim_,
       std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, rows)),
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float xh = cached_xhat_.at(r * dim_ + i);
-            gamma_.grad.at(i) += grad_out.at(r * dim_ + i) * xh;
-            beta_.grad.at(i) += grad_out.at(r * dim_ + i);
+        float* ggamma = gamma_.grad.raw();
+        float* gbeta = beta_.grad.raw();
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const float* g_r = gy + r * dim_;
+          const float* xh_r = xhat + r * dim_;
+          for (std::int64_t i = i0; i < i1; ++i) {
+            ggamma[i] += g_r[i] * xh_r[i];
+            gbeta[i] += g_r[i];
           }
         }
       });

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "kernels/simd.hpp"
+
 namespace easyscale::optim {
 
 Adam::Adam(autograd::ParameterStore& params, Options opts)
@@ -18,29 +20,45 @@ void Adam::step() { step_slices(full_slices(*params_)); }
 
 void Adam::step_slices(const std::vector<ParamSlice>& slices) {
   ++step_count_;
-  const float bc1 =
-      1.0f - std::pow(opts_.beta1, static_cast<float>(step_count_));
-  const float bc2 =
-      1.0f - std::pow(opts_.beta2, static_cast<float>(step_count_));
+  const kernels::AdamArgs args{
+      .beta1 = opts_.beta1,
+      .beta2 = opts_.beta2,
+      .lr = opts_.lr,
+      .eps = opts_.eps,
+      .weight_decay = opts_.weight_decay,
+      .bc1 = 1.0f - std::pow(opts_.beta1, static_cast<float>(step_count_)),
+      .bc2 = 1.0f - std::pow(opts_.beta2, static_cast<float>(step_count_))};
+  // Elementwise over distinct elements, so the vector body replays the
+  // scalar expression per lane (sqrt and divide are IEEE-exact).  No
+  // ExecContext reaches the optimizer, so it follows the process-wide
+  // backend (EASYSCALE_SIMD, else detection).
+  const kernels::SimdOps& ops = kernels::simd_ops(kernels::SimdBackend::kAuto);
   const auto& all = params_->all();
   for (const ParamSlice& s : slices) {
     ES_CHECK(s.param < all.size(), "Adam slice param out of range");
     autograd::Parameter& p = *all[s.param];
-    tensor::Tensor& m = m_[s.param];
-    tensor::Tensor& v = v_[s.param];
     ES_CHECK(s.begin >= 0 && s.end <= p.numel() && s.begin <= s.end,
              "Adam slice bounds out of range");
-    for (std::int64_t j = s.begin; j < s.end; ++j) {
-      const float g = p.grad.at(j);
-      m.at(j) = opts_.beta1 * m.at(j) + (1.0f - opts_.beta1) * g;
-      v.at(j) = opts_.beta2 * v.at(j) + (1.0f - opts_.beta2) * g * g;
-      const float mhat = m.at(j) / bc1;
-      const float vhat = v.at(j) / bc2;
-      float update = opts_.lr * mhat / (std::sqrt(vhat) + opts_.eps);
-      if (opts_.weight_decay != 0.0f) {
-        update += opts_.lr * opts_.weight_decay * p.value.at(j);
+    const float* grad = p.grad.raw() + s.begin;
+    float* m = m_[s.param].raw() + s.begin;
+    float* v = v_[s.param].raw() + s.begin;
+    float* value = p.value.raw() + s.begin;
+    const std::int64_t n = s.end - s.begin;
+    if (ops.adam_update != nullptr) {
+      ops.adam_update(args, grad, m, v, value, n);
+      continue;
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float g = grad[j];
+      m[j] = args.beta1 * m[j] + (1.0f - args.beta1) * g;
+      v[j] = args.beta2 * v[j] + (1.0f - args.beta2) * g * g;
+      const float mhat = m[j] / args.bc1;
+      const float vhat = v[j] / args.bc2;
+      float update = args.lr * mhat / (std::sqrt(vhat) + args.eps);
+      if (args.weight_decay != 0.0f) {
+        update += args.lr * args.weight_decay * value[j];
       }
-      p.value.at(j) -= update;
+      value[j] -= update;
     }
   }
 }

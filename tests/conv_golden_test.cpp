@@ -1,12 +1,15 @@
-// Pinned training digests for the conv-bearing workloads.
+// Pinned training digests for the conv-bearing and transformer workloads.
 //
 // determinism_audit chains only NeuMF, so a change to im2col, col2im or the
 // GEMM operand packing that altered one bit of a conv step would pass every
 // cross-backend comparison as long as all backends moved together.  These
 // goldens pin the absolute params digest after six steps for each conv
-// family (plain, grouped, deep 3x3 stacks, detection) and for a D2
-// transformer that runs gemm_nt through Linear, on every SIMD backend the
-// host can run at 1 and 4 intra-op threads.
+// family (plain, grouped, deep 3x3 stacks, detection) and for the
+// transformers (Bert at D0 on the V100 interleaved GEMM and under D2,
+// Electra with an 8-wide head that leaves a masked vector tail, and Swin's
+// windowed attention), whose attention, GELU, LayerNorm, Dropout and Adam
+// bodies run vectorized, on every SIMD backend the host can run at 1 and 4
+// intra-op threads.
 //
 // The engine resolves its SIMD backend once per process from
 // EASYSCALE_SIMD, so each (backend, threads) run happens in a forked child
@@ -135,7 +138,14 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"YOLOv3_D0", "YOLOv3", DeterminismLevel::kD0, false, 4,
                    false, 0xc2037d83325e3bc0ULL},
         GoldenCase{"Bert_D1_d2", "Bert", DeterminismLevel::kD1, true, 4, true,
-                   0xd94caaa3d8b5a6a6ULL}),
+                   0xd94caaa3d8b5a6a6ULL},
+        GoldenCase{"Bert_D0", "Bert", DeterminismLevel::kD0, false, 4, true,
+                   0x0d92cf24642a5424ULL},
+        GoldenCase{"Electra_D1_d2", "Electra", DeterminismLevel::kD1, true, 4,
+                   true, 0xfb4795b7bb464e1aULL},
+        GoldenCase{"SwinTransformer_D1_d2", "SwinTransformer",
+                   DeterminismLevel::kD1, true, 4, true,
+                   0x82a3ef2eeeb50e7dULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });

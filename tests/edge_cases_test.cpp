@@ -8,8 +8,10 @@
 #include "common/log.hpp"
 #include "core/engine.hpp"
 #include "models/datasets.hpp"
+#include "nn/activations.hpp"
 #include "nn/attention.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/dropout.hpp"
 #include "nn/layernorm.hpp"
 #include "nn/pooling.hpp"
 #include "parallel/trainer.hpp"
@@ -65,6 +67,56 @@ TEST(EdgeLayerNorm, DimOne) {
   for (std::int64_t i = 0; i < out.numel(); ++i) {
     EXPECT_EQ(out.at(i), 0.0f);
   }
+}
+
+// Backward indexes the forward's caches by grad_out's size, so a gradient
+// of another shape (or a backward with no forward) must be refused before
+// any raw-pointer loop runs.
+TEST(EdgeActivations, GeluBackwardRejectsMismatchedOrMissingForward) {
+  Env env;
+  rng::Philox gen(4);
+  nn::GELU gelu;
+  EXPECT_THROW(gelu.backward(env.ctx, random_tensor(gen, tensor::Shape{2, 3})),
+               Error);
+  const auto x = random_tensor(gen, tensor::Shape{2, 3});
+  gelu.forward(env.ctx, x);
+  EXPECT_THROW(gelu.backward(env.ctx, random_tensor(gen, tensor::Shape{2, 4})),
+               Error);
+  EXPECT_THROW(gelu.backward(env.ctx, random_tensor(gen, tensor::Shape{3, 2})),
+               Error);
+  EXPECT_EQ(gelu.backward(env.ctx, x).shape(), x.shape());
+}
+
+TEST(EdgeDropout, BackwardRejectsMismatchedGrad) {
+  Env env;
+  rng::Philox gen(5);
+  nn::Dropout dropout(0.5f);
+  const auto x = random_tensor(gen, tensor::Shape{4, 8});
+  dropout.forward(env.ctx, x);
+  EXPECT_THROW(
+      dropout.backward(env.ctx, random_tensor(gen, tensor::Shape{4, 9})),
+      Error);
+  EXPECT_THROW(
+      dropout.backward(env.ctx, random_tensor(gen, tensor::Shape{8, 4})),
+      Error);
+  EXPECT_EQ(dropout.backward(env.ctx, x).shape(), x.shape());
+}
+
+TEST(EdgeLayerNorm, BackwardRejectsMismatchedOrMissingForward) {
+  Env env;
+  rng::Philox gen(6);
+  nn::LayerNorm ln("ln", 4);
+  autograd::ParameterStore store;
+  ln.register_parameters(store);
+  EXPECT_THROW(ln.backward(env.ctx, random_tensor(gen, tensor::Shape{2, 4})),
+               Error);
+  const auto x = random_tensor(gen, tensor::Shape{2, 4});
+  ln.forward(env.ctx, x);
+  EXPECT_THROW(ln.backward(env.ctx, random_tensor(gen, tensor::Shape{3, 4})),
+               Error);
+  EXPECT_THROW(ln.backward(env.ctx, random_tensor(gen, tensor::Shape{8})),
+               Error);
+  EXPECT_EQ(ln.backward(env.ctx, x).shape(), x.shape());
 }
 
 TEST(EdgeBatchNorm, SingleSpatialElement) {

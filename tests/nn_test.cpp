@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 
+#include "kernels/reduce.hpp"
 #include "models/blocks.hpp"
 #include "tensor/ops.hpp"
 #include "nn/activations.hpp"
@@ -273,6 +274,62 @@ TEST(LayerNorm, GradCheck) {
   const Tensor x = random_tensor(gen, Shape{4, 8});
   gradcheck_input(layer, env, x);
   gradcheck_params(layer, env, x);
+}
+
+// The backward's association is part of the training bits: (xh *
+// sum_dyxh) / m must not become xh * (sum_dyxh / m), which is only
+// bit-equal when m is a power of two (every model dim is), so this pins
+// the expression at dims 6 and 24 against the reference loop.
+TEST(LayerNorm, BackwardMatchesReferenceLoopBitwise) {
+  for (const std::int64_t dim : {6, 24}) {
+    GradCheckEnv env;
+    rng::Philox gen(static_cast<std::uint64_t>(40 + dim));
+    LayerNorm layer("ln", dim);
+    layer.init_weights(gen);  // gamma 1, beta 0: the forward's out IS xhat
+    autograd::ParameterStore store;
+    layer.register_parameters(store);
+    store.zero_grads();
+    const std::int64_t rows = 5;
+    const Tensor x = random_tensor(gen, Shape{rows, dim});
+    const Tensor gy = random_tensor(gen, Shape{rows, dim});
+    const Tensor xhat = layer.forward(env.ctx, x);
+    Tensor& gamma = store.all()[0]->value;
+    rng::fill_normal(gen, gamma.data(), 1.0f, 0.5f);
+    const Tensor gin = layer.backward(env.ctx, gy);
+
+    const float m = static_cast<float>(dim);
+    std::vector<float> want(static_cast<std::size_t>(rows * dim));
+    std::vector<float> want_gamma(static_cast<std::size_t>(dim), 0.0f);
+    std::vector<float> want_beta(static_cast<std::size_t>(dim), 0.0f);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      std::span<const float> row(x.raw() + r * dim,
+                                 static_cast<std::size_t>(dim));
+      const float mean = kernels::reduce_sum(env.exec, row) / m;
+      float var = 0.0f;
+      for (const float v : row) var += (v - mean) * (v - mean);
+      const float inv_std = 1.0f / std::sqrt(var / m + 1e-5f);
+      float sum_dy = 0.0f, sum_dyxh = 0.0f;
+      for (std::int64_t i = 0; i < dim; ++i) {
+        const float dy = gy.at(r * dim + i) * gamma.at(i);
+        sum_dy += dy;
+        sum_dyxh += dy * xhat.at(r * dim + i);
+      }
+      for (std::int64_t i = 0; i < dim; ++i) {
+        const float dy = gy.at(r * dim + i) * gamma.at(i);
+        const float xh = xhat.at(r * dim + i);
+        want[static_cast<std::size_t>(r * dim + i)] =
+            inv_std * (dy - sum_dy / m - xh * sum_dyxh / m);
+        want_gamma[static_cast<std::size_t>(i)] += gy.at(r * dim + i) * xh;
+        want_beta[static_cast<std::size_t>(i)] += gy.at(r * dim + i);
+      }
+    }
+    const auto bits = [](const Tensor& t) {
+      return std::vector<float>(t.raw(), t.raw() + t.numel());
+    };
+    EXPECT_EQ(bits(gin), want) << "dim " << dim;
+    EXPECT_EQ(bits(store.all()[0]->grad), want_gamma) << "dim " << dim;
+    EXPECT_EQ(bits(store.all()[1]->grad), want_beta) << "dim " << dim;
+  }
 }
 
 TEST(Attention, GradCheck) {

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -18,8 +20,10 @@
 #include "kernels/custom.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
+#include "nn/attention.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
+#include "rng/stream_set.hpp"
 
 namespace easyscale::kernels {
 namespace {
@@ -506,6 +510,163 @@ TEST(Simd, ElementwiseBodiesBitwise) {
                              xhat.data(), out.data(), n);
       EXPECT_TRUE(bitwise_equal(xhat2_ref, xhat)) << "normS xhat n=" << n;
       EXPECT_TRUE(bitwise_equal(affine2_ref, out)) << "normS out n=" << n;
+    }
+  }
+
+  // The transformer-step bodies over every length 1..3L+1 of the widest
+  // backend (full blocks plus every masked tail), with +-0, +-inf and NaN
+  // placed so no element sees more than one special input.
+  const float specials[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  // Element i carries specials[(i / 3) % 5] in input (i / 3) % inputs when
+  // i % 3 == 0; the other elements are finite.
+  const auto sprinkle = [&](std::vector<float>& v, int input, int inputs) {
+    for (std::size_t i = 0; i < v.size(); i += 3) {
+      if (static_cast<int>((i / 3) % static_cast<std::size_t>(inputs)) ==
+          input) {
+        v[i] = specials[(i / 3) % 5];
+      }
+    }
+  };
+  for (std::int64_t n = 1; n <= 3 * 16 + 1; ++n) {
+    auto x = random_vec(101, n);
+    auto g = random_vec(103, n);
+    auto acc = random_vec(107, n);
+    sprinkle(x, 0, 3);
+    sprinkle(g, 1, 3);
+    sprinkle(acc, 2, 3);
+    const float c = -1.375f;
+    // GELU's t is the forward's tanh(u) of the same x.
+    std::vector<float> t(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      t[i] = std::tanh(kGeluC * (x[i] + kGeluA * x[i] * x[i] * x[i]));
+    }
+
+    std::vector<float> axpy_ref = acc, mul_ref(t.size()), gelu_ref(t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      axpy_ref[i] += c * x[i];
+      mul_ref[i] = x[i] * g[i];
+      const float du = kGeluC * (1.0f + 3.0f * kGeluA * x[i] * x[i]);
+      const float d =
+          0.5f * (1.0f + t[i]) + 0.5f * x[i] * (1.0f - t[i] * t[i]) * du;
+      gelu_ref[i] = g[i] * d;
+    }
+    for (SimdBackend backend : vector_backends()) {
+      const SimdOps& ops = simd_ops(backend);
+      std::vector<float> out = acc;
+      ops.axpy(out.data(), c, x.data(), n);
+      EXPECT_TRUE(bitwise_equal(axpy_ref, out)) << "axpy n=" << n;
+      ops.mul_vec(x.data(), g.data(), out.data(), n);
+      EXPECT_TRUE(bitwise_equal(mul_ref, out)) << "mul_vec n=" << n;
+      ops.gelu_bwd(x.data(), t.data(), g.data(), out.data(), n);
+      EXPECT_TRUE(bitwise_equal(gelu_ref, out)) << "gelu_bwd n=" << n;
+    }
+
+    // Adam: specials in grad, m, v (kept >= 0 when finite) and value.
+    auto m0 = random_vec(109, n);
+    auto v0 = random_vec(113, n);
+    auto p0 = random_vec(127, n);
+    for (auto& e : v0) e = e * e;
+    auto grad = random_vec(131, n);
+    sprinkle(grad, 0, 4);
+    sprinkle(m0, 1, 4);
+    sprinkle(v0, 2, 4);
+    sprinkle(p0, 3, 4);
+    for (float wd : {0.0f, 0.01f}) {
+      const AdamArgs args{.beta1 = 0.9f,
+                          .beta2 = 0.999f,
+                          .lr = 1e-3f,
+                          .eps = 1e-8f,
+                          .weight_decay = wd,
+                          .bc1 = 1.0f - std::pow(0.9f, 3.0f),
+                          .bc2 = 1.0f - std::pow(0.999f, 3.0f)};
+      std::vector<float> m_ref = m0, v_ref = v0, p_ref = p0;
+      for (std::size_t j = 0; j < p_ref.size(); ++j) {
+        const float gj = grad[j];
+        m_ref[j] = args.beta1 * m_ref[j] + (1.0f - args.beta1) * gj;
+        v_ref[j] = args.beta2 * v_ref[j] + (1.0f - args.beta2) * gj * gj;
+        const float mhat = m_ref[j] / args.bc1;
+        const float vhat = v_ref[j] / args.bc2;
+        float update = args.lr * mhat / (std::sqrt(vhat) + args.eps);
+        if (wd != 0.0f) update += args.lr * wd * p_ref[j];
+        p_ref[j] -= update;
+      }
+      for (SimdBackend backend : vector_backends()) {
+        std::vector<float> m = m0, v = v0, p = p0;
+        simd_ops(backend).adam_update(args, grad.data(), m.data(), v.data(),
+                                      p.data(), n);
+        EXPECT_TRUE(bitwise_equal(m_ref, m)) << "adam m n=" << n << " wd=" << wd;
+        EXPECT_TRUE(bitwise_equal(v_ref, v)) << "adam v n=" << n << " wd=" << wd;
+        EXPECT_TRUE(bitwise_equal(p_ref, p))
+            << "adam value n=" << n << " wd=" << wd;
+      }
+    }
+  }
+}
+
+TEST(Simd, AttentionBitwiseAcrossBackendsAndThreads) {
+  struct Dims {
+    std::int64_t t, heads, dim;
+  };
+  // Head dims 4, 3, 8, 16 and 8: single tokens, head dims below, at and
+  // past one AVX2 vector, and key counts that leave masked tails.
+  const Dims cases[] = {{1, 1, 4}, {5, 2, 6}, {16, 2, 16}, {16, 2, 32},
+                        {17, 3, 24}};
+  struct Run {
+    std::vector<float> out, probs, dx;
+    std::vector<std::vector<float>> grads;
+  };
+  const auto run = [](const Dims& d, SimdBackend backend, int threads) {
+    ExecContext exec = make_ctx(backend, threads);
+    rng::StreamSet streams;
+    streams.seed_all(5, 0);
+    autograd::StepContext ctx;
+    ctx.exec = &exec;
+    ctx.rng = &streams;
+    nn::MultiheadSelfAttention layer("attn", d.dim, d.heads);
+    rng::Philox init(131);
+    layer.init_weights(init);
+    autograd::ParameterStore store;
+    layer.register_parameters(store);
+    store.zero_grads();
+    const std::int64_t batch = 2;
+    const auto x = random_vec(137, batch * d.t * d.dim);
+    const auto gy = random_vec(139, batch * d.t * d.dim);
+    const tensor::Shape shape{batch, d.t, d.dim};
+    const tensor::Tensor out =
+        layer.forward(ctx, tensor::Tensor(shape, x));
+    const tensor::Tensor dx =
+        layer.backward(ctx, tensor::Tensor(shape, gy));
+    Run r;
+    r.out.assign(out.raw(), out.raw() + out.numel());
+    r.probs.assign(layer.probs().raw(),
+                   layer.probs().raw() + layer.probs().numel());
+    r.dx.assign(dx.raw(), dx.raw() + dx.numel());
+    for (const auto* p : store.all()) {
+      r.grads.emplace_back(p->grad.raw(), p->grad.raw() + p->grad.numel());
+    }
+    return r;
+  };
+  for (const Dims& d : cases) {
+    const Run ref = run(d, SimdBackend::kScalar, 1);
+    for (SimdBackend backend : available_simd_backends()) {
+      for (int threads : {1, 4}) {
+        const Run got = run(d, backend, threads);
+        const std::string where =
+            std::string(simd_backend_name(backend)) +
+            " threads=" + std::to_string(threads) + " t=" +
+            std::to_string(d.t) + " heads=" + std::to_string(d.heads) +
+            " dim=" + std::to_string(d.dim);
+        EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "out " << where;
+        EXPECT_TRUE(bitwise_equal(ref.probs, got.probs)) << "probs " << where;
+        EXPECT_TRUE(bitwise_equal(ref.dx, got.dx)) << "dx " << where;
+        ASSERT_EQ(ref.grads.size(), got.grads.size());
+        for (std::size_t i = 0; i < ref.grads.size(); ++i) {
+          EXPECT_TRUE(bitwise_equal(ref.grads[i], got.grads[i]))
+              << "param grad " << i << " " << where;
+        }
+      }
     }
   }
 }
