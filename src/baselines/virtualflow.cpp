@@ -44,19 +44,19 @@ void VirtualFlowTrainer::reconfigure(std::int64_t world) {
       }
     }
   }
-  comm::BucketManager mgr(replicas_[0].workload->params(),
-                          config_.bucket_cap_bytes);
-  layout_ = mgr.initial_layout();
-  rebuilt_ = false;  // the restart rebuilds communication state
+  // The restart rebuilds communication state.
+  sync_.emplace(replicas_[0].workload->params(), config_.bucket_cap_bytes,
+                replicas_.size(), /*overlap=*/false, /*rebuild_buckets=*/true);
 }
 
 void VirtualFlowTrainer::one_step() {
   ES_CHECK(!replicas_.empty(), "reconfigure before running");
-  autograd::GradReadyRecorder recorder;
+  sync_->begin_step(/*allow_overlap=*/false);
   float last_loss = 0.0f;
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     Replica& rep = replicas_[r];
-    rep.workload->params().zero_grads();
+    auto& store = rep.workload->params();
+    store.zero_grads();
     // Gradient accumulation: micro-batches of all owned virtual nodes run
     // back to back on the physical worker, sharing its RNG stream and BN
     // buffers — the consistency gap vs EasyScale's per-EST contexts.
@@ -66,43 +66,30 @@ void VirtualFlowTrainer::one_step() {
       ctx.exec = &rep.exec;
       ctx.rng = &rep.streams;
       ctx.training = true;
-      if (r == 0 && k == 0 && !rebuilt_) {
-        recorder.begin(rep.workload->params().size());
-        ctx.grad_ready = &recorder;
-      }
+      // The first micro-batch's ready order stands for the whole step.
+      if (k == 0) sync_->attach(r, store, ctx);
       const data::Batch batch =
           pipelines_[static_cast<std::size_t>(v)].next();
       const float loss = rep.workload->train_step(ctx, batch);
       if (v == config_.virtual_nodes - 1) last_loss = loss;
     }
+    sync_->collect(r, store);
   }
   // All-reduce over the physical world, averaging by the virtual count so
   // the effective update matches DDP's global-batch mean.
-  std::vector<comm::GradientSet> sets;
-  sets.reserve(replicas_.size());
-  for (auto& rep : replicas_) {
-    sets.push_back(comm::GradientSet::from_store(rep.workload->params()));
-  }
-  std::vector<comm::GradientSet*> parts;
-  for (auto& s : sets) parts.push_back(&s);
-  comm::allreduce_average(layout_, parts);
-  // allreduce_average divides by the physical world; rescale to the mean
-  // over virtual nodes.
+  sync_->reduce();
+  // The all-reduce divides by the physical world; rescale to the mean over
+  // virtual nodes.
   const float fix = static_cast<float>(replicas_.size()) /
                     static_cast<float>(config_.virtual_nodes);
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    for (auto& g : sets[r].grads) {
+    for (auto& g : sync_->part(r).grads) {
       for (auto& x : g.data()) x *= fix;
     }
-    sets[r].to_store(replicas_[r].workload->params());
+    sync_->part(r).to_store(replicas_[r].workload->params());
     replicas_[r].optimizer->step();
   }
-  if (!rebuilt_ && !recorder.order().empty()) {
-    comm::BucketManager mgr(replicas_[0].workload->params(),
-                            config_.bucket_cap_bytes);
-    layout_ = mgr.layout_from_ready_order(recorder.order());
-    rebuilt_ = true;
-  }
+  sync_->end_step(replicas_[0].workload->params());
   losses_.push_back(last_loss);
 }
 

@@ -13,14 +13,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "comm/allreduce.hpp"
-#include "comm/bucket.hpp"
 #include "data/pipeline.hpp"
 #include "models/workload.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/sgd.hpp"
+#include "parallel/grad_sync.hpp"
 
 namespace easyscale::baselines {
 
@@ -69,8 +69,7 @@ class VirtualFlowTrainer {
   data::AugmentConfig augment_;
   std::vector<data::RankDataPipeline> pipelines_;  // one per virtual node
   std::vector<Replica> replicas_;
-  comm::BucketLayout layout_;
-  bool rebuilt_ = false;
+  std::optional<parallel::GradSync> sync_;  // rebuilt by reconfigure
   std::vector<float> losses_;
 };
 

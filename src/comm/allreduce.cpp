@@ -86,15 +86,21 @@ void validate_allreduce_inputs(const BucketLayout& layout,
   }
 }
 
-void allreduce_average_bucket(const BucketLayout& layout, std::size_t b,
-                              const std::vector<GradientSet*>& parts) {
+std::int64_t bucket_numel(const BucketLayout& layout, std::size_t b,
+                          const GradientSet& part) {
+  std::int64_t n = 0;
+  for (int id : layout.buckets[b]) {
+    n += part.grads[static_cast<std::size_t>(id)].numel();
+  }
+  return n;
+}
+
+std::vector<float> bucket_average(const BucketLayout& layout, std::size_t b,
+                                  const std::vector<GradientSet*>& parts) {
   ES_CHECK(b < layout.buckets.size(), "bucket index out of range");
   const auto& bucket = layout.buckets[b];
   const float inv_world = 1.0f / static_cast<float>(parts.size());
-  std::int64_t flat_len = 0;
-  for (int id : bucket) {
-    flat_len += parts[0]->grads[static_cast<std::size_t>(id)].numel();
-  }
+  const std::int64_t flat_len = bucket_numel(layout, b, *parts[0]);
   // Flatten every participant's bucket (pure data movement).
   std::vector<std::vector<float>> flats(parts.size());
   for (std::size_t r = 0; r < parts.size(); ++r) {
@@ -112,10 +118,16 @@ void allreduce_average_bucket(const BucketLayout& layout, std::size_t b,
   std::vector<float> reduced(static_cast<std::size_t>(flat_len));
   ring_allreduce_sum(views, reduced);
   for (auto& v : reduced) v *= inv_world;
+  return reduced;
+}
+
+void allreduce_average_bucket(const BucketLayout& layout, std::size_t b,
+                              const std::vector<GradientSet*>& parts) {
+  const std::vector<float> reduced = bucket_average(layout, b, parts);
   // Scatter the averaged bucket back into every participant.
   for (auto* part : parts) {
     std::int64_t off = 0;
-    for (int id : bucket) {
+    for (int id : layout.buckets[b]) {
       auto& g = part->grads[static_cast<std::size_t>(id)];
       std::copy(reduced.begin() + off, reduced.begin() + off + g.numel(),
                 g.data().begin());

@@ -50,6 +50,18 @@ void validate_allreduce_inputs(const BucketLayout& layout,
 void allreduce_average(const BucketLayout& layout,
                        std::vector<GradientSet*>& parts);
 
+/// Flat element count of bucket `b` (validated parts agree on shapes, so
+/// any part is representative).
+[[nodiscard]] std::int64_t bucket_numel(const BucketLayout& layout,
+                                        std::size_t b, const GradientSet& part);
+
+/// Bucket `b` of every part flattened, ring-summed in NCCL association
+/// order and divided by the participant count: the reduction that the
+/// all-reduce and the reduce-scatter share bit for bit.
+[[nodiscard]] std::vector<float> bucket_average(
+    const BucketLayout& layout, std::size_t b,
+    const std::vector<GradientSet*>& parts);
+
 /// Reduce exactly one bucket of `layout` (same flatten / ring association /
 /// average / scatter as the matching iteration of allreduce_average).  The
 /// overlapped comm path calls this per flushed bucket; running it for every

@@ -49,4 +49,18 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// Run fn(i) for every i in [0, n): on one thread per index when
+/// `threaded` and n > 1, else in order on the calling thread.
+template <typename Fn>
+void run_each(std::size_t n, bool threaded, Fn& fn) {
+  if (!threaded || n < 2) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) threads.emplace_back([&fn, i] { fn(i); });
+  for (auto& t : threads) t.join();
+}
+
 }  // namespace easyscale

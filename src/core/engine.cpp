@@ -2,10 +2,10 @@
 
 #include <bit>
 #include <sstream>
-#include <thread>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 
 namespace easyscale::core {
 
@@ -34,18 +34,14 @@ EasyScaleEngine::EasyScaleEngine(EasyScaleConfig config,
     ctx.model_streams = streams.state();
     for (tensor::Tensor* b : prototype->buffers()) ctx.bn_buffers.push_back(*b);
     contexts_.push_back(std::move(ctx));
-    grad_buffers_.push_back(
-        comm::GradientSet::zeros_like(prototype->params()));
   }
   steps_per_epoch_ =
       data::DistributedSampler(train.size(), config_.num_ests, 0,
                                config_.batch_per_est, config_.seed)
           .steps_per_epoch();
-  // Resolve once so rebuilds and D0 restores use the same cap.
-  config_.bucket_cap_bytes =
-      comm::resolve_bucket_cap(config_.bucket_cap_bytes, prototype->params());
-  layout_ = comm::BucketManager(prototype->params(), config_.bucket_cap_bytes)
-                .initial_layout();
+  sync_.emplace(prototype->params(), config_.bucket_cap_bytes,
+                static_cast<std::size_t>(config_.num_ests),
+                config_.overlap_comm, /*rebuild_buckets=*/true);
 }
 
 EasyScaleEngine::~EasyScaleEngine() = default;
@@ -123,12 +119,16 @@ void EasyScaleEngine::configure_workers(
   rebuild_loader();
   if (config_.resilient_comm) {
     // Fresh membership epoch: a reconfiguration rebuilds the group, so the
-    // fabric and the monitor start clean at the new world size.
-    transport_ = std::make_unique<comm::SimTransport>(
-        static_cast<int>(workers_.size()), config_.transport);
-    monitor_ = std::make_unique<comm::MembershipMonitor>(
-        static_cast<int>(workers_.size()), config_.transport);
-    last_comm_report_.reset();
+    // fabric starts clean at the new world size.  Virtual participants ride
+    // their physical worker's links; co-hosted ESTs exchange chunks locally.
+    std::vector<int> host_of_est(static_cast<std::size_t>(config_.num_ests));
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      for (std::int64_t est : workers_[w].ests) {
+        host_of_est[static_cast<std::size_t>(est)] = static_cast<int>(w);
+      }
+    }
+    sync_->reset_fabric(static_cast<int>(workers_.size()), config_.transport,
+                        config_.resilient, std::move(host_of_est));
   }
   if (had_workers) restore(snapshot);
   ES_LOG_INFO("EasyScale reconfigured onto " << workers_.size()
@@ -142,10 +142,9 @@ void EasyScaleEngine::capture_context(Worker& worker, ESTContext& ctx) {
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     ctx.bn_buffers[i] = *buffers[i];
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.context_bytes_swapped += ctx.byte_size();
-  }
+  if (!config_.context_switching) return;  // nothing swapped out (Fig 11)
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.context_bytes_swapped += ctx.byte_size();
 }
 
 void EasyScaleEngine::restore_context(Worker& worker, const ESTContext& ctx) {
@@ -191,54 +190,10 @@ void EasyScaleEngine::one_step() {
     ++witness_round_;
   }
 
-  autograd::GradReadyRecorder recorder;
-  const bool record = !rebuilt_;
-  // Contribution counts power the pipelined flush; a sequential step
-  // records them (usually the same first step that records ready order —
-  // after a restore into a fresh engine, one extra sequential step).
-  const bool need_counts = config_.overlap_comm && contrib_counts_.empty();
   // Witness-due steps stay sequential: the witness compares against
   // pre-reduce gradient buffers, which the pipelined flush averages in
   // flight.
-  const bool overlap =
-      config_.overlap_comm && !record && !need_counts && !witness_due;
-
-  // Pipelined-flush plumbing (set up before workers run so the comm slot
-  // can reduce bucket k while backward still produces bucket k+1).
-  std::vector<comm::GradientSet*> parts;
-  parts.reserve(grad_buffers_.size());
-  for (auto& g : grad_buffers_) parts.push_back(&g);
-  std::vector<int> host_of_part(grad_buffers_.size(), 0);
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    for (std::int64_t est : workers_[w].ests) {
-      host_of_part[static_cast<std::size_t>(est)] = static_cast<int>(w);
-    }
-  }
-  comm::CollectiveReport step_report;  // engine-executor-only until drain()
-  std::unique_ptr<comm::OverlapCoordinator> coordinator;
-  if (overlap) {
-    if (async_engine_ == nullptr) {
-      async_engine_ =
-          std::make_unique<comm::AsyncCollectiveEngine>(config_.async_comm);
-    }
-    comm::validate_allreduce_inputs(layout_, parts);
-    coordinator = std::make_unique<comm::OverlapCoordinator>(
-        layout_.num_buckets(), static_cast<int>(config_.num_ests),
-        *async_engine_);
-    async_engine_->begin_step([&](std::size_t b) -> double {
-      if (config_.resilient_comm) {
-        comm::ResilientConfig rcfg = config_.resilient;
-        rcfg.on_death = comm::DeathPolicy::kAbort;
-        const std::vector<std::size_t> ids{b};
-        const comm::CollectiveReport piece = comm::resilient_allreduce_average(
-            layout_, parts, *transport_, *monitor_, rcfg, &host_of_part, &ids);
-        comm::merge_collective_report(step_report, piece);
-        return piece.virtual_time_s;
-      }
-      comm::allreduce_average_bucket(layout_, b, parts);
-      return 0.0;
-    });
-  }
+  sync_->begin_step(/*allow_overlap=*/!witness_due);
 
   float last_loss = 0.0f;
   auto run_worker = [&](std::size_t wi) {
@@ -258,75 +213,33 @@ void EasyScaleEngine::one_step() {
           pool_ ? pool_->get(est, global_step_)
                 : pipelines_[static_cast<std::size_t>(est)].next();
       if (witness_due && est == witnessed[wi]) witness_batches[wi] = batch;
-      worker.replica->params().zero_grads();
+      const auto part = static_cast<std::size_t>(est);
+      auto& store = worker.replica->params();
+      store.zero_grads();
       autograd::StepContext step_ctx;
       step_ctx.exec = &worker.exec;
       step_ctx.rng = &worker.streams;
       step_ctx.training = true;
-      if ((record || need_counts) && est == 0) {
-        recorder.begin(worker.replica->params().size());
-        step_ctx.grad_ready = &recorder;
-      }
-      // Pipelined flush: as backward finishes a bucket, its gradients swap
-      // out ("D2H") and the bucket is published; the last EST to publish
-      // hands it to the communicator slot mid-backward.
-      std::unique_ptr<comm::BucketReadyTracker> tracker;
-      if (overlap) {
-        tracker = std::make_unique<comm::BucketReadyTracker>(
-            layout_, contrib_counts_, [&, est](std::size_t b) {
-              auto& store = worker.replica->params();
-              auto& buf = grad_buffers_[static_cast<std::size_t>(est)];
-              for (const int pid : layout_.buckets[b]) {
-                buf.grads[static_cast<std::size_t>(pid)] =
-                    store.all()[static_cast<std::size_t>(pid)]->grad;
-              }
-              coordinator->publish(b);
-            });
-        step_ctx.ready_sink = tracker.get();
-      }
+      sync_->attach(part, store, step_ctx);
       const float loss = worker.replica->train_step(step_ctx, batch);
       if (witness_due && est == witnessed[wi]) witness_losses[wi] = loss;
       if (est == config_.num_ests - 1) last_loss = loss;
-      if (overlap) {
-        // Flush whatever backward did not already: the tail of the D2H
-        // swap, before this worker's replica moves on to its next EST.
-        tracker->finish();
-      } else {
-        // Gradient D2H swap: the only working-set category that must leave
-        // the device per EST (§3.2).
-        grad_buffers_[static_cast<std::size_t>(est)] =
-            comm::GradientSet::from_store(worker.replica->params());
-      }
+      // Gradient D2H swap: the only working-set category that must leave
+      // the device per EST (§3.2).
+      sync_->collect(part, store);
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.gradient_bytes_swapped += comm::gradient_bytes(
-            grad_buffers_[static_cast<std::size_t>(est)]);
+        stats_.gradient_bytes_swapped +=
+            comm::gradient_bytes(sync_->part(part));
       }
-      if (config_.context_switching) {
-        capture_context(worker, ctx);
-      } else {
-        ctx.model_streams = worker.streams.state();
-        auto buffers = worker.replica->buffers();
-        for (std::size_t i = 0; i < buffers.size(); ++i) {
-          ctx.bn_buffers[i] = *buffers[i];
-        }
-      }
+      capture_context(worker, ctx);
     }
   };
-  if (config_.parallel_workers && workers_.size() > 1) {
-    // Each worker owns a disjoint replica + EST set; the only shared writes
-    // (loss of the last EST, the EST-0 recorder, swap counters, witness
-    // capture slots) are ordered by the join below and race-free by
-    // construction (distinct ESTs / per-worker slots).
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-      threads.emplace_back([&run_worker, wi] { run_worker(wi); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::size_t wi = 0; wi < workers_.size(); ++wi) run_worker(wi);
-  }
+  // With parallel workers each owns a disjoint replica + EST set; the only
+  // shared writes (loss of the last EST, the EST-0 recorder, swap counters,
+  // witness capture slots) are ordered by the join and race-free by
+  // construction (distinct ESTs / per-worker slots).
+  run_each(workers_.size(), config_.parallel_workers, run_worker);
   // Re-execution witness: replay before the all-reduce publishes, so a
   // corrupt contribution is caught while it is still attributable to one
   // worker (the averaged result would implicate everybody).
@@ -334,41 +247,15 @@ void EasyScaleEngine::one_step() {
     run_witness(witnessed, pre_contexts, witness_batches, witness_losses);
   }
   // ElasticDDP: ring all-reduce over the *virtual* ranks with the recorded
-  // bucket layout — bitwise independent of the physical worker count.
-  if (overlap) {
-    // Every bucket's job is already submitted (the trackers' finish()
-    // calls flushed the tails); wait out the in-flight remainder.  drain()
-    // rethrows any job failure (RankDeathError, CollectiveAbortedError)
-    // exactly like the sequential collective would.
-    const comm::OverlapStats overlap_stats = async_engine_->drain();
-    last_overlap_stats_ = overlap_stats;
-    if (config_.resilient_comm) {
-      step_report.overlap_frac = overlap_stats.overlap_frac;
-      last_comm_report_ = std::move(step_report);
-    }
-  } else if (config_.resilient_comm) {
-    // Virtual participants ride their physical worker's links; co-hosted
-    // ESTs exchange chunks locally.  A condemned worker aborts the step
-    // (kAbort) — its ESTs' gradients are unrecoverable without a rollback.
-    comm::ResilientConfig rcfg = config_.resilient;
-    rcfg.on_death = comm::DeathPolicy::kAbort;
-    last_comm_report_ = comm::resilient_allreduce_average(
-        layout_, parts, *transport_, *monitor_, rcfg, &host_of_part);
-  } else {
-    comm::allreduce_average(layout_, parts);
-  }
+  // bucket layout — bitwise independent of the physical worker count.  A
+  // condemned worker aborts the step: its ESTs' gradients are
+  // unrecoverable without a rollback.
+  sync_->reduce();
   for (auto& worker : workers_) {
-    grad_buffers_[0].to_store(worker.replica->params());
+    sync_->part(0).to_store(worker.replica->params());
     worker.optimizer->step();
   }
-  if (record) {
-    ES_CHECK(!recorder.order().empty(), "grad-ready order not captured");
-    layout_ = comm::BucketManager(workers_[0].replica->params(),
-                                  config_.bucket_cap_bytes)
-                  .layout_from_ready_order(recorder.order());
-    rebuilt_ = true;
-  }
-  if (need_counts) contrib_counts_ = recorder.counts();
+  sync_->end_step(workers_[0].replica->params());
   losses_.push_back(last_loss);
   ++global_step_;
 }
@@ -419,7 +306,7 @@ void EasyScaleEngine::run_witness(
         comm::GradientSet::from_store(witness_replica_->params());
     Digest live_d;
     Digest replay_d;
-    for (const auto& g : grad_buffers_[static_cast<std::size_t>(est)].grads) {
+    for (const auto& g : sync_->part(static_cast<std::size_t>(est)).grads) {
       live_d.update(g.data());
     }
     for (const auto& g : replay.grads) replay_d.update(g.data());
@@ -458,23 +345,16 @@ void EasyScaleEngine::run_epochs(std::int64_t n) {
 void EasyScaleEngine::inject_comm_fault(const comm::CommFaultEvent& event) {
   ES_CHECK(config_.resilient_comm,
            "inject_comm_fault requires resilient_comm = true");
-  ES_CHECK(transport_ != nullptr, "configure_workers before injecting");
-  transport_->inject(event);
+  ES_CHECK(sync_->resilient(), "configure_workers before injecting");
+  sync_->inject_fault(event);
 }
 
 const comm::TransportStats& EasyScaleEngine::transport_stats() const {
-  ES_CHECK(transport_ != nullptr, "resilient comm not configured");
-  return transport_->stats();
+  return sync_->transport_stats();
 }
 
 std::vector<double> EasyScaleEngine::comm_stall_per_worker() const {
-  std::vector<double> stalls;
-  if (transport_ == nullptr) return stalls;
-  stalls.reserve(workers_.size());
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    stalls.push_back(transport_->stall_seconds(static_cast<int>(w)));
-  }
-  return stalls;
+  return sync_->stall_per_host();
 }
 
 std::vector<std::vector<std::int64_t>> EasyScaleEngine::current_assignment()
@@ -518,8 +398,17 @@ void EasyScaleEngine::set_post_op_hook(std::int64_t worker,
   workers_[static_cast<std::size_t>(worker)].exec.post_op = hook;
 }
 
+const kernels::ExecContext& EasyScaleEngine::worker_exec(std::int64_t i) const {
+  ES_CHECK(i >= 0 && i < num_workers(),
+           "worker " << i << " out of range [0, " << num_workers() << ")");
+  return workers_[static_cast<std::size_t>(i)].exec;
+}
+
 models::Workload& EasyScaleEngine::model_for_eval(std::int64_t est_rank) {
   ES_CHECK(!workers_.empty(), "no workers configured");
+  ES_CHECK(est_rank >= 0 && est_rank < config_.num_ests,
+           "EST rank " << est_rank << " out of range [0, " << config_.num_ests
+                       << ")");
   restore_context(workers_[0], contexts_[static_cast<std::size_t>(est_rank)]);
   return *workers_[0].replica;
 }
@@ -534,8 +423,8 @@ std::vector<std::uint8_t> EasyScaleEngine::checkpoint_locked() const {
       config_.determinism.level == DeterminismLevel::kD1;
   w.write<std::uint8_t>(save_layout ? 1 : 0);
   if (save_layout) {
-    w.write<std::uint8_t>(rebuilt_ ? 1 : 0);
-    layout_.save(w);
+    w.write<std::uint8_t>(sync_->rebuilt() ? 1 : 0);
+    sync_->layout().save(w);
   }
   workers_[0].replica->params().save_values(w);
   workers_[0].optimizer->save(w);
@@ -565,17 +454,14 @@ void EasyScaleEngine::restore(std::span<const std::uint8_t> bytes) {
   global_step_ = r.read<std::int64_t>();
   const bool has_layout = r.read<std::uint8_t>() != 0;
   if (has_layout) {
-    rebuilt_ = r.read<std::uint8_t>() != 0;
-    layout_ = comm::BucketLayout::load(r);
+    const bool rebuilt = r.read<std::uint8_t>() != 0;
+    sync_->set_layout(comm::BucketLayout::load(r), rebuilt);
   } else {
     // D0: the bucket mapping was not checkpointed.  Fall back to the static
     // layout and schedule a rebuild — the restart therefore re-associates
     // the ring sums and training diverges bitwise from an uninterrupted
     // run.
-    rebuilt_ = false;
-    layout_ = comm::BucketManager(workers_[0].replica->params(),
-                                  config_.bucket_cap_bytes)
-                  .initial_layout();
+    sync_->reset_layout(workers_[0].replica->params());
   }
   // Parameters / optimizer / scheduler load into worker 0, then replicate
   // onto every other worker.

@@ -19,10 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "comm/allreduce.hpp"
-#include "comm/async_allreduce.hpp"
-#include "comm/bucket.hpp"
-#include "comm/resilient.hpp"
 #include "common/digest.hpp"
 #include "core/determinism.hpp"
 #include "core/est_context.hpp"
@@ -32,6 +28,7 @@
 #include "models/datasets.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/sgd.hpp"
+#include "parallel/grad_sync.hpp"
 
 namespace easyscale::core {
 
@@ -96,7 +93,6 @@ struct EasyScaleConfig {
   /// sequentially: the first step (contribution counts + ready order) and
   /// every witness-due step (the witness must read pre-reduce gradients).
   bool overlap_comm = false;
-  comm::AsyncConfig async_comm;
 };
 
 /// Swap-traffic counters for the context-switching experiments.
@@ -139,13 +135,7 @@ class EasyScaleEngine {
   [[nodiscard]] std::int64_t num_ests() const { return config_.num_ests; }
   [[nodiscard]] const SwitchStats& switch_stats() const { return stats_; }
   [[nodiscard]] const comm::BucketLayout& current_layout() const {
-    return layout_;
-  }
-
-  /// Post-sync gradient buffer of one EST (identical across ESTs after the
-  /// all-reduce); exposed for tests and the Fig-13 accounting.
-  [[nodiscard]] const comm::GradientSet& grad_buffer(std::int64_t est) const {
-    return grad_buffers_[static_cast<std::size_t>(est)];
+    return sync_->layout();
   }
 
   /// Bitwise digest of the model parameters.
@@ -161,10 +151,6 @@ class EasyScaleEngine {
   /// worker's ExecContext — the SDC injection point.  Cleared whenever
   /// configure_workers rebuilds the worker set; the installer re-arms.
   void set_post_op_hook(std::int64_t worker, kernels::PostOpHook* hook);
-
-  [[nodiscard]] bool witness_enabled() const {
-    return config_.witness.witness_every > 0;
-  }
 
   /// Change the witness cadence (FaultSupervisor arms this when its SDC
   /// defense is enabled).  Takes effect at the next global step.
@@ -186,9 +172,7 @@ class EasyScaleEngine {
 
   /// Execution context of physical worker `i` (tests inspect its scratch
   /// arena to assert allocations stop growing after warm-up).
-  [[nodiscard]] const kernels::ExecContext& worker_exec(std::int64_t i) const {
-    return workers_[static_cast<std::size_t>(i)].exec;
-  }
+  [[nodiscard]] const kernels::ExecContext& worker_exec(std::int64_t i) const;
 
   /// Worker-0 replica with EST-`rank`'s context loaded (for evaluation).
   [[nodiscard]] models::Workload& model_for_eval(std::int64_t est_rank = 0);
@@ -215,7 +199,7 @@ class EasyScaleEngine {
   /// first step, and after configure_workers resets the fabric).
   [[nodiscard]] const std::optional<comm::CollectiveReport>&
   last_comm_report() const {
-    return last_comm_report_;
+    return sync_->last_comm_report();
   }
 
   /// Cumulative fabric counters (zeroed by configure_workers).
@@ -226,7 +210,7 @@ class EasyScaleEngine {
   /// and recording steps run sequentially and do not update it).
   [[nodiscard]] const std::optional<comm::OverlapStats>&
   last_overlap_stats() const {
-    return last_overlap_stats_;
+    return sync_->last_overlap_stats();
   }
 
   /// Per-physical-worker cumulative injected stall seconds — the straggler
@@ -267,20 +251,12 @@ class EasyScaleEngine {
 
   std::vector<data::RankDataPipeline> pipelines_;  // one per EST
   std::vector<ESTContext> contexts_;               // one per EST
-  std::vector<comm::GradientSet> grad_buffers_;    // one per EST
   std::vector<Worker> workers_;
   std::unique_ptr<data::SharedDataWorkerPool> pool_;
 
-  std::unique_ptr<comm::SimTransport> transport_;
-  std::unique_ptr<comm::MembershipMonitor> monitor_;
-  std::optional<comm::CollectiveReport> last_comm_report_;
-
-  // Pipelined-flush state (overlap_comm = true).  The engine thread is
-  // lazy; contribution counts come from the recorded sequential step and
-  // stay valid across restores (they are a property of the model graph).
-  std::unique_ptr<comm::AsyncCollectiveEngine> async_engine_;
-  std::optional<comm::OverlapStats> last_overlap_stats_;
-  std::vector<int> contrib_counts_;
+  // Gradient sync over one participant per EST.  Contribution counts stay
+  // valid across restores (they are a property of the model graph).
+  std::optional<parallel::GradSync> sync_;
 
   // Re-execution witness state.  The replica is lazy (first witness step)
   // and reused; its exec context is re-pointed at the witnessed worker's
@@ -291,8 +267,6 @@ class EasyScaleEngine {
   std::int64_t last_clean_witness_step_ = 0;
   std::int64_t witness_round_ = 0;  // rotates which co-hosted EST is replayed
 
-  comm::BucketLayout layout_;
-  bool rebuilt_ = false;
   std::int64_t global_step_ = 0;
   std::int64_t steps_per_epoch_ = 0;
   std::vector<float> losses_;

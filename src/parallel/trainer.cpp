@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "common/digest.hpp"
+#include "common/thread_pool.hpp"
 #include "core/checkpoint_io.hpp"
 #include "core/integrity.hpp"
 
@@ -55,47 +55,50 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
   const data::DistributedSampler probe(train.size(), shard_world, 0,
                                        config_.batch_per_worker, config_.seed);
   steps_per_epoch_ = probe.steps_per_epoch();
-  // Resolve once so the rebuild after the first iteration uses the same cap.
-  config_.bucket_cap_bytes = comm::resolve_bucket_cap(
-      config_.bucket_cap_bytes, replicas_[0].workload->params());
-  comm::BucketManager mgr(replicas_[0].workload->params(),
-                          config_.bucket_cap_bytes);
-  layout_ = mgr.initial_layout();
+  const auto& params0 = replicas_[0].workload->params();
+  sync_.emplace(params0, config_.bucket_cap_bytes, replicas_.size(),
+                config_.overlap_comm, config_.rebuild_buckets);
   plan_ = make_plan(static_cast<int>(config_.world_size),
-                    config_.shard_degree, replicas_[0].workload->params(),
-                    config_.plan_chunks);
+                    config_.shard_degree, params0);
   rebuild_shard_maps();
   if (config_.resilient_comm) {
-    transport_ = std::make_unique<comm::SimTransport>(
-        static_cast<int>(config_.world_size), config_.transport,
-        config_.comm_faults);
-    monitor_ = std::make_unique<comm::MembershipMonitor>(
-        static_cast<int>(config_.world_size), config_.transport);
+    // Identity mapping: one transport rank per physical rank.  The fixed
+    // world cannot shrink, and a sharded plan must roll back and reshard.
+    sync_->reset_fabric(static_cast<int>(config_.world_size),
+                        config_.transport, config_.resilient, {},
+                        config_.comm_faults);
   }
 }
 
+Trainer::Replica& Trainer::replica(std::int64_t rank) {
+  ES_CHECK(rank >= 0 && rank < config_.world_size,
+           "rank " << rank << " out of range [0, " << config_.world_size
+                   << ")");
+  return replicas_[static_cast<std::size_t>(rank)];
+}
+
 void Trainer::rebuild_shard_maps() {
-  auto& params0 = replicas_[0].workload->params();
-  owned_slices_.assign(replicas_.size(), {});
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    owned_slices_[r] =
-        plan_.sharded()
-            ? slices_for_shard(plan_, params0,
-                               plan_.shard_index(static_cast<int>(r)))
-            : optim::full_slices(params0);
+  if (!plan_.sharded()) {
+    sync_->set_shards({}, GatherMap{});
+    return;
   }
-  gather_map_ = plan_.sharded() ? gather_map(plan_, params0) : GatherMap{};
+  auto& params0 = replicas_[0].workload->params();
+  std::vector<comm::ShardSlices> owned(replicas_.size());
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    owned[r] = slices_for_shard(plan_, params0,
+                                plan_.shard_index(static_cast<int>(r)));
+  }
+  sync_->set_shards(std::move(owned), gather_map(plan_, params0));
 }
 
 void Trainer::inject_comm_fault(const comm::CommFaultEvent& event) {
   ES_CHECK(config_.resilient_comm,
            "inject_comm_fault requires resilient_comm = true");
-  transport_->inject(event);
+  sync_->inject_fault(event);
 }
 
 const comm::TransportStats& Trainer::transport_stats() const {
-  ES_CHECK(transport_ != nullptr, "resilient comm not configured");
-  return transport_->stats();
+  return sync_->transport_stats();
 }
 
 void Trainer::optimize_and_publish() {
@@ -107,278 +110,105 @@ void Trainer::optimize_and_publish() {
   // update is elementwise, so owned elements get the identical bits a full
   // step would produce (optim/optimizer.hpp).
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    replicas_[r].optimizer->step_slices(owned_slices_[r]);
+    replicas_[r].optimizer->step_slices(sync_->owned_slices(r));
   }
   // Publish: all-gather the owner-updated parameter chunks into every
   // replica (pure data movement from canonical owners).
   std::vector<autograd::ParameterStore*> stores;
   stores.reserve(replicas_.size());
   for (auto& rep : replicas_) stores.push_back(&rep.workload->params());
-  if (config_.resilient_comm) {
-    comm::ResilientConfig rcfg = config_.resilient;
-    rcfg.on_death = comm::DeathPolicy::kAbort;
-    const comm::CollectiveReport piece = comm::resilient_all_gather_params(
-        stores, gather_map_.slices, gather_map_.source_of_slice, *transport_,
-        *monitor_, rcfg);
-    comm::CollectiveReport total =
-        last_comm_report_.value_or(comm::CollectiveReport{});
-    comm::merge_collective_report(total, piece);
-    last_comm_report_ = std::move(total);
-  } else {
-    comm::all_gather_params(stores, gather_map_.slices,
-                            gather_map_.source_of_slice);
-  }
+  sync_->all_gather(stores);
 }
 
 void Trainer::one_step() {
-  // The overlapped path needs per-parameter contribution counts, which a
-  // sequential step records first — exactly DDP's unoverlapped first
-  // iteration (which it spends observing ready order anyway).
-  const bool need_counts = config_.overlap_comm && contrib_counts_.empty();
-  if (config_.overlap_comm && !need_counts) {
-    one_step_overlapped();
-    return;
-  }
-  autograd::GradReadyRecorder recorder;
-  float last_loss = 0.0f;
-  auto run_rank = [&](std::int64_t r) {
-    Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    rep.workload->params().zero_grads();
-    autograd::StepContext ctx;
-    ctx.exec = &rep.exec;
-    ctx.rng = &rep.streams;
-    ctx.training = true;
-    // Stock DDP observes ready order on the first iteration to rebuild the
-    // bucket mapping; rank 0's order is representative (identical graphs).
-    if (r == 0 && ((config_.rebuild_buckets && !rebuilt_) || need_counts)) {
-      recorder.begin(rep.workload->params().size());
-      ctx.grad_ready = &recorder;
-    }
-    const data::Batch batch = rep.pipeline->next();
-    const float loss = rep.workload->train_step(ctx, batch);
-    if (r == config_.world_size - 1) last_loss = loss;
-  };
-  if (config_.parallel_workers && config_.world_size > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.world_size));
-    for (std::int64_t r = 0; r < config_.world_size; ++r) {
-      threads.emplace_back([&run_rank, r] { run_rank(r); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::int64_t r = 0; r < config_.world_size; ++r) run_rank(r);
-  }
-  // Gradient synchronization over the physical world: bucketed ring
-  // all-reduce when replicated, reduce-scatter (same reduction bits, owned
-  // elements only) when sharded.
-  std::vector<comm::GradientSet> sets;
-  sets.reserve(replicas_.size());
-  for (auto& rep : replicas_) {
-    sets.push_back(comm::GradientSet::from_store(rep.workload->params()));
-  }
-  if (config_.logical_world > 0) {
-    // Detect-before-publish: vote on per-bucket digests, reduce over one
-    // majority representative per logical rank, broadcast into every
-    // store.  Throws core::IntegrityError on a lost vote — BEFORE any
-    // corrupted gradient reaches the optimizer.
-    vote_and_reduce(sets);
-  } else {
-    std::vector<comm::GradientSet*> parts;
-    parts.reserve(sets.size());
-    for (auto& s : sets) parts.push_back(&s);
-    if (config_.resilient_comm) {
-      // Identity mapping: one transport rank per physical rank.  A
-      // condemned rank aborts training (kAbort): the fixed world cannot
-      // shrink, and a sharded plan must roll back and reshard.
-      comm::ResilientConfig rcfg = config_.resilient;
-      rcfg.on_death = comm::DeathPolicy::kAbort;
-      last_comm_report_ =
-          plan_.sharded()
-              ? comm::resilient_reduce_scatter_average(
-                    layout_, parts, owned_slices_, *transport_, *monitor_,
-                    rcfg)
-              : comm::resilient_allreduce_average(layout_, parts, *transport_,
-                                                  *monitor_, rcfg);
-    } else if (plan_.sharded()) {
-      comm::reduce_scatter_average(layout_, parts, owned_slices_);
-    } else {
-      comm::allreduce_average(layout_, parts);
-    }
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      sets[r].to_store(replicas_[r].workload->params());
-    }
-  }
-  optimize_and_publish();
-  if (config_.rebuild_buckets && !rebuilt_) {
-    comm::BucketManager mgr(replicas_[0].workload->params(),
-                            config_.bucket_cap_bytes);
-    layout_ = mgr.layout_from_ready_order(recorder.order());
-    rebuilt_ = true;
-  }
-  if (need_counts) contrib_counts_ = recorder.counts();
-  losses_.push_back(last_loss);
-  ++global_step_;
-}
-
-void Trainer::one_step_overlapped() {
-  if (engine_ == nullptr) {
-    engine_ = std::make_unique<comm::AsyncCollectiveEngine>(config_.async_comm);
-  }
-  const std::size_t num_buckets = layout_.num_buckets();
-  // One gradient set per rank, kept across steps; each rank's flush copies
-  // a finished bucket's gradients in ("D2H") before publishing it, and
-  // finish() flushes every bucket, so no stale gradient survives a step.
-  if (overlap_sets_.empty()) {
-    overlap_sets_.reserve(replicas_.size());
-    for (auto& rep : replicas_) {
-      overlap_sets_.push_back(
-          comm::GradientSet::zeros_like(rep.workload->params()));
-    }
-  }
-  std::vector<comm::GradientSet>& sets = overlap_sets_;
-  std::vector<comm::GradientSet*> parts;
-  parts.reserve(sets.size());
-  for (auto& s : sets) parts.push_back(&s);
-  // Owner-side validation once per step; the per-bucket jobs then run with
-  // validation skipped (see resilient_allreduce_average for why).
-  if (plan_.sharded()) {
-    comm::validate_reduce_scatter_inputs(layout_, parts, owned_slices_);
-  } else {
-    comm::validate_allreduce_inputs(layout_, parts);
-  }
-
-  // Job-side state: touched only by the engine's one executor at a time
-  // (the comm slot or the draining caller) until drain() returns.
-  comm::CollectiveReport step_report;
+  // Detect-before-publish voting replaces the collective: it reduces over
+  // one majority representative per logical rank and throws
+  // core::IntegrityError on a lost vote — BEFORE any corrupted gradient
+  // reaches the optimizer.
+  const bool voting = config_.logical_world > 0;
   VoteReport vote_report;
-  auto job = [&](std::size_t b) -> double {
-    if (config_.logical_world > 0) {
-      vote_and_reduce_bucket(b, sets, vote_report);
-      return 0.0;
-    }
-    if (config_.resilient_comm) {
-      comm::ResilientConfig rcfg = config_.resilient;
-      rcfg.on_death = comm::DeathPolicy::kAbort;
-      const std::vector<std::size_t> ids{b};
-      const comm::CollectiveReport piece =
-          plan_.sharded()
-              ? comm::resilient_reduce_scatter_average(
-                    layout_, parts, owned_slices_, *transport_, *monitor_,
-                    rcfg, nullptr, &ids)
-              : comm::resilient_allreduce_average(layout_, parts, *transport_,
-                                                  *monitor_, rcfg, nullptr,
-                                                  &ids);
-      comm::merge_collective_report(step_report, piece);
-      return piece.virtual_time_s;
-    }
-    if (plan_.sharded()) {
-      comm::reduce_scatter_average_bucket(layout_, b, parts, owned_slices_);
-    } else {
-      comm::allreduce_average_bucket(layout_, b, parts);
-    }
-    return 0.0;
-  };
-
-  comm::OverlapCoordinator coordinator(
-      num_buckets, static_cast<int>(replicas_.size()), *engine_);
-  engine_->begin_step(job);
+  GradSync::Reduction vote;
+  if (voting) {
+    vote = [this, &vote_report](const std::vector<std::size_t>* bucket_ids) {
+      vote_and_reduce(bucket_ids, vote_report);
+    };
+  }
+  sync_->begin_step(/*allow_overlap=*/true, std::move(vote));
   float last_loss = 0.0f;
-  auto run_rank = [&](std::int64_t r) {
-    Replica& rep = replicas_[static_cast<std::size_t>(r)];
-    rep.workload->params().zero_grads();
-    comm::BucketReadyTracker tracker(
-        layout_, contrib_counts_, [&, r](std::size_t b) {
-          auto& store =
-              replicas_[static_cast<std::size_t>(r)].workload->params();
-          auto& set = sets[static_cast<std::size_t>(r)];
-          for (const int pid : layout_.buckets[b]) {
-            set.grads[static_cast<std::size_t>(pid)] =
-                store.all()[static_cast<std::size_t>(pid)]->grad;
-          }
-          coordinator.publish(b);
-        });
+  auto run_rank = [&](std::size_t r) {
+    Replica& rep = replicas_[r];
+    auto& store = rep.workload->params();
+    store.zero_grads();
     autograd::StepContext ctx;
     ctx.exec = &rep.exec;
     ctx.rng = &rep.streams;
     ctx.training = true;
-    ctx.ready_sink = &tracker;
+    sync_->attach(r, store, ctx);
     const data::Batch batch = rep.pipeline->next();
     const float loss = rep.workload->train_step(ctx, batch);
-    tracker.finish();
-    if (r == config_.world_size - 1) last_loss = loss;
+    sync_->collect(r, store);
+    if (r + 1 == replicas_.size()) last_loss = loss;
   };
-  if (config_.parallel_workers && config_.world_size > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.world_size));
-    for (std::int64_t r = 0; r < config_.world_size; ++r) {
-      threads.emplace_back([&run_rank, r] { run_rank(r); });
-    }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::int64_t r = 0; r < config_.world_size; ++r) run_rank(r);
+  run_each(replicas_.size(), config_.parallel_workers, run_rank);
+  // Bucketed ring all-reduce when replicated, reduce-scatter (same
+  // reduction bits, owned elements only) when sharded.
+  sync_->reduce();
+  // After a clean vote rank 0 is logical rank 0's representative and holds
+  // the full average: publish it everywhere.
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    sync_->part(voting ? 0 : r).to_store(replicas_[r].workload->params());
   }
-  // drain() rethrows any job failure (IntegrityError, RankDeathError,
-  // CollectiveAbortedError) exactly like the sequential sync would.
-  const comm::OverlapStats stats = engine_->drain();
-  last_overlap_stats_ = stats;
-  if (config_.logical_world > 0) {
-    // Every bucket's group-0 representative is rank 0 on a clean step, so
-    // sets[0] holds the full averaged result — publish it everywhere,
-    // matching the sequential path bit for bit.
-    last_vote_report_ = std::move(vote_report);
-    for (auto& rep : replicas_) sets[0].to_store(rep.workload->params());
-  } else {
-    if (config_.resilient_comm) {
-      step_report.overlap_frac = stats.overlap_frac;
-      last_comm_report_ = std::move(step_report);
-    }
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      sets[r].to_store(replicas_[r].workload->params());
-    }
-  }
+  if (voting) last_vote_report_ = std::move(vote_report);
   optimize_and_publish();
+  sync_->end_step(replicas_[0].workload->params());
   losses_.push_back(last_loss);
   ++global_step_;
 }
 
 void Trainer::set_post_op_hook(std::int64_t rank, kernels::PostOpHook* hook) {
-  ES_CHECK(rank >= 0 && rank < config_.world_size,
-           "hook rank " << rank << " out of range");
-  replicas_[static_cast<std::size_t>(rank)].exec.post_op = hook;
+  replica(rank).exec.post_op = hook;
 }
 
-void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
+void Trainer::vote_and_reduce(const std::vector<std::size_t>* bucket_ids,
+                              VoteReport& report) {
   const std::int64_t logical = config_.logical_world;
-  VoteReport report;
+  const comm::BucketLayout& layout = sync_->layout();
+  const std::size_t num_buckets =
+      bucket_ids != nullptr ? bucket_ids->size() : layout.num_buckets();
+  auto bucket_at = [&](std::size_t i) {
+    return bucket_ids != nullptr ? (*bucket_ids)[i] : i;
+  };
   // Per-rank, per-bucket digests over the raw gradient bit patterns, in
   // the layout's reduction order.
-  std::vector<std::vector<std::uint64_t>> digests(sets.size());
-  for (std::size_t r = 0; r < sets.size(); ++r) {
-    digests[r].reserve(layout_.num_buckets());
-    for (const auto& bucket : layout_.buckets) {
+  std::vector<std::vector<std::uint64_t>> digests(replicas_.size());
+  for (std::size_t r = 0; r < replicas_.size(); ++r) {
+    digests[r].reserve(num_buckets);
+    for (std::size_t i = 0; i < num_buckets; ++i) {
       Digest d;
-      for (const int pid : bucket) {
+      for (const int pid : layout.buckets[bucket_at(i)]) {
         d.update(std::span<const float>(
-            sets[r].grads[static_cast<std::size_t>(pid)].data()));
+            sync_->part(r).grads[static_cast<std::size_t>(pid)].data()));
       }
       digests[r].push_back(d.value());
     }
   }
-  report.buckets_checked = static_cast<std::int64_t>(
-      sets.size() * layout_.num_buckets());
-  // Ship every non-collector rank's digest vector to rank 0 over the
-  // fabric when one exists.  The per-chunk checksum turns length-
-  // preserving in-flight corruption into a visible kCorrupt, and this
-  // control plane simply retransmits (bounded; the simulated sender still
-  // holds ground truth, so a persistent fabric failure degrades to the
-  // local copy rather than a wrong vote).
-  if (transport_ != nullptr) {
+  report.buckets_checked +=
+      static_cast<std::int64_t>(replicas_.size() * num_buckets);
+  // A whole-layout vote ships every non-collector rank's digest vector to
+  // rank 0 over the fabric when one exists; an overlapped bucket's vote
+  // keeps them local.  The per-chunk checksum turns length-preserving
+  // in-flight corruption into a visible kCorrupt, and this control plane
+  // simply retransmits (bounded; the simulated sender still holds ground
+  // truth, so a persistent fabric failure degrades to the local copy
+  // rather than a wrong vote).
+  comm::SimTransport* fabric = sync_->transport();
+  if (bucket_ids == nullptr && fabric != nullptr) {
     for (std::int64_t r = 1; r < config_.world_size; ++r) {
       ByteWriter w;
       w.write_vector(digests[static_cast<std::size_t>(r)]);
       const std::vector<std::uint8_t> payload = w.take();
       for (int attempt = 0; attempt < 4; ++attempt) {
-        auto d = transport_->send_payload(static_cast<int>(r), 0, payload);
+        auto d = fabric->send_payload(static_cast<int>(r), 0, payload);
         report.digest_bytes_exchanged +=
             static_cast<std::int64_t>(payload.size());
         if (d.status == comm::DeliveryStatus::kDelivered) {
@@ -396,18 +226,17 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
   // representative is the lowest rank agreeing with the majority digest on
   // every bucket; dissenters are corrupt.  A 1-1 split has no majority —
   // both members are reported (detection without attribution).
-  std::vector<comm::GradientSet*> parts;
-  parts.reserve(static_cast<std::size_t>(logical));
+  std::vector<comm::GradientSet*> representatives;
+  representatives.reserve(static_cast<std::size_t>(logical));
   for (std::int64_t l = 0; l < logical; ++l) {
     std::vector<std::int64_t> group;
     for (std::int64_t r = l; r < config_.world_size; r += logical) {
       group.push_back(r);
     }
-    std::int64_t representative = -1;
-    for (std::size_t b = 0; b < layout_.num_buckets(); ++b) {
+    for (std::size_t i = 0; i < num_buckets; ++i) {
       std::map<std::uint64_t, std::int64_t> votes;
       for (const std::int64_t r : group) {
-        ++votes[digests[static_cast<std::size_t>(r)][b]];
+        ++votes[digests[static_cast<std::size_t>(r)][i]];
       }
       if (votes.size() <= 1) continue;  // unanimous bucket
       std::uint64_t majority = 0;
@@ -423,150 +252,71 @@ void Trainer::vote_and_reduce(std::vector<comm::GradientSet>& sets) {
         }
       }
       for (const std::int64_t r : group) {
-        const bool guilty =
-            tied || digests[static_cast<std::size_t>(r)][b] != majority;
-        if (guilty) report.corrupt_ranks.push_back(r);
-      }
-    }
-    std::sort(report.corrupt_ranks.begin(), report.corrupt_ranks.end());
-    report.corrupt_ranks.erase(
-        std::unique(report.corrupt_ranks.begin(), report.corrupt_ranks.end()),
-        report.corrupt_ranks.end());
-    for (const std::int64_t r : group) {
-      const bool clean =
-          std::find(report.corrupt_ranks.begin(), report.corrupt_ranks.end(),
-                    r) == report.corrupt_ranks.end();
-      if (clean) {
-        representative = r;
-        break;
-      }
-    }
-    if (representative >= 0) {
-      parts.push_back(&sets[static_cast<std::size_t>(representative)]);
-    }
-  }
-  if (!report.corrupt_ranks.empty() ||
-      static_cast<std::int64_t>(parts.size()) != logical) {
-    const std::int64_t first =
-        report.corrupt_ranks.empty() ? -1 : report.corrupt_ranks.front();
-    std::ostringstream os;
-    os << "gradient digest vote failed at step " << global_step_ << ":";
-    for (const std::int64_t r : report.corrupt_ranks) os << " rank" << r;
-    last_vote_report_ = std::move(report);
-    throw core::IntegrityError(first, first >= 0 ? first % logical : -1,
-                               global_step_, os.str());
-  }
-  // Reduce over the representatives only: bitwise equal to a clean DDP run
-  // at world_size = logical_world.  All representatives end up with the
-  // identical average; publish the first into every replica's store.
-  comm::allreduce_average(layout_, parts);
-  for (auto& rep : replicas_) {
-    parts[0]->to_store(rep.workload->params());
-  }
-  last_vote_report_ = std::move(report);
-}
-
-void Trainer::vote_and_reduce_bucket(std::size_t b,
-                                     std::vector<comm::GradientSet>& sets,
-                                     VoteReport& report) {
-  const std::int64_t logical = config_.logical_world;
-  // Per-rank digest of this bucket's raw gradient bit patterns.
-  std::vector<std::uint64_t> digests(sets.size());
-  for (std::size_t r = 0; r < sets.size(); ++r) {
-    Digest d;
-    for (const int pid : layout_.buckets[b]) {
-      d.update(std::span<const float>(
-          sets[r].grads[static_cast<std::size_t>(pid)].data()));
-    }
-    digests[r] = d.value();
-  }
-  report.buckets_checked += static_cast<std::int64_t>(sets.size());
-  std::vector<comm::GradientSet*> representatives;
-  representatives.reserve(static_cast<std::size_t>(logical));
-  for (std::int64_t l = 0; l < logical; ++l) {
-    std::vector<std::int64_t> group;
-    for (std::int64_t r = l; r < config_.world_size; r += logical) {
-      group.push_back(r);
-    }
-    std::map<std::uint64_t, std::int64_t> votes;
-    for (const std::int64_t r : group) {
-      ++votes[digests[static_cast<std::size_t>(r)]];
-    }
-    if (votes.size() > 1) {
-      std::uint64_t majority = 0;
-      std::int64_t best = 0;
-      bool tied = false;
-      for (const auto& [digest, count] : votes) {
-        if (count > best) {
-          best = count;
-          majority = digest;
-          tied = false;
-        } else if (count == best) {
-          tied = true;
-        }
-      }
-      for (const std::int64_t r : group) {
-        if (tied || digests[static_cast<std::size_t>(r)] != majority) {
+        if (tied || digests[static_cast<std::size_t>(r)][i] != majority) {
           report.corrupt_ranks.push_back(r);
         }
       }
     }
-    std::int64_t representative = -1;
-    for (const std::int64_t r : group) {
-      if (std::find(report.corrupt_ranks.begin(), report.corrupt_ranks.end(),
-                    r) == report.corrupt_ranks.end()) {
-        representative = r;
-        break;
-      }
-    }
-    if (representative >= 0) {
-      representatives.push_back(&sets[static_cast<std::size_t>(representative)]);
-    }
-  }
-  if (!report.corrupt_ranks.empty() ||
-      static_cast<std::int64_t>(representatives.size()) != logical) {
     std::sort(report.corrupt_ranks.begin(), report.corrupt_ranks.end());
     report.corrupt_ranks.erase(
         std::unique(report.corrupt_ranks.begin(), report.corrupt_ranks.end()),
         report.corrupt_ranks.end());
+    for (const std::int64_t r : group) {
+      if (!std::binary_search(report.corrupt_ranks.begin(),
+                              report.corrupt_ranks.end(), r)) {
+        representatives.push_back(&sync_->part(static_cast<std::size_t>(r)));
+        break;
+      }
+    }
+  }
+  if (!report.corrupt_ranks.empty() ||
+      static_cast<std::int64_t>(representatives.size()) != logical) {
     const std::int64_t first =
         report.corrupt_ranks.empty() ? -1 : report.corrupt_ranks.front();
     std::ostringstream os;
-    os << "gradient digest vote failed at step " << global_step_ << " (bucket "
-       << b << ", overlapped flush):";
+    os << "gradient digest vote failed at step " << global_step_;
+    if (bucket_ids != nullptr) {
+      os << " (bucket " << bucket_at(0) << ", overlapped flush)";
+    }
+    os << ":";
     for (const std::int64_t r : report.corrupt_ranks) os << " rank" << r;
-    // Publish the report before the throw unwinds through drain(): the
-    // detect-before-publish contract is visible even on a failed step.
+    // Publish the report before the throw (it may unwind through the
+    // pipeline's drain()): detect-before-publish is visible on a failed
+    // step too.
     last_vote_report_ = report;
     throw core::IntegrityError(first, first >= 0 ? first % logical : -1,
                                global_step_, os.str());
   }
-  // On a clean bucket the representatives are ranks 0..logical-1, the same
-  // parts (and ring association) the sequential vote reduces over.
-  comm::allreduce_average_bucket(layout_, b, representatives);
+  // Reduce over the representatives only: bitwise equal to a clean DDP run
+  // at world_size = logical_world.  On a clean step they are ranks
+  // 0..logical-1, so every bucket reduces the same parts in the same ring
+  // association, overlapped or not.
+  sync_->reduce_subset(representatives, bucket_ids);
+}
+
+void Trainer::copy_chunk_state(const Plan& plan, std::size_t chunk,
+                               std::size_t src, std::size_t dst) {
+  const auto& params0 = replicas_[0].workload->params();
+  auto src_state = replicas_[src].optimizer->state_tensors();
+  auto dst_state = replicas_[dst].optimizer->state_tensors();
+  for (const auto& s : slices_for_chunk(plan, params0, chunk)) {
+    // State tensor t shadows parameter t % num_params (SGD: momentum per
+    // param; Adam: m then v per param — optim/*.hpp state order).
+    for (std::size_t t = 0; t < src_state.size(); ++t) {
+      if (t % params0.size() != s.param) continue;
+      std::copy(src_state[t]->data().begin() + s.begin,
+                src_state[t]->data().begin() + s.end,
+                dst_state[t]->data().begin() + s.begin);
+    }
+  }
 }
 
 void Trainer::gather_canonical_state_into(const Plan& from, std::int64_t dst) {
   if (!from.sharded()) return;  // every rank already holds full state
-  auto& params0 = replicas_[0].workload->params();
-  const std::size_t num_params = params0.size();
-  auto dst_state =
-      replicas_[static_cast<std::size_t>(dst)].optimizer->state_tensors();
   for (std::size_t c = 0; c < from.chunks.size(); ++c) {
-    const auto src_rank = static_cast<std::size_t>(from.canonical_rank(c));
-    if (static_cast<std::int64_t>(src_rank) == dst) continue;
-    auto src_state = replicas_[src_rank].optimizer->state_tensors();
-    const auto slices = slices_for_chunk(from, params0, c);
-    for (const auto& s : slices) {
-      // State tensor t shadows parameter t % num_params (SGD: momentum per
-      // param; Adam: m then v per param — optim/*.hpp state order).
-      for (std::size_t t = 0; t < src_state.size(); ++t) {
-        if (t % num_params != s.param) continue;
-        std::copy(src_state[t]->data().begin() + s.begin,
-                  src_state[t]->data().begin() + s.end,
-                  dst_state[t]->data().begin() + s.begin);
-      }
-    }
+    const auto src = static_cast<std::size_t>(from.canonical_rank(c));
+    if (static_cast<std::int64_t>(src) == dst) continue;
+    copy_chunk_state(from, c, src, static_cast<std::size_t>(dst));
   }
 }
 
@@ -577,30 +327,19 @@ void Trainer::reshard(int new_shard_degree) {
   auto& params0 = replicas_[0].workload->params();
   const Plan new_plan =
       make_plan(static_cast<int>(config_.world_size), new_shard_degree,
-                params0, config_.plan_chunks);
+                params0);
   ES_CHECK(new_plan.chunks == plan_.chunks,
            "plan chunk bounds must stay fixed across reshard");
   // Redistribute optimizer-state chunks: every chunk travels from its old
   // canonical owner to each rank whose NEW shard owns it.  No state is
   // split or re-summed — ownership is the only thing that changes, which
   // is why the continued trajectory is bitwise unchanged.
-  const std::size_t num_params = params0.size();
   for (std::size_t c = 0; c < plan_.chunks.size(); ++c) {
-    const auto src_rank = static_cast<std::size_t>(plan_.canonical_rank(c));
-    auto src_state = replicas_[src_rank].optimizer->state_tensors();
-    const auto slices = slices_for_chunk(plan_, params0, c);
-    const int new_owner = new_plan.chunk_owner(c);
+    const auto src = static_cast<std::size_t>(plan_.canonical_rank(c));
     for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      if (r == src_rank) continue;
-      if (new_plan.shard_index(static_cast<int>(r)) != new_owner) continue;
-      auto dst_state = replicas_[r].optimizer->state_tensors();
-      for (const auto& s : slices) {
-        for (std::size_t t = 0; t < src_state.size(); ++t) {
-          if (t % num_params != s.param) continue;
-          std::copy(src_state[t]->data().begin() + s.begin,
-                    src_state[t]->data().begin() + s.end,
-                    dst_state[t]->data().begin() + s.begin);
-        }
+      if (r != src && new_plan.shard_index(static_cast<int>(r)) ==
+                          new_plan.chunk_owner(c)) {
+        copy_chunk_state(plan_, c, src, r);
       }
     }
   }
@@ -641,9 +380,9 @@ void Trainer::build_checkpoint_image(std::vector<std::uint8_t>* payload,
   w.write_string(config_.workload);
   w.write(config_.world_size);
   w.write(global_step_);
-  w.write(rebuilt_);
-  layout_.save(w);
-  w.write_vector(contrib_counts_);
+  w.write(sync_->rebuilt());
+  sync_->layout().save(w);
+  w.write_vector(sync_->contrib_counts());
   params0.save_values(w);
   replicas_[0].optimizer->save(w);
   replicas_[0].scheduler->save(w);
@@ -738,7 +477,7 @@ void Trainer::apply_checkpoint_image(const std::vector<std::uint8_t>& bytes,
            "checkpoint chunk count " << meta.chunk_begin.size()
                                      << " != plan chunk count "
                                      << plan_.chunks.size()
-                                     << " (plan_chunks must match)");
+                                     << " (" << what << ")");
   for (std::size_t c = 0; c < plan_.chunks.size(); ++c) {
     ES_CHECK(meta.chunk_begin[c] == plan_.chunks[c].begin &&
                  meta.chunk_end[c] == plan_.chunks[c].end,
@@ -752,9 +491,9 @@ void Trainer::apply_checkpoint_image(const std::vector<std::uint8_t>& bytes,
   const auto world = r.read<std::int64_t>();
   ES_CHECK(world == config_.world_size, "checkpoint payload world mismatch");
   global_step_ = r.read<std::int64_t>();
-  rebuilt_ = r.read<bool>();
-  layout_ = comm::BucketLayout::load(r);
-  contrib_counts_ = r.read_vector<int>();
+  const bool rebuilt = r.read<bool>();
+  sync_->set_layout(comm::BucketLayout::load(r), rebuilt);
+  sync_->set_contrib_counts(r.read_vector<int>());
   // Canonical parameters into rank 0, then replicate (parameters are
   // replicated under every plan).
   auto& params0 = replicas_[0].workload->params();

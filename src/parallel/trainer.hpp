@@ -22,17 +22,13 @@
 #include <optional>
 #include <vector>
 
-#include "comm/allreduce.hpp"
-#include "comm/async_allreduce.hpp"
-#include "comm/bucket.hpp"
-#include "comm/resilient.hpp"
-#include "comm/shard.hpp"
 #include "core/checkpoint_io.hpp"
 #include "data/pipeline.hpp"
 #include "kernels/exec_context.hpp"
 #include "models/workload.hpp"
 #include "optim/optimizer.hpp"
 #include "optim/sgd.hpp"
+#include "parallel/grad_sync.hpp"
 #include "parallel/plan.hpp"
 
 namespace easyscale::parallel {
@@ -78,14 +74,9 @@ struct TrainerConfig {
   /// the sequential path, including when sharded (the per-bucket
   /// reduce-scatter is subset-aware like the all-reduce).
   bool overlap_comm = false;
-  comm::AsyncConfig async_comm;
   /// Optimizer-state shard degree: 1 = replicated (stock DDP), > 1 =
-  /// ZeRO-1 sharding.  Must divide world_size and be <= plan_chunks.
+  /// ZeRO-1 sharding.  Must divide world_size and be <= kDefaultPlanChunks.
   int shard_degree = 1;
-  /// Chunk count of the plan's fixed partition over the flattened
-  /// parameter space.  A pure function of the parameter count partitions
-  /// the same way at every shard_degree — do not change mid-job.
-  int plan_chunks = kDefaultPlanChunks;
 };
 
 /// Outcome of one gradient-digest vote (logical_world > 0 only).
@@ -119,7 +110,7 @@ class Trainer {
 
   /// Rank-0 replica (e.g. for evaluation).
   [[nodiscard]] models::Workload& model(std::int64_t rank = 0) {
-    return *replicas_[static_cast<std::size_t>(rank)].workload;
+    return *replica(rank).workload;
   }
 
   [[nodiscard]] std::int64_t steps_per_epoch() const {
@@ -127,10 +118,10 @@ class Trainer {
   }
   [[nodiscard]] std::int64_t global_step() const { return global_step_; }
   [[nodiscard]] const comm::BucketLayout& current_layout() const {
-    return layout_;
+    return sync_->layout();
   }
   [[nodiscard]] optim::StepLR& scheduler(std::int64_t rank = 0) {
-    return *replicas_[static_cast<std::size_t>(rank)].scheduler;
+    return *replica(rank).scheduler;
   }
 
   /// Set the LR-schedule epoch on every rank (elastic baselines restart
@@ -187,7 +178,7 @@ class Trainer {
   /// Report of the most recent resilient gradient sync.
   [[nodiscard]] const std::optional<comm::CollectiveReport>&
   last_comm_report() const {
-    return last_comm_report_;
+    return sync_->last_comm_report();
   }
 
   [[nodiscard]] const comm::TransportStats& transport_stats() const;
@@ -208,7 +199,7 @@ class Trainer {
   /// the first overlapped step or with overlap_comm = false).
   [[nodiscard]] const std::optional<comm::OverlapStats>&
   last_overlap_stats() const {
-    return last_overlap_stats_;
+    return sync_->last_overlap_stats();
   }
 
  private:
@@ -221,26 +212,26 @@ class Trainer {
     kernels::ExecContext exec;
   };
 
+  /// Bounds-checked access to rank `rank`'s replica.
+  Replica& replica(std::int64_t rank);
   void one_step();
-  /// Pipelined variant of one_step's sync: per-bucket flush jobs on the
-  /// async engine, bitwise identical results.  Requires contrib_counts_.
-  void one_step_overlapped();
-  /// Digest vote + representative reduction (logical_world > 0).  Throws
-  /// core::IntegrityError when a rank loses the vote.
-  void vote_and_reduce(std::vector<comm::GradientSet>& sets);
-  /// Single-bucket vote + representative reduction for the overlap path:
-  /// same group/majority logic as vote_and_reduce restricted to bucket `b`
-  /// (local digests; the overlapped control plane never rides the fabric).
-  void vote_and_reduce_bucket(std::size_t b,
-                              std::vector<comm::GradientSet>& sets,
-                              VoteReport& report);
-  /// Recompute owned_slices_ / gather_map_ from plan_.
+  /// Digest vote + representative reduction (logical_world > 0) over the
+  /// whole layout (`bucket_ids` == nullptr, digests ride the fabric) or
+  /// over one overlapped bucket (digests stay local).  Accumulates into
+  /// `report`; throws core::IntegrityError when a rank loses the vote.
+  void vote_and_reduce(const std::vector<std::size_t>* bucket_ids,
+                       VoteReport& report);
+  /// Hand the sync the reduce-scatter / all-gather maps of plan_.
   void rebuild_shard_maps();
   /// Apply the optimizer update: full step when replicated, owned slices
   /// when sharded, then all-gather the published parameter chunks.
   void optimize_and_publish();
+  /// Copy chunk `chunk`'s optimizer-state slices under `plan` from rank
+  /// `src` into rank `dst`.
+  void copy_chunk_state(const Plan& plan, std::size_t chunk, std::size_t src,
+                        std::size_t dst);
   /// Copy every chunk's optimizer-state slices from its canonical owner
-  /// under `from` into rank `dst` (used by reshard and checkpoint save).
+  /// under `from` into rank `dst` (used by checkpoint save).
   void gather_canonical_state_into(const Plan& from, std::int64_t dst);
   /// Serialize the canonical payload, per-tensor chain and shard frame
   /// (the pieces both the file writer and checkpoint_bytes frame).
@@ -256,23 +247,9 @@ class Trainer {
   TrainerConfig config_;
   std::vector<Replica> replicas_;
   Plan plan_;
-  /// Per rank: the flattened-space slices its shard owns (empty lists at
-  /// shard_degree == 1 are replaced by full coverage — see ctor).
-  std::vector<comm::ShardSlices> owned_slices_;
-  GatherMap gather_map_;
-  std::unique_ptr<comm::SimTransport> transport_;
-  std::unique_ptr<comm::MembershipMonitor> monitor_;
-  std::optional<comm::CollectiveReport> last_comm_report_;
+  /// Gradient sync over one participant per rank (identity fabric).
+  std::optional<GradSync> sync_;
   std::optional<VoteReport> last_vote_report_;
-  std::optional<comm::OverlapStats> last_overlap_stats_;
-  std::unique_ptr<comm::AsyncCollectiveEngine> engine_;
-  /// Per-rank overlap flush buffers, built on the first overlapped step.
-  std::vector<comm::GradientSet> overlap_sets_;
-  /// Per-parameter gradient contribution counts from the recorded first
-  /// step; empty until recorded.  Feeds BucketReadyTracker.
-  std::vector<int> contrib_counts_;
-  comm::BucketLayout layout_;
-  bool rebuilt_ = false;
   std::int64_t global_step_ = 0;
   std::int64_t steps_per_epoch_ = 0;
   std::vector<float> losses_;

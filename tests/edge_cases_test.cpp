@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include <set>
+#include <string>
 
 #include "common/log.hpp"
 #include "core/engine.hpp"
@@ -205,6 +206,78 @@ TEST(EdgeEngine, CheckpointBeforeAnyStep) {
   b.restore(ckpt);
   b.run_steps(3);
   EXPECT_EQ(a.params_digest(), b.params_digest());
+}
+
+/// Runs `access` and expects an easyscale::Error whose message names
+/// `index` and the valid range `[0, size)`.
+template <typename Fn>
+void expect_out_of_range(Fn access, std::int64_t index, std::int64_t size) {
+  try {
+    access();
+    FAIL() << "index " << index << " was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(index)), std::string::npos) << what;
+    EXPECT_NE(what.find("[0, " + std::to_string(size) + ")"),
+              std::string::npos)
+        << what;
+  }
+}
+
+core::EasyScaleConfig two_est_neumf() {
+  core::EasyScaleConfig cfg;
+  cfg.workload = "NeuMF";
+  cfg.num_ests = 2;
+  cfg.batch_per_est = 4;
+  cfg.seed = 7;
+  return cfg;
+}
+
+parallel::TrainerConfig two_rank_neumf() {
+  parallel::TrainerConfig cfg;
+  cfg.workload = "NeuMF";
+  cfg.world_size = 2;
+  cfg.batch_per_worker = 4;
+  cfg.seed = 7;
+  return cfg;
+}
+
+TEST(EdgeEngine, ModelForEvalRejectsOutOfRangeEst) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
+  e.configure_workers({core::WorkerSpec{}});
+  for (const std::int64_t est : {-1, 2}) {
+    expect_out_of_range([&] { (void)e.model_for_eval(est); }, est, 2);
+  }
+  EXPECT_NO_THROW((void)e.model_for_eval(1));
+}
+
+TEST(EdgeEngine, WorkerExecRejectsOutOfRangeIndex) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
+  e.configure_workers(std::vector<core::WorkerSpec>(2));
+  for (const std::int64_t i : {-1, 2}) {
+    expect_out_of_range([&] { (void)e.worker_exec(i); }, i, 2);
+  }
+  EXPECT_NO_THROW((void)e.worker_exec(1));
+}
+
+TEST(EdgeTrainer, ModelRejectsOutOfRangeRank) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  parallel::Trainer t(two_rank_neumf(), *wd.train, wd.augment);
+  for (const std::int64_t r : {-1, 2}) {
+    expect_out_of_range([&] { (void)t.model(r); }, r, 2);
+  }
+  EXPECT_NO_THROW((void)t.model(1));
+}
+
+TEST(EdgeTrainer, SchedulerRejectsOutOfRangeRank) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  parallel::Trainer t(two_rank_neumf(), *wd.train, wd.augment);
+  for (const std::int64_t r : {-1, 2}) {
+    expect_out_of_range([&] { (void)t.scheduler(r); }, r, 2);
+  }
+  EXPECT_NO_THROW((void)t.scheduler(1));
 }
 
 TEST(EdgeLog, LevelsFilter) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "comm/transport.hpp"
@@ -375,36 +377,67 @@ TEST(DDPVote, RedundantGroupsMatchPlainDDPBitwise) {
   EXPECT_GT(report->buckets_checked, 0);
 }
 
-TEST(DDPVote, CorruptRankLosesTheVote) {
+/// The vote config with the pipelined flush on or off.  An overlapped
+/// trainer runs its first (recording) step sequentially, so it runs that
+/// step clean before the corruption is armed: the vote under test is then
+/// the per-bucket one.
+std::unique_ptr<parallel::Trainer> voting_trainer(std::int64_t world,
+                                                  std::int64_t logical,
+                                                  bool overlap) {
   auto& wd = shared_data();
-  parallel::Trainer trainer(ddp_config(3, 1), *wd.train, wd.augment);
-  SdcProfile profile;
-  profile.seed = 0xE51;  // arbitrary nonzero pattern seed
-  SdcCorruptor corr(profile);
-  trainer.set_post_op_hook(2, &corr);
-  try {
-    trainer.run_steps(1);
-    FAIL() << "corrupt rank survived the vote";
-  } catch (const core::IntegrityError& e) {
-    EXPECT_EQ(e.worker(), 2);
+  auto cfg = ddp_config(world, logical);
+  cfg.overlap_comm = overlap;
+  auto trainer =
+      std::make_unique<parallel::Trainer>(cfg, *wd.train, wd.augment);
+  if (overlap) trainer->run_steps(1);
+  return trainer;
+}
+
+/// Whether a vote failure was raised by the overlapped per-bucket vote.
+bool raised_by_overlapped_vote(const core::IntegrityError& e) {
+  return std::string(e.what()).find("overlapped flush") != std::string::npos;
+}
+
+TEST(DDPVote, CorruptRankLosesTheVote) {
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "sequential");
+    auto trainer = voting_trainer(3, 1, overlap);
+    SdcProfile profile;
+    profile.seed = 0xE51;  // arbitrary nonzero pattern seed
+    SdcCorruptor corr(profile);
+    trainer->set_post_op_hook(2, &corr);
+    try {
+      trainer->run_steps(1);
+      FAIL() << "corrupt rank survived the vote";
+    } catch (const core::IntegrityError& e) {
+      EXPECT_EQ(e.worker(), 2);
+      EXPECT_EQ(raised_by_overlapped_vote(e), overlap);
+    }
+    const auto& report = trainer->last_vote_report();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->corrupt_ranks, (std::vector<std::int64_t>{2}));
   }
-  const auto& report = trainer.last_vote_report();
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->corrupt_ranks, (std::vector<std::int64_t>{2}));
 }
 
 TEST(DDPVote, TwoWaySplitDetectsWithoutAttribution) {
-  auto& wd = shared_data();
-  parallel::Trainer trainer(ddp_config(2, 1), *wd.train, wd.augment);
-  SdcProfile profile;
-  profile.seed = 0x5117;
-  SdcCorruptor corr(profile);
-  trainer.set_post_op_hook(1, &corr);
-  EXPECT_THROW(trainer.run_steps(1), core::IntegrityError);
-  const auto& report = trainer.last_vote_report();
-  ASSERT_TRUE(report.has_value());
-  // A 1-1 split has no majority: both group members are reported.
-  EXPECT_EQ(report->corrupt_ranks, (std::vector<std::int64_t>{0, 1}));
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "sequential");
+    auto trainer = voting_trainer(2, 1, overlap);
+    SdcProfile profile;
+    profile.seed = 0x5117;
+    SdcCorruptor corr(profile);
+    trainer->set_post_op_hook(1, &corr);
+    try {
+      trainer->run_steps(1);
+      FAIL() << "a 1-1 split passed the vote";
+    } catch (const core::IntegrityError& e) {
+      EXPECT_EQ(raised_by_overlapped_vote(e), overlap);
+    }
+    const auto& report = trainer->last_vote_report();
+    ASSERT_TRUE(report.has_value());
+    // A 1-1 split has no majority: both group members are reported.
+    EXPECT_EQ(report->corrupt_ranks, (std::vector<std::int64_t>{0, 1}));
+  }
 }
 
 TEST(DDPVote, DigestExchangeRidesTheCheckedTransport) {

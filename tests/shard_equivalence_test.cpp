@@ -92,31 +92,52 @@ TEST(ShardEquivalence, OverlappedShardedStepMatchesSequential) {
 TEST(ShardEquivalence, InjectedCommFaultsAreAbsorbedBitwise) {
   const auto [ref_digest, ref_losses] =
       run(config("ResNet18", 1), kSteps);
-  // Degree-2 resilient run with a dropped chunk and a hard stall firing
-  // inside the sharded collectives: abort + bitwise re-execution.
-  auto cfg = config("ResNet18", 2);
-  cfg.resilient_comm = true;
-  comm::CommFaultEvent drop;
-  drop.kind = comm::LinkFaultKind::kDropChunk;
-  drop.collective = 1;
-  drop.rank = 0;
-  comm::CommFaultEvent stall;
-  stall.kind = comm::LinkFaultKind::kStallLink;
-  stall.collective = 4;
-  stall.rank = 2;
-  stall.stall_s = 5.0;  // beyond recv_deadline_s: forces a retry
-  cfg.comm_faults = {drop, stall};
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlapped" : "sequential");
+    // Degree-2 resilient run with a dropped chunk and a hard stall firing
+    // inside the sharded collectives: abort + bitwise re-execution.
+    auto cfg = config("ResNet18", 2);
+    cfg.resilient_comm = true;
+    cfg.overlap_comm = overlap;
+    comm::CommFaultEvent drop;
+    drop.kind = comm::LinkFaultKind::kDropChunk;
+    drop.collective = 1;
+    drop.rank = 0;
+    comm::CommFaultEvent stall;
+    stall.kind = comm::LinkFaultKind::kStallLink;
+    stall.collective = 4;
+    stall.rank = 2;
+    stall.stall_s = 5.0;  // beyond recv_deadline_s: forces a retry
+    if (overlap) {
+      // Collectives 0 and 1 are the sequential recording step's
+      // reduce-scatter and all-gather; collective 2 opens the first
+      // overlapped step's per-bucket reduce-scatters, so both faults
+      // fire inside pipelined bucket jobs.
+      drop.collective = 3;
+      stall.collective = 6;
+    }
+    cfg.comm_faults = {drop, stall};
 
-  auto wd = models::make_dataset_for(cfg.workload, kTrainSize, 32, kSeed);
-  Trainer t(cfg, *wd.train, wd.augment);
-  t.run_steps(kSteps);
-  EXPECT_EQ(t.params_digest(), ref_digest);
-  for (std::size_t i = 0; i < t.loss_history().size(); ++i) {
-    EXPECT_EQ(t.loss_history()[i], ref_losses[i]);
+    auto wd = models::make_dataset_for(cfg.workload, kTrainSize, 32, kSeed);
+    Trainer t(cfg, *wd.train, wd.augment);
+    if (overlap) {
+      t.run_steps(1);
+      ASSERT_EQ(t.transport_stats().collectives, 2);
+      ASSERT_GT(t.current_layout().num_buckets(), 5u);
+      t.run_steps(1);  // both faults fire in this step's bucket jobs
+      EXPECT_GT(t.transport_stats().drops, 0);
+      EXPECT_GT(t.transport_stats().timeouts, 0);
+    }
+    t.run_steps(overlap ? kSteps - 2 : kSteps);
+    EXPECT_EQ(t.params_digest(), ref_digest);
+    for (std::size_t i = 0; i < t.loss_history().size(); ++i) {
+      EXPECT_EQ(t.loss_history()[i], ref_losses[i]);
+    }
+    EXPECT_GT(t.transport_stats().drops, 0);
+    EXPECT_GT(t.transport_stats().timeouts, 0);
+    ASSERT_TRUE(t.last_comm_report().has_value());
+    EXPECT_EQ(t.last_overlap_stats().has_value(), overlap);
   }
-  EXPECT_GT(t.transport_stats().drops, 0);
-  EXPECT_GT(t.transport_stats().timeouts, 0);
-  ASSERT_TRUE(t.last_comm_report().has_value());
 }
 
 TEST(ShardEquivalence, ShardOwnerDeathAbortsLoudly) {
