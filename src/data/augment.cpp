@@ -1,18 +1,21 @@
 #include "data/augment.hpp"
 
-#include <vector>
+#include <utility>
 
 namespace easyscale::data {
 
 namespace {
 
 /// Pad by cfg.crop_pad with zeros, then crop back to the original size at
-/// (dy, dx); flip horizontally when `flip`.
+/// (dy, dx); flip horizontally when `flip`.  Writes every element of
+/// `spare`, then swaps it with the sample's features.
 void crop_flip(const AugmentConfig& cfg, Sample& s, std::int64_t dy,
-               std::int64_t dx, bool flip) {
-  const auto& shape = s.x.shape();
+               std::int64_t dx, bool flip, tensor::Tensor& spare) {
+  const tensor::Shape& shape = s.x.shape();
   const std::int64_t c = shape.dim(0), h = shape.dim(1), w = shape.dim(2);
-  tensor::Tensor out(shape);
+  if (spare.shape() != shape) spare = tensor::Tensor(shape);
+  const float* in = s.x.raw();
+  float* out = spare.raw();
   for (std::int64_t ch = 0; ch < c; ++ch) {
     for (std::int64_t y = 0; y < h; ++y) {
       const std::int64_t sy = y + dy - cfg.crop_pad;
@@ -21,19 +24,19 @@ void crop_flip(const AugmentConfig& cfg, Sample& s, std::int64_t dy,
         const std::int64_t sx = fx + dx - cfg.crop_pad;
         float v = 0.0f;
         if (sy >= 0 && sy < h && sx >= 0 && sx < w) {
-          v = s.x.at((ch * h + sy) * w + sx);
+          v = in[(ch * h + sy) * w + sx];
         }
-        out.at((ch * h + y) * w + x) = v;
+        out[(ch * h + y) * w + x] = v;
       }
     }
   }
-  s.x = std::move(out);
+  std::swap(s.x, spare);
 }
 
 }  // namespace
 
 void augment_image(const AugmentConfig& cfg, rng::StreamSet& streams,
-                   Sample& sample) {
+                   Sample& sample, tensor::Tensor& spare) {
   if (!cfg.enabled || !sample.x.defined() || sample.x.shape().rank() != 3) {
     return;
   }
@@ -43,7 +46,7 @@ void augment_image(const AugmentConfig& cfg, rng::StreamSet& streams,
   const auto range = static_cast<std::uint32_t>(2 * cfg.crop_pad + 1);
   const std::int64_t dy = static_cast<std::int64_t>(np.next_u32() % range);
   const std::int64_t dx = static_cast<std::int64_t>(np.next_u32() % range);
-  crop_flip(cfg, sample, dy, dx, flip);
+  crop_flip(cfg, sample, dy, dx, flip, spare);
 }
 
 void advance_augment_streams(const AugmentConfig& cfg, rng::StreamSet& streams,

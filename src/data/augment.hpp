@@ -21,9 +21,11 @@ struct AugmentConfig {
 constexpr std::int64_t kPythonDrawsPerSample = 1;
 constexpr std::int64_t kNumpyDrawsPerSample = 2;
 
-/// Augment one image sample in place, drawing from `streams`.
+/// Augment one image sample in place, drawing from `streams`.  The crop
+/// writes into `spare` and swaps it with the sample's features, so one
+/// spare passed for every sample of a batch keeps every buffer in use.
 void augment_image(const AugmentConfig& cfg, rng::StreamSet& streams,
-                   Sample& sample);
+                   Sample& sample, tensor::Tensor& spare);
 
 /// Advance `streams` exactly as augmenting `num_samples` samples would.
 void advance_augment_streams(const AugmentConfig& cfg, rng::StreamSet& streams,

@@ -12,9 +12,9 @@ SubsetDataset::SubsetDataset(const Dataset& base, std::int64_t offset,
                       << ") out of range for dataset of size " << base.size());
 }
 
-Sample SubsetDataset::get(std::int64_t index) const {
+void SubsetDataset::fill(std::int64_t index, Sample& sample) const {
   ES_CHECK(index >= 0 && index < size_, "subset index out of range");
-  return base_->get(offset_ + index);
+  base_->fill(offset_ + index, sample);
 }
 
 ConcatDataset::ConcatDataset(std::vector<const Dataset*> parts)
@@ -27,7 +27,7 @@ ConcatDataset::ConcatDataset(std::vector<const Dataset*> parts)
   }
 }
 
-Sample ConcatDataset::get(std::int64_t index) const {
+void ConcatDataset::fill(std::int64_t index, Sample& sample) const {
   ES_CHECK(index >= 0 && index < total_, "concat index out of range");
   // Find the owning part (few parts: linear scan).
   std::size_t part = parts_.size() - 1;
@@ -37,7 +37,7 @@ Sample ConcatDataset::get(std::int64_t index) const {
       break;
     }
   }
-  return parts_[part]->get(index - offsets_[part]);
+  parts_[part]->fill(index - offsets_[part], sample);
 }
 
 }  // namespace easyscale::data

@@ -17,7 +17,7 @@ class SubsetDataset : public Dataset {
   SubsetDataset(const Dataset& base, std::int64_t offset, std::int64_t size);
 
   [[nodiscard]] std::int64_t size() const override { return size_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override {
     return base_->name() + "[subset]";
   }
@@ -34,7 +34,7 @@ class ConcatDataset : public Dataset {
   explicit ConcatDataset(std::vector<const Dataset*> parts);
 
   [[nodiscard]] std::int64_t size() const override { return total_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override { return "concat"; }
 
  private:

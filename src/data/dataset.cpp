@@ -13,6 +13,12 @@ rng::Philox index_gen(std::uint64_t seed, std::int64_t index) {
       rng::derive_stream_key(seed, static_cast<std::uint64_t>(index), 17));
 }
 
+/// Give `x` the shape `shape`, keeping its buffer when the shape already
+/// matches.  The contents are then stale: every caller overwrites them.
+void shape_features(tensor::Tensor& x, const tensor::Shape& shape) {
+  if (x.shape() != shape) x = tensor::Tensor(shape);
+}
+
 }  // namespace
 
 SyntheticImageDataset::SyntheticImageDataset(std::int64_t n,
@@ -34,17 +40,19 @@ SyntheticImageDataset::SyntheticImageDataset(std::int64_t n,
   rng::fill_normal(gen, prototypes_.data(), 0.0f, 1.0f);
 }
 
-Sample SyntheticImageDataset::get(std::int64_t index) const {
+void SyntheticImageDataset::fill(std::int64_t index, Sample& s) const {
   ES_CHECK(index >= 0 && index < n_, "image index out of range");
-  Sample s;
   s.label = index % num_classes_;
-  s.x = tensor::Tensor(tensor::Shape{channels_, height_, width_});
+  shape_features(s.x, tensor::Shape{channels_, height_, width_});
+  s.ids.clear();
+  s.target.clear();
   rng::Philox gen =
       index_gen(seed_ + 0x5A17ull * sample_salt_, index);
   rng::fill_normal(gen, s.x.data(), 0.0f, 0.8f);
-  const float* proto = prototypes_.raw() + s.label * s.x.numel();
-  for (std::int64_t i = 0; i < s.x.numel(); ++i) s.x.at(i) += proto[i];
-  return s;
+  const std::int64_t numel = s.x.numel();
+  const float* proto = prototypes_.raw() + s.label * numel;
+  float* x = s.x.raw();
+  for (std::int64_t i = 0; i < numel; ++i) x[i] += proto[i];
 }
 
 SyntheticDetectionDataset::SyntheticDetectionDataset(std::int64_t n,
@@ -53,11 +61,11 @@ SyntheticDetectionDataset::SyntheticDetectionDataset(std::int64_t n,
                                                      std::uint64_t seed)
     : n_(n), height_(height), width_(width), seed_(seed) {}
 
-Sample SyntheticDetectionDataset::get(std::int64_t index) const {
+void SyntheticDetectionDataset::fill(std::int64_t index, Sample& s) const {
   ES_CHECK(index >= 0 && index < n_, "detection index out of range");
   rng::Philox gen = index_gen(seed_, index);
-  Sample s;
-  s.x = tensor::Tensor(tensor::Shape{3, height_, width_});
+  shape_features(s.x, tensor::Shape{3, height_, width_});
+  s.ids.clear();
   rng::fill_normal(gen, s.x.data(), 0.0f, 0.3f);
   // Object: a bright square of side `ext` at (cy, cx).
   const std::int64_t ext = 2 + static_cast<std::int64_t>(gen.next_below(3));
@@ -74,10 +82,10 @@ Sample SyntheticDetectionDataset::get(std::int64_t index) const {
     }
   }
   s.label = 0;
-  s.target = {static_cast<float>(cx + ext / 2) / static_cast<float>(width_),
-              static_cast<float>(cy + ext / 2) / static_cast<float>(height_),
-              static_cast<float>(ext) / static_cast<float>(width_), 1.0f};
-  return s;
+  s.target.assign(
+      {static_cast<float>(cx + ext / 2) / static_cast<float>(width_),
+       static_cast<float>(cy + ext / 2) / static_cast<float>(height_),
+       static_cast<float>(ext) / static_cast<float>(width_), 1.0f});
 }
 
 SyntheticRecDataset::SyntheticRecDataset(std::int64_t n, std::int64_t num_users,
@@ -85,10 +93,9 @@ SyntheticRecDataset::SyntheticRecDataset(std::int64_t n, std::int64_t num_users,
                                          std::uint64_t seed)
     : n_(n), num_users_(num_users), num_items_(num_items), seed_(seed) {}
 
-Sample SyntheticRecDataset::get(std::int64_t index) const {
+void SyntheticRecDataset::fill(std::int64_t index, Sample& s) const {
   ES_CHECK(index >= 0 && index < n_, "rec index out of range");
   rng::Philox gen = index_gen(seed_, index);
-  Sample s;
   const auto user = static_cast<std::int64_t>(
       gen.next_below(static_cast<std::uint64_t>(num_users_)));
   // Positive pairs follow a latent block structure (user mod 8 likes items
@@ -103,20 +110,21 @@ Sample SyntheticRecDataset::get(std::int64_t index) const {
     item = static_cast<std::int64_t>(
         gen.next_below(static_cast<std::uint64_t>(num_items_)));
   }
-  s.ids = {user, item};
+  s.x = tensor::Tensor();
+  s.ids.assign({user, item});
   s.label = positive ? 1 : 0;
-  s.target = {positive ? 1.0f : 0.0f};
-  return s;
+  s.target.assign(1, positive ? 1.0f : 0.0f);
 }
 
 SyntheticQADataset::SyntheticQADataset(std::int64_t n, std::int64_t vocab,
                                        std::int64_t seq_len, std::uint64_t seed)
     : n_(n), vocab_(vocab), seq_len_(seq_len), seed_(seed) {}
 
-Sample SyntheticQADataset::get(std::int64_t index) const {
+void SyntheticQADataset::fill(std::int64_t index, Sample& s) const {
   ES_CHECK(index >= 0 && index < n_, "qa index out of range");
   rng::Philox gen = index_gen(seed_, index);
-  Sample s;
+  s.x = tensor::Tensor();
+  s.target.clear();
   s.ids.resize(static_cast<std::size_t>(seq_len_));
   rng::fill_randint(gen, s.ids, vocab_ - 1);
   // Answer span: position of a sentinel token (vocab-1) we plant.
@@ -124,7 +132,6 @@ Sample SyntheticQADataset::get(std::int64_t index) const {
       gen.next_below(static_cast<std::uint64_t>(seq_len_)));
   s.ids[static_cast<std::size_t>(start)] = vocab_ - 1;
   s.label = start;
-  return s;
 }
 
 }  // namespace easyscale::data

@@ -20,8 +20,18 @@ class Dataset {
  public:
   virtual ~Dataset() = default;
   [[nodiscard]] virtual std::int64_t size() const = 0;
-  [[nodiscard]] virtual Sample get(std::int64_t index) const = 0;
+  /// Overwrite every field of `sample` with sample `index`, reusing the
+  /// sample's buffers: whatever `sample` held before, it ends up equal to
+  /// get(index).
+  virtual void fill(std::int64_t index, Sample& sample) const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Sample `index` in fresh buffers.
+  [[nodiscard]] Sample get(std::int64_t index) const {
+    Sample s;
+    fill(index, s);
+    return s;
+  }
 };
 
 /// CIFAR-like classification images: per-class Gaussian prototypes plus
@@ -38,7 +48,7 @@ class SyntheticImageDataset : public Dataset {
                         std::uint64_t sample_salt = 0);
 
   [[nodiscard]] std::int64_t size() const override { return n_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override { return "synthetic-cifar"; }
   [[nodiscard]] std::int64_t num_classes() const { return num_classes_; }
   [[nodiscard]] std::int64_t channels() const { return channels_; }
@@ -59,7 +69,7 @@ class SyntheticDetectionDataset : public Dataset {
   SyntheticDetectionDataset(std::int64_t n, std::int64_t height,
                             std::int64_t width, std::uint64_t seed);
   [[nodiscard]] std::int64_t size() const override { return n_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override { return "synthetic-voc"; }
 
  private:
@@ -74,7 +84,7 @@ class SyntheticRecDataset : public Dataset {
   SyntheticRecDataset(std::int64_t n, std::int64_t num_users,
                       std::int64_t num_items, std::uint64_t seed);
   [[nodiscard]] std::int64_t size() const override { return n_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override { return "synthetic-ml"; }
   [[nodiscard]] std::int64_t num_users() const { return num_users_; }
   [[nodiscard]] std::int64_t num_items() const { return num_items_; }
@@ -91,7 +101,7 @@ class SyntheticQADataset : public Dataset {
   SyntheticQADataset(std::int64_t n, std::int64_t vocab, std::int64_t seq_len,
                      std::uint64_t seed);
   [[nodiscard]] std::int64_t size() const override { return n_; }
-  [[nodiscard]] Sample get(std::int64_t index) const override;
+  void fill(std::int64_t index, Sample& sample) const override;
   [[nodiscard]] std::string name() const override { return "synthetic-squad"; }
   [[nodiscard]] std::int64_t vocab() const { return vocab_; }
   [[nodiscard]] std::int64_t seq_len() const { return seq_len_; }

@@ -6,14 +6,37 @@
 
 namespace easyscale::data {
 
+Batch BatchAssembler::assemble(const Dataset& dataset,
+                               const AugmentConfig& augment,
+                               const WorkItem& item, double per_sample_us) {
+  const auto n = static_cast<std::int64_t>(item.indices.size());
+  ES_CHECK(n > 0, "batch of an empty work item");
+  rng::StreamSet streams;
+  streams.set_state(item.rng_state);
+  Batch batch;
+  for (std::int64_t i = 0; i < n; ++i) {
+    dataset.fill(item.indices[static_cast<std::size_t>(i)], sample_);
+    augment_image(augment, streams, sample_, spare_);
+    if (i == 0) batch = start_batch(sample_, n);
+    put_row(batch, i, sample_);
+    if (per_sample_us > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::micro>(per_sample_us));
+    }
+  }
+  return batch;
+}
+
 SharedDataWorkerPool::SharedDataWorkerPool(const Dataset& dataset,
                                            LoaderConfig config)
     : dataset_(&dataset), config_(std::move(config)) {
   ES_CHECK(config_.num_workers > 0, "loader needs at least one worker");
-  threads_.reserve(static_cast<std::size_t>(config_.num_workers));
-  for (std::int64_t i = 0; i < config_.num_workers; ++i) {
-    threads_.emplace_back(
-        [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  const auto workers = static_cast<std::size_t>(config_.num_workers);
+  // Sized before any thread starts: each worker owns its assembler.
+  assemblers_.resize(workers);
+  threads_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    threads_.emplace_back([this, i] { worker_loop(assemblers_[i]); });
   }
 }
 
@@ -58,24 +81,7 @@ void SharedDataWorkerPool::drain() {
   cv_ready_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
-Batch SharedDataWorkerPool::process(const WorkItem& item) const {
-  rng::StreamSet streams;
-  streams.set_state(item.rng_state);
-  std::vector<Sample> samples;
-  samples.reserve(item.indices.size());
-  for (std::int64_t idx : item.indices) {
-    Sample s = dataset_->get(idx);
-    augment_image(config_.augment, streams, s);
-    samples.push_back(std::move(s));
-    if (config_.per_sample_us > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::micro>(
-          config_.per_sample_us));
-    }
-  }
-  return collate(samples);
-}
-
-void SharedDataWorkerPool::worker_loop(std::size_t /*worker_id*/) {
+void SharedDataWorkerPool::worker_loop(BatchAssembler& assembler) {
   if (config_.worker_launch_ms > 0.0) {
     // Launch cost models process fork + interpreter/dataset import, which
     // is CPU-bound: busy-wait so concurrent launches contend for cores the
@@ -96,7 +102,8 @@ void SharedDataWorkerPool::worker_loop(std::size_t /*worker_id*/) {
       queue_.pop_front();
       ++in_flight_;
     }
-    Batch batch = process(item);
+    Batch batch = assembler.assemble(*dataset_, config_.augment, item,
+                                     config_.per_sample_us);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ready_.emplace(Key{item.est_rank, item.step}, std::move(batch));

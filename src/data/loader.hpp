@@ -50,6 +50,25 @@ struct WorkItem {
   }
 };
 
+/// Builds the batch of one WorkItem: each index's sample, augmented from
+/// the item's RNG snapshot, is written straight into its batch row.  It
+/// keeps one sample (and the augmentation's spare buffer) across samples
+/// and calls, so steady-state batches reuse its buffers and hold no more
+/// than one sample besides the batch.  Not thread-safe: one per thread
+/// that builds.
+class BatchAssembler {
+ public:
+  /// Sleeps `per_sample_us` after each sample (simulated preprocessing).
+  [[nodiscard]] Batch assemble(const Dataset& dataset,
+                               const AugmentConfig& augment,
+                               const WorkItem& item,
+                               double per_sample_us = 0.0);
+
+ private:
+  Sample sample_;
+  tensor::Tensor spare_;
+};
+
 struct LoaderConfig {
   std::int64_t num_workers = 2;
   AugmentConfig augment;
@@ -93,8 +112,7 @@ class SharedDataWorkerPool {
     auto operator<=>(const Key&) const = default;
   };
 
-  void worker_loop(std::size_t worker_id);
-  [[nodiscard]] Batch process(const WorkItem& item) const;
+  void worker_loop(BatchAssembler& assembler);
 
   const Dataset* dataset_;
   LoaderConfig config_;
@@ -106,6 +124,7 @@ class SharedDataWorkerPool {
   std::map<Key, WorkItem> unconsumed_;  // enqueued, not yet get()-ed
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
+  std::vector<BatchAssembler> assemblers_;  // one per worker thread
   std::vector<std::thread> threads_;
 };
 

@@ -41,17 +41,7 @@ WorkItem RankDataPipeline::make_item() {
 }
 
 Batch RankDataPipeline::next() {
-  const WorkItem item = make_item();
-  rng::StreamSet local;
-  local.set_state(item.rng_state);
-  std::vector<Sample> samples;
-  samples.reserve(item.indices.size());
-  for (std::int64_t idx : item.indices) {
-    Sample s = dataset_->get(idx);
-    augment_image(augment_, local, s);
-    samples.push_back(std::move(s));
-  }
-  return collate(samples);
+  return assembler_.assemble(*dataset_, augment_, make_item());
 }
 
 void RankDataPipeline::save(ByteWriter& w) const {

@@ -46,6 +46,7 @@ class RankDataPipeline {
   std::int64_t rank_;
   std::int64_t cursor_ = 0;        // batches produced so far
   std::int64_t step_in_epoch_ = 0;
+  BatchAssembler assembler_;  // next()'s reused sample buffers
 };
 
 }  // namespace easyscale::data

@@ -45,6 +45,14 @@ struct Batch {
   }
 };
 
+/// An n-row batch shaped like `first`, rows unfilled: a field `first`
+/// leaves empty stays undefined in the batch.
+[[nodiscard]] Batch start_batch(const Sample& first, std::int64_t n);
+
+/// Copy `s` into row `i` of a batch sized by start_batch; throws when `s`
+/// is shaped unlike the first sample.
+void put_row(Batch& b, std::int64_t i, const Sample& s);
+
 /// Stack samples into a batch (row-major concatenation; order preserved).
 [[nodiscard]] Batch collate(const std::vector<Sample>& samples);
 

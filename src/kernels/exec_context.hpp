@@ -135,7 +135,8 @@ void parallel_for(const ExecContext& ctx, std::int64_t n, std::int64_t grain,
 /// Variant for convolutions.
 [[nodiscard]] ConvVariant select_conv_variant(const ExecContext& ctx);
 
-/// True when scatter-add must sort indices first (deterministic policies).
+/// True when scatter-add must add each row's updates in source order
+/// (deterministic policies).
 [[nodiscard]] bool scatter_add_sorted(const ExecContext& ctx);
 
 /// Native (deterministic) gemm variant of a device type.

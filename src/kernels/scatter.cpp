@@ -21,45 +21,29 @@ void scatter_add(const ExecContext& ctx, std::span<const std::int64_t> indices,
   const std::int64_t n = static_cast<std::int64_t>(indices.size());
   ES_CHECK(static_cast<std::int64_t>(src.size()) == n * width,
            "scatter_add: src size mismatch");
-  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), std::int64_t{0});
   if (scatter_add_sorted(ctx) && width > 0) {
-    // Deterministic: stable sort by destination row, then source position.
-    // Validate every row up front so no chunk body can throw mid-flight.
+    // Deterministic.  Validate every row up front so no chunk body can
+    // throw mid-flight.
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int64_t row = indices[static_cast<std::size_t>(i)];
       ES_CHECK(row >= 0 &&
                    (row + 1) * width <= static_cast<std::int64_t>(out.size()),
                "scatter_add: row out of range");
     }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::int64_t a, std::int64_t b) {
-                       return indices[static_cast<std::size_t>(a)] <
-                              indices[static_cast<std::size_t>(b)];
-                     });
-    // After sorting, each destination row's updates are a contiguous run of
-    // `order`, still in source order.  Partitioning by destination row is
-    // therefore owner-computes: a chunk applies complete rows only, in the
-    // exact order the sequential loop would.
+    // Partitioning by destination row is owner-computes: each chunk scans
+    // every update in source order and applies only those landing in its
+    // own rows, so each row adds its updates in exactly the order the
+    // sequential loop would.  One chunk is that sequential loop.
     const std::int64_t num_rows = static_cast<std::int64_t>(out.size()) / width;
-    auto row_begin = [&](std::int64_t r) {
-      return std::lower_bound(order.begin(), order.end(), r,
-                              [&](std::int64_t oi, std::int64_t value) {
-                                return indices[static_cast<std::size_t>(oi)] <
-                                       value;
-                              });
-    };
-    parallel_for(ctx, num_rows,
-                 std::max<std::int64_t>(1, 512 / std::max<std::int64_t>(1, width)),
+    const std::int64_t grain = std::max<std::int64_t>(1, 512 / width);
+    const std::int64_t* idx = indices.data();
+    parallel_for(ctx, num_rows, grain,
                  [&](int /*chunk*/, std::int64_t r0, std::int64_t r1) {
-                   const auto lo = row_begin(r0);
-                   const auto hi = row_begin(r1);
-                   for (auto it = lo; it != hi; ++it) {
-                     const std::int64_t oi = *it;
-                     const std::int64_t row =
-                         indices[static_cast<std::size_t>(oi)];
-                     const float* s = src.data() + oi * width;
+                   for (std::int64_t i = 0; i < n; ++i) {
+                     const std::int64_t row = idx[i];
+                     if (row < r0 || row >= r1) continue;
                      float* d = out.data() + row * width;
+                     const float* s = src.data() + i * width;
                      for (std::int64_t c = 0; c < width; ++c) d[c] += s[c];
                    }
                  });
@@ -67,6 +51,8 @@ void scatter_add(const ExecContext& ctx, std::span<const std::int64_t> indices,
                        static_cast<std::int64_t>(out.size()));
     return;
   }
+  std::vector<std::int64_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), std::int64_t{0});
   if (!scatter_add_sorted(ctx)) {
     // Emulated atomics: rotate the processing order by a process-global
     // counter so collision accumulation order varies call to call.  Stays

@@ -1,8 +1,10 @@
 // Scatter-add, the classic atomic-nondeterminism op (embedding backward,
-// index_add).  Deterministic policies sort (index, slot) pairs before
-// accumulating; the kFastest path emulates GPU atomics by permuting the
-// accumulation order with an uncontrolled global counter, so repeated calls
-// can differ bitwise whenever an index collides.
+// index_add).  Deterministic policies add each row's updates in source
+// order; when rows are split across threads, each chunk scans the updates
+// in source order and applies only those to its own rows.  The kFastest
+// path emulates GPU atomics by permuting the accumulation order with an
+// uncontrolled global counter, so repeated calls can differ bitwise
+// whenever an index collides.
 #pragma once
 
 #include <cstdint>

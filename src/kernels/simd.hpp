@@ -24,9 +24,9 @@
 // elementwise maps.  The maps are ReLU forward/backward, sigmoid backward,
 // scalar and vector adds, divide by a scalar, the norm affines, and for
 // the transformer step axpy (attention's dv/dk updates), mul_vec (the
-// dropout mask), gelu_bwd (from the forward's cached tanh) and
-// adam_update.  Attention's score and context products run on the
-// kSequential panel.
+// dropout mask), gelu_bwd (from the forward's cached tanh), and the
+// optimizer updates adam_update and sgd_update.  Attention's score and
+// context products run on the kSequential panel.
 //
 // The scalar backend publishes no function pointers: call sites fall back
 // to the original scalar loops, which ARE the reference semantics the
@@ -86,6 +86,13 @@ struct AdamArgs {
   float weight_decay;  // 0 skips the decay term entirely
   float bc1;           // 1 - beta1^t
   float bc2;           // 1 - beta2^t
+};
+
+/// One SGD step's scalars as sgd_update consumes them (optim/sgd.cpp).
+struct SgdArgs {
+  float lr;
+  float momentum;      // 0 leaves the momentum buffer untouched
+  float weight_decay;  // 0 skips the decay term entirely
 };
 
 /// Function-pointer table of one backend's vector bodies.  Null members
@@ -166,6 +173,11 @@ struct SimdOps {
   /// on every backend, and the bias corrections stay divisions.
   void (*adam_update)(const AdamArgs& args, const float* grad, float* m,
                       float* v, float* value, std::int64_t n) = nullptr;
+  /// In-place SGD update of n elements (m, value), per element exactly
+  /// SGD::step_slices' scalar expression: g += wd * value; m = mu * m + g;
+  /// value -= lr * m (each term only when its scalar is nonzero).
+  void (*sgd_update)(const SgdArgs& args, const float* grad, float* m,
+                     float* value, std::int64_t n) = nullptr;
   /// xhat[i] = (x[i] - mean) * inv_std; out[i] = gamma[i] * xhat[i] + beta[i]
   void (*norm_affine_vec)(const float* x, const float* gamma,
                           const float* beta, float mean, float inv_std,

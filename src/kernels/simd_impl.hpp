@@ -675,6 +675,27 @@ void adam_update(const AdamArgs& args, const float* grad, float* mom,
 }
 
 template <typename V>
+void sgd_update(const SgdArgs& args, const float* grad, float* mom,
+                float* value, int64_t n) {
+  using Reg = typename V::Reg;
+  const Reg lr = V::broadcast(args.lr);
+  const Reg mu = V::broadcast(args.momentum);
+  const Reg wd = V::broadcast(args.weight_decay);
+  const bool decay = args.weight_decay != 0.0f;
+  const bool momentum = args.momentum != 0.0f;
+  foreach_block<V>(n, [&](int64_t i, int m) {
+    const Reg p = load_m<V>(value + i, m);
+    Reg g = load_m<V>(grad + i, m);
+    if (decay) g = V::add(g, V::mul(wd, p));
+    if (momentum) {
+      g = V::add(V::mul(mu, load_m<V>(mom + i, m)), g);
+      store_m<V>(mom + i, m, g);
+    }
+    store_m<V>(value + i, m, V::sub(p, V::mul(lr, g)));
+  });
+}
+
+template <typename V>
 void norm_affine_vec(const float* x, const float* gamma, const float* beta,
                      float mean, float inv_std, float* xhat, float* out,
                      int64_t n) {
@@ -744,6 +765,7 @@ SimdOps make_simd_ops(SimdBackend kind) {
   ops.mul_vec = &mul_vec<V>;
   ops.gelu_bwd = &gelu_bwd<V>;
   ops.adam_update = &adam_update<V>;
+  ops.sgd_update = &sgd_update<V>;
   ops.norm_affine_vec = &norm_affine_vec<V>;
   ops.norm_affine_scalar = &norm_affine_scalar<V>;
   return ops;

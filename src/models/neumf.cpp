@@ -1,11 +1,37 @@
 #include "models/neumf.hpp"
 
+#include <algorithm>
+
 #include "tensor/ops.hpp"
 
 namespace easyscale::models {
 
 using tensor::Shape;
 using tensor::Tensor;
+
+namespace {
+
+/// out[i] = [a[i], b[i]] row by row, for [n, d] a and b and [n, 2d] out.
+void concat_rows(const Tensor& a, const Tensor& b, Tensor& out) {
+  const std::int64_t n = a.shape().dim(0), d = a.shape().dim(1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* row = out.raw() + i * 2 * d;
+    std::copy_n(a.raw() + i * d, d, row);
+    std::copy_n(b.raw() + i * d, d, row + d);
+  }
+}
+
+/// The inverse of concat_rows: [n, 2d] in into [n, d] a and b.
+void split_rows(const Tensor& in, Tensor& a, Tensor& b) {
+  const std::int64_t n = a.shape().dim(0), d = a.shape().dim(1);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = in.raw() + i * 2 * d;
+    std::copy_n(row, d, a.raw() + i * d);
+    std::copy_n(row + d, d, b.raw() + i * d);
+  }
+}
+
+}  // namespace
 
 NeuMF::NeuMF(std::int64_t num_users, std::int64_t num_items, std::int64_t dim)
     : dim_(dim),
@@ -53,23 +79,12 @@ tensor::Tensor NeuMF::forward(autograd::StepContext& ctx,
   tensor::mul(ctx.ex(), cache.gmf_u, cache.gmf_i, cache.gmf_vec);
   // MLP: concat -> fc -> relu.
   cache.mlp_hidden_in = tensor::Tensor(Shape{n, 2 * dim_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t d = 0; d < dim_; ++d) {
-      cache.mlp_hidden_in.at(i * 2 * dim_ + d) = cache.mlp_u.at(i * dim_ + d);
-      cache.mlp_hidden_in.at(i * 2 * dim_ + dim_ + d) =
-          cache.mlp_i.at(i * dim_ + d);
-    }
-  }
+  concat_rows(cache.mlp_u, cache.mlp_i, cache.mlp_hidden_in);
   Tensor hidden = mlp_fc_.forward(ctx, cache.mlp_hidden_in);
   hidden = mlp_act_.forward(ctx, hidden);
   // Fuse: concat(gmf, mlp) -> out.
   Tensor fused(Shape{n, 2 * dim_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t d = 0; d < dim_; ++d) {
-      fused.at(i * 2 * dim_ + d) = cache.gmf_vec.at(i * dim_ + d);
-      fused.at(i * 2 * dim_ + dim_ + d) = hidden.at(i * dim_ + d);
-    }
-  }
+  concat_rows(cache.gmf_vec, hidden, fused);
   return out_fc_.forward(ctx, fused).reshaped(Shape{n});
 }
 
@@ -82,22 +97,12 @@ float NeuMF::train_step(autograd::StepContext& ctx, const data::Batch& batch) {
   Tensor g_out = loss_.backward().reshaped(Shape{n, 1});
   Tensor g_fused = out_fc_.backward(ctx, g_out);
   Tensor g_gmf(Shape{n, dim_}), g_hidden(Shape{n, dim_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t d = 0; d < dim_; ++d) {
-      g_gmf.at(i * dim_ + d) = g_fused.at(i * 2 * dim_ + d);
-      g_hidden.at(i * dim_ + d) = g_fused.at(i * 2 * dim_ + dim_ + d);
-    }
-  }
+  split_rows(g_fused, g_gmf, g_hidden);
   // MLP branch.
   Tensor g_h = mlp_act_.backward(ctx, g_hidden);
   Tensor g_concat = mlp_fc_.backward(ctx, g_h);
   Tensor g_mlp_u(Shape{n, dim_}), g_mlp_i(Shape{n, dim_});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t d = 0; d < dim_; ++d) {
-      g_mlp_u.at(i * dim_ + d) = g_concat.at(i * 2 * dim_ + d);
-      g_mlp_i.at(i * dim_ + d) = g_concat.at(i * 2 * dim_ + dim_ + d);
-    }
-  }
+  split_rows(g_concat, g_mlp_u, g_mlp_i);
   mlp_user_.backward(ctx, cache_.users, g_mlp_u);
   mlp_item_.backward(ctx, cache_.items, g_mlp_i);
   // GMF branch: d(u*i)/du = i, /di = u.

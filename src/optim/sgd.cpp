@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "kernels/simd.hpp"
+
 namespace easyscale::optim {
 
 SGD::SGD(autograd::ParameterStore& params, Options opts)
@@ -15,21 +17,35 @@ SGD::SGD(autograd::ParameterStore& params, Options opts)
 void SGD::step() { step_slices(full_slices(*params_)); }
 
 void SGD::step_slices(const std::vector<ParamSlice>& slices) {
+  const kernels::SgdArgs args{.lr = opts_.lr,
+                              .momentum = opts_.momentum,
+                              .weight_decay = opts_.weight_decay};
+  // Elementwise over distinct elements, as in Adam::step_slices: the vector
+  // body replays the scalar loop below per lane, on the process-wide
+  // backend.
+  const kernels::SimdOps& ops = kernels::simd_ops(kernels::SimdBackend::kAuto);
   const auto& all = params_->all();
   for (const ParamSlice& s : slices) {
     ES_CHECK(s.param < all.size(), "SGD slice param out of range");
     autograd::Parameter& p = *all[s.param];
-    tensor::Tensor& m = momentum_[s.param];
     ES_CHECK(s.begin >= 0 && s.end <= p.numel() && s.begin <= s.end,
              "SGD slice bounds out of range");
-    for (std::int64_t j = s.begin; j < s.end; ++j) {
-      float g = p.grad.at(j);
-      if (opts_.weight_decay != 0.0f) g += opts_.weight_decay * p.value.at(j);
-      if (opts_.momentum != 0.0f) {
-        m.at(j) = opts_.momentum * m.at(j) + g;
-        g = m.at(j);
+    const float* grad = p.grad.raw() + s.begin;
+    float* m = momentum_[s.param].raw() + s.begin;
+    float* value = p.value.raw() + s.begin;
+    const std::int64_t n = s.end - s.begin;
+    if (ops.sgd_update != nullptr) {
+      ops.sgd_update(args, grad, m, value, n);
+      continue;
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      float g = grad[j];
+      if (args.weight_decay != 0.0f) g += args.weight_decay * value[j];
+      if (args.momentum != 0.0f) {
+        m[j] = args.momentum * m[j] + g;
+        g = m[j];
       }
-      p.value.at(j) -= opts_.lr * g;
+      value[j] -= args.lr * g;
     }
   }
 }

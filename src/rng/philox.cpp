@@ -98,10 +98,13 @@ void Philox::fill_floats(float* out, std::int64_t n) {
 std::uint64_t Philox::next_below(std::uint64_t bound) {
   ES_CHECK(bound > 0, "next_below bound must be positive");
   // Rejection sampling for an unbiased draw; deterministic given the stream.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % bound);
+  // A draw is kept iff its whole block of `bound` values [v - r, v - r +
+  // bound) fits below UINT64_MAX: exactly the draws below
+  // UINT64_MAX - UINT64_MAX % bound, with one modulo per draw.
   for (;;) {
     const std::uint64_t v = next_u64();
-    if (v < limit) return v % bound;
+    const std::uint64_t r = v % bound;
+    if (next_below_accepts(v, r, bound)) return r;
   }
 }
 

@@ -61,6 +61,12 @@ class Philox {
   /// Uniform integer in [0, bound).  bound must be positive.
   std::uint64_t next_below(std::uint64_t bound);
 
+  /// next_below's rejection test for a draw v with r = v % bound.
+  static constexpr bool next_below_accepts(std::uint64_t v, std::uint64_t r,
+                                           std::uint64_t bound) {
+    return v - r <= ~std::uint64_t{0} - bound;
+  }
+
   /// Standard normal via Box-Muller (deterministic pairing).
   double next_normal();
 

@@ -19,10 +19,10 @@ class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape)
-      : shape_(std::move(shape)),
+      : shape_(shape),
         data_(static_cast<std::size_t>(shape_.numel()), 0.0f) {}
   Tensor(Shape shape, std::vector<float> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {
+      : shape_(shape), data_(std::move(data)) {
     ES_CHECK(static_cast<std::int64_t>(data_.size()) == shape_.numel(),
              "data size " << data_.size() << " != numel " << shape_.numel());
   }
@@ -41,11 +41,15 @@ class Tensor {
     return data_[static_cast<std::size_t>(i)];
   }
 
-  /// Reinterpret as a new shape with the same number of elements.
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const {
-    ES_CHECK(new_shape.numel() == shape_.numel(),
-             "reshape " << shape_.to_string() << " -> " << new_shape.to_string());
-    return Tensor(std::move(new_shape), data_);
+  /// Reinterpret as a new shape with the same number of elements.  The
+  /// rvalue overload moves the storage instead of copying it.
+  [[nodiscard]] Tensor reshaped(Shape new_shape) const& {
+    check_reshape(new_shape);
+    return Tensor(new_shape, data_);
+  }
+  [[nodiscard]] Tensor reshaped(Shape new_shape) && {
+    check_reshape(new_shape);
+    return Tensor(new_shape, std::move(data_));
   }
 
   void fill(float v) {
@@ -53,17 +57,22 @@ class Tensor {
   }
   void zero() { fill(0.0f); }
 
+  /// u64 rank, the dims, u64 numel, the data.
   void save(ByteWriter& w) const {
-    w.write_vector(shape_.dims());
+    shape_.save(w);
     w.write_vector(data_);
   }
   static Tensor load(ByteReader& r) {
-    auto dims = r.read_vector<std::int64_t>();
-    auto data = r.read_vector<float>();
-    return Tensor(Shape(std::move(dims)), std::move(data));
+    const Shape shape = Shape::load(r);
+    return Tensor(shape, r.read_vector<float>());
   }
 
  private:
+  void check_reshape(const Shape& new_shape) const {
+    ES_CHECK(new_shape.numel() == shape_.numel(),
+             "reshape " << shape_.to_string() << " -> " << new_shape.to_string());
+  }
+
   Shape shape_;
   std::vector<float> data_;
 };
@@ -73,10 +82,10 @@ class LongTensor {
  public:
   LongTensor() = default;
   explicit LongTensor(Shape shape)
-      : shape_(std::move(shape)),
+      : shape_(shape),
         data_(static_cast<std::size_t>(shape_.numel()), 0) {}
   LongTensor(Shape shape, std::vector<std::int64_t> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {
+      : shape_(shape), data_(std::move(data)) {
     ES_CHECK(static_cast<std::int64_t>(data_.size()) == shape_.numel(),
              "data size mismatch");
   }
@@ -90,14 +99,14 @@ class LongTensor {
     return data_[static_cast<std::size_t>(i)];
   }
 
+  /// Same layout as Tensor::save.
   void save(ByteWriter& w) const {
-    w.write_vector(shape_.dims());
+    shape_.save(w);
     w.write_vector(data_);
   }
   static LongTensor load(ByteReader& r) {
-    auto dims = r.read_vector<std::int64_t>();
-    auto data = r.read_vector<std::int64_t>();
-    return LongTensor(Shape(std::move(dims)), std::move(data));
+    const Shape shape = Shape::load(r);
+    return LongTensor(shape, r.read_vector<std::int64_t>());
   }
 
  private:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "common/digest.hpp"
@@ -133,15 +134,47 @@ TEST(Sampler, OversizedBatchThrows) {
   EXPECT_THROW(DistributedSampler(16, 4, 0, 8, 1), Error);
 }
 
+TEST(Datasets, FillOverwritesAReusedSample) {
+  // fill() into a sample that last held another dataset's sample must
+  // leave exactly what get() returns.
+  SyntheticImageDataset image(16, 10, 3, 8, 8, 42);
+  SyntheticDetectionDataset detection(16, 8, 8, 42);
+  SyntheticRecDataset rec(16, 64, 64, 42);
+  SyntheticQADataset qa(16, 64, 16, 42);
+  const Dataset* datasets[] = {&image, &detection, &rec, &qa, &image, &rec};
+  Sample reused;
+  for (int round = 0; round < 2; ++round) {
+    for (const Dataset* ds : datasets) {
+      for (std::int64_t i : {3, 4}) {
+        ds->fill(i, reused);
+        const Sample fresh = ds->get(i);
+        ASSERT_EQ(reused.x.defined(), fresh.x.defined()) << ds->name();
+        if (fresh.x.defined()) {
+          EXPECT_EQ(reused.x.shape(), fresh.x.shape()) << ds->name();
+          EXPECT_EQ(std::memcmp(reused.x.raw(), fresh.x.raw(),
+                                static_cast<std::size_t>(fresh.x.numel()) *
+                                    sizeof(float)),
+                    0)
+              << ds->name();
+        }
+        EXPECT_EQ(reused.ids, fresh.ids) << ds->name();
+        EXPECT_EQ(reused.label, fresh.label) << ds->name();
+        EXPECT_EQ(reused.target, fresh.target) << ds->name();
+      }
+    }
+  }
+}
+
 TEST(Augment, AdvanceMatchesActualDraws) {
   AugmentConfig cfg;
   rng::StreamSet a, b;
   a.seed_all(5, 0);
   b.seed_all(5, 0);
   SyntheticImageDataset ds(8, 10, 3, 8, 8, 1);
+  tensor::Tensor spare;
   for (std::int64_t i = 0; i < 8; ++i) {
     Sample s = ds.get(i);
-    augment_image(cfg, a, s);
+    augment_image(cfg, a, s, spare);
   }
   advance_augment_streams(cfg, b, 8);
   EXPECT_EQ(a.state(), b.state());
@@ -173,6 +206,40 @@ TEST(Pipeline, NextMatchesPoolProcessing) {
     const Batch a = direct.next();
     const Batch b = pool.get(0, step);
     EXPECT_EQ(batch_digest(a), batch_digest(b)) << "step " << step;
+  }
+}
+
+TEST(Pipeline, AssemblerMatchesCollateOfFreshSamples) {
+  // One assembler reused across datasets and items must build exactly the
+  // batch that collating freshly built, augmented samples gives.
+  SyntheticImageDataset image(64, 10, 3, 8, 8, 42);
+  SyntheticDetectionDataset detection(64, 8, 8, 42);
+  SyntheticRecDataset rec(64, 64, 64, 42);
+  SyntheticQADataset qa(64, 64, 16, 42);
+  const Dataset* datasets[] = {&image, &detection, &rec, &qa, &image};
+  AugmentConfig aug;
+  BatchAssembler assembler;
+  for (const Dataset* ds : datasets) {
+    RankDataPipeline producer(*ds, aug, 2, 1, 4, 42);
+    for (int step = 0; step < 3; ++step) {
+      const WorkItem item = producer.make_item();
+      rng::StreamSet streams;
+      streams.set_state(item.rng_state);
+      std::vector<Sample> samples;
+      tensor::Tensor spare;
+      for (std::int64_t idx : item.indices) {
+        samples.push_back(ds->get(idx));
+        augment_image(aug, streams, samples.back(), spare);
+      }
+      const Batch expected = collate(samples);
+      const Batch got = assembler.assemble(*ds, aug, item);
+      EXPECT_EQ(got.size, expected.size) << ds->name();
+      EXPECT_EQ(got.x.shape(), expected.x.shape()) << ds->name();
+      EXPECT_EQ(got.ids.shape(), expected.ids.shape()) << ds->name();
+      EXPECT_EQ(got.target.shape(), expected.target.shape()) << ds->name();
+      EXPECT_EQ(batch_digest(got), batch_digest(expected))
+          << ds->name() << " step " << step;
+    }
   }
 }
 
@@ -266,6 +333,28 @@ TEST(Collate, StacksAllFields) {
 
 TEST(Collate, EmptyThrows) {
   EXPECT_THROW(collate({}), Error);
+}
+
+TEST(Collate, RaggedSamplesThrow) {
+  Sample a;
+  a.x = tensor::Tensor(tensor::Shape{2}, {1, 2});
+  a.ids = {5, 6};
+  a.target = {0.5f};
+  Sample bad_x = a, bad_ids = a, bad_target = a;
+  bad_x.x = tensor::Tensor(tensor::Shape{3}, {1, 2, 3});
+  bad_ids.ids = {5};
+  bad_target.target = {};
+  EXPECT_THROW((void)collate({a, bad_x}), Error);
+  EXPECT_THROW((void)collate({a, bad_ids}), Error);
+  EXPECT_THROW((void)collate({a, bad_target}), Error);
+  // A field the first sample leaves empty stays out of the batch.
+  Sample bare;
+  bare.label = 3;
+  const Batch b = collate({bare, a});
+  EXPECT_FALSE(b.x.defined());
+  EXPECT_EQ(b.ids.shape().rank(), 0u);
+  EXPECT_FALSE(b.target.defined());
+  EXPECT_EQ(b.y.at(0), 3);
 }
 
 }  // namespace

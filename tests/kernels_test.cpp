@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -230,6 +231,51 @@ TEST(Scatter, DeterministicIsReproducible) {
   scatter_add(det, idx, src, 3, a);
   scatter_add(det, idx, src, 3, b);
   EXPECT_EQ(digest_floats(a), digest_floats(b));
+}
+
+TEST(Scatter, SortedMatchesSourceOrderReference) {
+  struct Case {
+    std::int64_t rows, width, n;
+    std::int64_t stride;  // indices are multiples of stride: others untouched
+  };
+  // Heavy duplicates, rows no index touches, n = 0, and tables large enough
+  // that 4 threads split the rows into several chunks.
+  const Case cases[] = {{4, 1, 300, 1},   {4, 8, 300, 1},  {1000, 1, 500, 3},
+                        {200, 8, 500, 7}, {16, 1, 0, 1},   {16, 8, 0, 1},
+                        {2000, 1, 3000, 1}, {300, 8, 40, 2}};
+  // Its own generator, so the tests after it draw what they always drew.
+  rng::Philox local(77);
+  auto normals = [&](std::int64_t n) {
+    std::vector<float> v(static_cast<std::size_t>(n));
+    rng::fill_normal(local, v, 0.0f, 1.0f);
+    return v;
+  };
+  for (const int threads : {1, 4}) {
+    ExecContext det;
+    det.policy = KernelPolicy::kDeterministic;
+    det.intra_op_threads = threads;
+    for (const Case& c : cases) {
+      std::vector<std::int64_t> idx(static_cast<std::size_t>(c.n));
+      rng::fill_randint(local, idx, (c.rows + c.stride - 1) / c.stride);
+      for (auto& i : idx) i *= c.stride;
+      const auto src = normals(c.n * c.width);
+      const auto init = normals(c.rows * c.width);
+      std::vector<float> ref = init;
+      for (std::int64_t i = 0; i < c.n; ++i) {
+        const std::int64_t row = idx[static_cast<std::size_t>(i)];
+        for (std::int64_t k = 0; k < c.width; ++k) {
+          ref[static_cast<std::size_t>(row * c.width + k)] +=
+              src[static_cast<std::size_t>(i * c.width + k)];
+        }
+      }
+      std::vector<float> out = init;
+      scatter_add(det, idx, src, c.width, out);
+      EXPECT_EQ(std::memcmp(ref.data(), out.data(), ref.size() * sizeof(float)),
+                0)
+          << "rows=" << c.rows << " width=" << c.width << " n=" << c.n
+          << " threads=" << threads;
+    }
+  }
 }
 
 TEST(Scatter, EmulatedAtomicsVaryAcrossCalls) {

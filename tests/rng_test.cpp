@@ -145,6 +145,35 @@ TEST(Philox, NextBelowBounds) {
   }
 }
 
+TEST(Philox, NextBelowOneModuloMatchesTheLimitTest) {
+  // next_below keeps a draw iff v - v % bound <= UINT64_MAX - bound; the
+  // reference keeps it iff v < UINT64_MAX - UINT64_MAX % bound.  Check both
+  // agree at and around every rejection edge of a spread of bounds.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  (std::uint64_t{1} << 32) + 1,
+                                  std::uint64_t{1} << 63,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  kMax};
+  for (const std::uint64_t bound : bounds) {
+    const std::uint64_t limit = kMax - kMax % bound;
+    std::vector<std::uint64_t> values;
+    for (const std::uint64_t edge :
+         {std::uint64_t{0}, bound, limit, limit - bound, kMax}) {
+      for (std::uint64_t d = 0; d <= 2; ++d) {
+        values.push_back(edge - d);
+        values.push_back(edge + d);
+      }
+    }
+    for (const std::uint64_t v : values) {
+      EXPECT_EQ(Philox::next_below_accepts(v, v % bound, bound), v < limit)
+          << "bound " << bound << " v " << v;
+    }
+  }
+}
+
 TEST(Philox, NextBelowZeroThrows) {
   Philox gen(5);
   EXPECT_THROW(gen.next_below(0), Error);

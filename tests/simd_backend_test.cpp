@@ -602,6 +602,38 @@ TEST(Simd, ElementwiseBodiesBitwise) {
             << "adam value n=" << n << " wd=" << wd;
       }
     }
+
+    // SGD: specials in grad, momentum and value.
+    auto sgd_grad = random_vec(137, n);
+    auto sgd_m0 = random_vec(139, n);
+    auto sgd_p0 = random_vec(149, n);
+    sprinkle(sgd_grad, 0, 3);
+    sprinkle(sgd_m0, 1, 3);
+    sprinkle(sgd_p0, 2, 3);
+    for (float mu : {0.0f, 0.9f}) {
+      for (float wd : {0.0f, 0.01f}) {
+        const SgdArgs args{.lr = 0.05f, .momentum = mu, .weight_decay = wd};
+        std::vector<float> m_ref = sgd_m0, p_ref = sgd_p0;
+        for (std::size_t j = 0; j < p_ref.size(); ++j) {
+          float gj = sgd_grad[j];
+          if (wd != 0.0f) gj += wd * p_ref[j];
+          if (mu != 0.0f) {
+            m_ref[j] = mu * m_ref[j] + gj;
+            gj = m_ref[j];
+          }
+          p_ref[j] -= args.lr * gj;
+        }
+        for (SimdBackend backend : vector_backends()) {
+          std::vector<float> m = sgd_m0, p = sgd_p0;
+          simd_ops(backend).sgd_update(args, sgd_grad.data(), m.data(),
+                                       p.data(), n);
+          EXPECT_TRUE(bitwise_equal(m_ref, m))
+              << "sgd m n=" << n << " mu=" << mu << " wd=" << wd;
+          EXPECT_TRUE(bitwise_equal(p_ref, p))
+              << "sgd value n=" << n << " mu=" << mu << " wd=" << wd;
+        }
+      }
+    }
   }
 }
 

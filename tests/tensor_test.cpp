@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 
@@ -22,6 +26,83 @@ TEST(Shape, EmptyShapeIsScalarLike) {
 
 TEST(Shape, NegativeDimThrows) {
   EXPECT_THROW(Shape({2, -1}), Error);
+}
+
+/// Runs `fn`, which must throw the named rank-cap error for `rank`.
+template <typename Fn>
+void expect_rank_cap_error(Fn&& fn, std::size_t rank) {
+  const std::string expected = "shape rank " + std::to_string(rank) +
+                               " exceeds the maximum rank " +
+                               std::to_string(Shape::kMaxRank);
+  try {
+    fn();
+    ADD_FAILURE() << "no error for rank " << rank;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Shape, RejectsRankAboveCap) {
+  const Shape four{1, 2, 3, 4};
+  EXPECT_EQ(four.rank(), Shape::kMaxRank);
+  EXPECT_EQ(four.numel(), 24);
+  expect_rank_cap_error([] { (void)Shape({1, 1, 1, 1, 1}); }, 5);
+  const std::vector<std::int64_t> nine(9, 1);
+  expect_rank_cap_error(
+      [&] { (void)Shape(std::span<const std::int64_t>(nine)); }, 9);
+  // A crafted rank-9 payload (u64 rank, dims, u64 numel, data) must fail on
+  // the rank before any dim is trusted.
+  ByteWriter w;
+  w.write_vector(nine);
+  w.write_vector(std::vector<float>{1.0f});
+  ByteReader float_reader(w.bytes());
+  expect_rank_cap_error([&] { (void)Tensor::load(float_reader); }, 9);
+  ByteWriter lw;
+  lw.write_vector(nine);
+  lw.write_vector(std::vector<std::int64_t>{1});
+  ByteReader long_reader(lw.bytes());
+  expect_rank_cap_error([&] { (void)LongTensor::load(long_reader); }, 9);
+}
+
+TEST(Shape, EqualityIgnoresUnusedDims) {
+  EXPECT_EQ(Shape({2, 3}), Shape({2, 3}));
+  EXPECT_NE(Shape({2, 3}), Shape({2, 3, 1}));
+  EXPECT_NE(Shape({2}), Shape({}));
+  Shape s{5, 6, 7, 8};
+  s = Shape{5, 6};
+  EXPECT_EQ(s, Shape({5, 6}));
+  EXPECT_EQ(s.to_string(), "[5, 6]");
+}
+
+TEST(Tensor, SaveWritesRankDimsNumelData) {
+  // The checkpoint layout: u64 rank, the dims, u64 numel, the data.
+  const auto expected_bytes = [](std::vector<std::int64_t> dims,
+                                 const auto& data) {
+    ByteWriter w;
+    w.write<std::uint64_t>(dims.size());
+    for (const std::int64_t d : dims) w.write(d);
+    w.write<std::uint64_t>(data.size());
+    for (const auto v : data) w.write(v);
+    return w.bytes();
+  };
+  const std::vector<float> floats = {1.5f, -2.0f, 0.25f, 100.0f, -0.0f, 3.0f};
+  const Tensor t(Shape{1, 2, 3}, floats);
+  ByteWriter w;
+  t.save(w);
+  EXPECT_EQ(w.bytes(), expected_bytes({1, 2, 3}, floats));
+  const Tensor rank4(Shape{1, 1, 2, 3}, floats);
+  ByteWriter w4;
+  rank4.save(w4);
+  EXPECT_EQ(w4.bytes(), expected_bytes({1, 1, 2, 3}, floats));
+  ByteWriter empty;
+  Tensor().save(empty);
+  EXPECT_EQ(empty.bytes(), expected_bytes({}, std::vector<float>{}));
+  const std::vector<std::int64_t> longs = {7, -1, 0, 3};
+  const LongTensor l(Shape{4}, longs);
+  ByteWriter lw;
+  l.save(lw);
+  EXPECT_EQ(lw.bytes(), expected_bytes({4}, longs));
 }
 
 TEST(Tensor, ConstructZeroed) {
