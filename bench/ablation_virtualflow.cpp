@@ -27,12 +27,14 @@ int main() {
                 "ResNet18, 4 logical workers");
   auto wd = models::make_dataset_for("ResNet18", 512, 256, 42);
 
-  parallel::TrainerConfig dcfg;
-  dcfg.workload = "ResNet18";
-  dcfg.world_size = 4;
-  dcfg.batch_per_worker = 8;
-  dcfg.seed = 42;
-  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
+  core::EasyScaleConfig cfg;
+  cfg.workload = "ResNet18";
+  cfg.num_ests = 4;
+  cfg.batch_per_est = 8;
+  cfg.seed = 42;
+  // DDP: the same job on the identity packing (one rank per GPU).
+  parallel::Trainer reference(core::trainer_config(cfg), *wd.train,
+                              wd.augment);
   reference.run_steps(kSteps);
   const auto ref_acc =
       models::evaluate(reference.model(), *wd.test, 32, 10).overall;
@@ -57,17 +59,12 @@ int main() {
                 100.0 * acc, 100.0 * std::abs(acc - ref_acc));
   }
   for (std::int64_t world : {1, 2}) {
-    core::EasyScaleConfig cfg;
-    cfg.workload = "ResNet18";
-    cfg.num_ests = 4;
-    cfg.batch_per_est = 8;
-    cfg.seed = 42;
     core::EasyScaleEngine e(cfg, *wd.train, wd.augment);
     e.configure_workers(std::vector<core::WorkerSpec>(
         static_cast<std::size_t>(world)));
     e.run_steps(kSteps);
     const auto acc =
-        models::evaluate(e.model_for_eval(0), *wd.test, 32, 10).overall;
+        models::evaluate(e.trainer().model(), *wd.test, 32, 10).overall;
     std::printf("%-24s %10lld %12s %9.1f%% (drift %.2f%%)\n", "EasyScale",
                 static_cast<long long>(world),
                 e.params_digest() == reference.params_digest() ? "yes" : "NO",

@@ -30,25 +30,8 @@ using kernels::DeviceType;
 constexpr std::int64_t kStageSteps = 100;
 constexpr std::uint64_t kSeed = 42;
 
-std::vector<float> run_ddp(const std::string& workload,
-                           kernels::KernelPolicy policy) {
-  auto wd = models::make_dataset_for(workload, 256, 32, kSeed);
-  parallel::TrainerConfig cfg;
-  cfg.workload = workload;
-  cfg.world_size = 4;
-  cfg.batch_per_worker = 4;
-  cfg.seed = kSeed;
-  cfg.policy = policy;
-  cfg.optim.lr = 0.02f;  // keeps VGG19 (no BatchNorm) alive, large enough that
-                         // single-step bitwise divergence survives rounding
-  parallel::Trainer trainer(cfg, *wd.train, wd.augment);
-  trainer.run_steps(3 * kStageSteps);
-  return trainer.loss_history();
-}
-
-std::vector<float> run_easyscale(const std::string& workload,
-                                 DeterminismLevel level, bool d2) {
-  auto wd = models::make_dataset_for(workload, 256, 32, kSeed);
+core::EasyScaleConfig job(const std::string& workload, DeterminismLevel level,
+                          bool d2) {
   core::EasyScaleConfig cfg;
   cfg.workload = workload;
   cfg.num_ests = 4;
@@ -56,8 +39,26 @@ std::vector<float> run_easyscale(const std::string& workload,
   cfg.seed = kSeed;
   cfg.determinism.level = level;
   cfg.determinism.d2 = d2;
-  cfg.optim.lr = 0.02f;
-  core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
+  cfg.optim.lr = 0.02f;  // keeps VGG19 (no BatchNorm) alive, large enough that
+                         // single-step bitwise divergence survives rounding
+  return cfg;
+}
+
+/// DDP-homo (d2 off) or DDP-heter (d2 on): the job on a fixed 4 workers.
+std::vector<float> run_ddp(const std::string& workload, bool d2) {
+  auto wd = models::make_dataset_for(workload, 256, 32, kSeed);
+  parallel::Trainer trainer(
+      core::trainer_config(job(workload, DeterminismLevel::kD1, d2)),
+      *wd.train, wd.augment);
+  trainer.run_steps(3 * kStageSteps);
+  return trainer.loss_history();
+}
+
+std::vector<float> run_easyscale(const std::string& workload,
+                                 DeterminismLevel level, bool d2) {
+  auto wd = models::make_dataset_for(workload, 256, 32, kSeed);
+  core::EasyScaleEngine engine(job(workload, level, d2), *wd.train,
+                               wd.augment);
   // Stage 0: 4x V100.
   engine.configure_workers(std::vector<WorkerSpec>(4, WorkerSpec{}));
   engine.run_steps(kStageSteps);
@@ -97,10 +98,8 @@ void report(const char* config_name, const std::vector<float>& es,
 void run_model(const std::string& workload) {
   std::printf("\n%s (loss diff of last worker vs the 4-GPU DDP reference)\n",
               workload.c_str());
-  const auto ddp_homo =
-      run_ddp(workload, kernels::KernelPolicy::kDeterministic);
-  const auto ddp_heter =
-      run_ddp(workload, kernels::KernelPolicy::kHardwareAgnostic);
+  const auto ddp_homo = run_ddp(workload, /*d2=*/false);
+  const auto ddp_heter = run_ddp(workload, /*d2=*/true);
   std::printf(" vs DDP-homo:\n");
   report("D0", run_easyscale(workload, core::DeterminismLevel::kD0, false),
          ddp_homo);

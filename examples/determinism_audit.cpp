@@ -74,31 +74,32 @@ easyscale::DigestChain audit_chain(bool overlap) {
   core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<core::WorkerSpec>(2));
   engine.run_steps(4);
-  return engine.params_digest_chain();
+  return engine.trainer().params_digest_chain();
 }
 
-/// The same reference trajectory executed by the planner-driven trainer
-/// at optimizer-state shard degree `degree` (world 4 = the 4 ESTs, one
-/// per rank).  Bitwise DDP equivalence means this chain must equal
-/// audit_chain()'s for EVERY degree dividing the world.
-easyscale::DigestChain shard_chain(int degree) {
-  using namespace easyscale;
-  auto wd = models::make_dataset_for("NeuMF", /*train=*/256, /*test=*/64,
-                                     /*seed=*/7);
-  parallel::TrainerConfig cfg;
+/// The reference job as the trainer's identity packing (world 4 = the 4
+/// ESTs, one per worker) at optimizer-state shard degree `degree`.
+easyscale::parallel::TrainerConfig reference_trainer(int degree) {
+  easyscale::parallel::TrainerConfig cfg;
   cfg.workload = "NeuMF";
   cfg.world_size = 4;
   cfg.batch_per_worker = 8;
   cfg.seed = 7;
   cfg.shard_degree = degree;
-  parallel::Trainer trainer(cfg, *wd.train, wd.augment);
+  return cfg;
+}
+
+/// The reference trajectory on the identity packing.  Packing invariance
+/// means this chain must equal audit_chain()'s for EVERY shard degree
+/// dividing the world.
+easyscale::DigestChain shard_chain(int degree) {
+  using namespace easyscale;
+  auto wd = models::make_dataset_for("NeuMF", /*train=*/256, /*test=*/64,
+                                     /*seed=*/7);
+  parallel::Trainer trainer(reference_trainer(degree), *wd.train,
+                            wd.augment);
   trainer.run_steps(4);
-  DigestChain chain;
-  std::uint64_t id = 0;
-  for (const auto* p : trainer.model().params().all()) {
-    chain.push(id++, digest_floats(p->value.data()));
-  }
-  return chain;
+  return trainer.params_digest_chain();
 }
 
 /// The reference trajectory interrupted by an in-fabric recovery: train to
@@ -112,21 +113,16 @@ easyscale::DigestChain recovered_chain(int save_degree, int restore_degree,
   using namespace easyscale;
   auto wd = models::make_dataset_for("NeuMF", /*train=*/256, /*test=*/64,
                                      /*seed=*/7);
-  parallel::TrainerConfig cfg;
-  cfg.workload = "NeuMF";
-  cfg.world_size = 4;
-  cfg.batch_per_worker = 8;
-  cfg.seed = 7;
-  cfg.shard_degree = save_degree;
   std::vector<std::uint8_t> snapshot;
   {
-    parallel::Trainer doomed(cfg, *wd.train, wd.augment);
+    parallel::Trainer doomed(reference_trainer(save_degree), *wd.train,
+                             wd.augment);
     doomed.run_steps(2);
     snapshot = doomed.checkpoint_bytes();
     // `doomed` is dropped here: the crash.  Only the bytes survive.
   }
-  cfg.shard_degree = restore_degree;
-  parallel::Trainer trainer(cfg, *wd.train, wd.augment);
+  parallel::Trainer trainer(reference_trainer(restore_degree), *wd.train,
+                            wd.augment);
   trainer.restore_checkpoint_bytes(snapshot);
   if (mid_degree > 0) {
     trainer.run_steps(1);
@@ -135,12 +131,7 @@ easyscale::DigestChain recovered_chain(int save_degree, int restore_degree,
   } else {
     trainer.run_steps(2);
   }
-  DigestChain chain;
-  std::uint64_t id = 0;
-  for (const auto* p : trainer.model().params().all()) {
-    chain.push(id++, digest_floats(p->value.data()));
-  }
-  return chain;
+  return trainer.params_digest_chain();
 }
 
 /// The reference trajectory supervised by the replicated control plane
@@ -198,7 +189,7 @@ easyscale::DigestChain controller_chain(bool stormy, std::int64_t workers,
   *content_tail = sup.control_plane()->log().content_tail();
   *failovers = stats.controller_failovers;
   mgr.clear();
-  return engine.params_digest_chain();
+  return engine.trainer().params_digest_chain();
 }
 
 void write_chain(std::ostream& os, const easyscale::DigestChain& chain) {

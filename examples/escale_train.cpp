@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
                 workers, static_cast<double>(loss));
   }
   const auto report =
-      models::evaluate(engine.model_for_eval(0), *wd.test, 32, 10);
+      models::evaluate(engine.trainer().model(), *wd.test, 32, 10);
   std::printf("validation accuracy: %.1f%%\n", 100.0 * report.overall);
   std::printf("params digest: %016llx\n",
               static_cast<unsigned long long>(engine.params_digest()));
@@ -161,15 +161,8 @@ int main(int argc, char** argv) {
     std::printf("checkpoint written to %s\n", args.checkpoint.c_str());
   }
   if (args.verify && args.resume.empty()) {
-    parallel::TrainerConfig dcfg;
-    dcfg.workload = args.workload;
-    dcfg.world_size = args.ests;
-    dcfg.batch_per_worker = args.batch;
-    dcfg.seed = args.seed;
-    dcfg.policy = args.d2 ? kernels::KernelPolicy::kHardwareAgnostic
-                          : kernels::KernelPolicy::kDeterministic;
-    dcfg.optim = cfg.optim;
-    parallel::Trainer reference(dcfg, *wd.train, wd.augment);
+    parallel::Trainer reference(core::trainer_config(cfg), *wd.train,
+                                wd.augment);
     reference.run_epochs(static_cast<std::int64_t>(args.schedule.size()));
     const bool same = reference.params_digest() == engine.params_digest();
     std::printf("verification vs fixed-DoP DDP: %s\n",

@@ -58,13 +58,8 @@ int main() {
   std::printf("restored onto 2xT4 + 1xV100 and ran 20 more steps.\n");
 
   // Reference: the same 40 steps on fixed homogeneous DDP (D2 kernels).
-  parallel::TrainerConfig dcfg;
-  dcfg.workload = workload;
-  dcfg.world_size = 4;
-  dcfg.batch_per_worker = 4;
-  dcfg.seed = seed;
-  dcfg.policy = kernels::KernelPolicy::kHardwareAgnostic;
-  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
+  parallel::Trainer reference(core::trainer_config(cfg), *wd.train,
+                              wd.augment);
   reference.run_steps(40);
 
   std::printf("\nrevived  digest: %016llx\n",

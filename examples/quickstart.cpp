@@ -41,16 +41,12 @@ int main() {
   std::printf("scaled in to 1 GPU...\n");
   engine.run_epochs(1);
 
-  // ---- Reference: DDP on a fixed 4 GPUs ----------------------------------
-  parallel::TrainerConfig dcfg;
-  dcfg.workload = workload;
-  dcfg.world_size = 4;
-  dcfg.batch_per_worker = 8;
-  dcfg.seed = seed;
-  parallel::Trainer reference(dcfg, *wd.train, wd.augment);
+  // ---- Reference: the same job as DDP on a fixed 4 GPUs ------------------
+  parallel::Trainer reference(core::trainer_config(cfg), *wd.train,
+                              wd.augment);
   reference.run_epochs(5);
 
-  const auto acc = models::evaluate(engine.model_for_eval(0), *wd.test, 32, 10);
+  const auto acc = models::evaluate(engine.trainer().model(), *wd.test, 32, 10);
   std::printf("\nvalidation accuracy after 5 epochs: %.1f%%\n",
               100.0 * acc.overall);
   std::printf("EasyScale params digest: %016llx\n",

@@ -53,4 +53,11 @@ struct ESTContext {
   }
 };
 
+/// Swap-traffic counters for the context-switching experiments.
+struct SwitchStats {
+  std::int64_t context_switches = 0;
+  std::int64_t gradient_bytes_swapped = 0;
+  std::int64_t context_bytes_swapped = 0;
+};
+
 }  // namespace easyscale::core

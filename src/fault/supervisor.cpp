@@ -139,7 +139,7 @@ void FaultSupervisor::take_peer_snapshot() {
   // Under sdc_defense a peer epoch must be as trustworthy as a blessed disk
   // generation: only witness-certified states enter the stores.
   if (config_.sdc_defense &&
-      engine_->last_clean_witness_step() != engine_->global_step()) {
+      engine_->trainer().last_clean_witness_step() != engine_->global_step()) {
     return;
   }
   // Two-phase epoch commit.  Copy-on-snapshot staging is the only
@@ -187,7 +187,7 @@ void FaultSupervisor::arm_sdc(const FaultEvent& event) {
 }
 
 void FaultSupervisor::charge_witness_wall() {
-  const std::int64_t replays = engine_->witness_stats().replays;
+  const std::int64_t replays = engine_->trainer().witness_stats().replays;
   const double wall = static_cast<double>(replays - last_witness_replays_) *
                       config_.est_step_s;
   last_witness_replays_ = replays;
@@ -215,10 +215,10 @@ void FaultSupervisor::save_checkpoint() {
   const auto bless =
       decide(DecisionKind::kBlessCheckpoint, config_.sdc_defense ? 1 : 0);
   const std::int64_t fence = bless.has_value() ? bless->epoch : 0;
-  checkpoints_->save(engine_->checkpoint(), engine_->params_digest_chain(),
-                     fence);
+  checkpoints_->save(engine_->checkpoint(),
+                     engine_->trainer().params_digest_chain(), fence);
   if (config_.sdc_defense &&
-      engine_->last_clean_witness_step() == engine_->global_step() &&
+      engine_->trainer().last_clean_witness_step() == engine_->global_step() &&
       checkpoints_->bless_newest(fence)) {
     ++stats_.verified_checkpoints;
   }
@@ -266,7 +266,7 @@ bool FaultSupervisor::restore_latest(
   // A disk generation read under kBlessed must restore exactly the
   // parameters its stored chain attests.
   ES_CHECK(from_peer || trust != core::Trust::kBlessed ||
-               engine_->params_digest_chain() == state->chain,
+               engine_->trainer().params_digest_chain() == state->chain,
            "restored parameters disagree with the blessed digest chain");
   const std::int64_t lost =
       std::max<std::int64_t>(0, before - engine_->global_step());
@@ -461,7 +461,7 @@ GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
     stats_.failed = true;
   }
   stats_.steps_completed = engine_->global_step();
-  stats_.witness_replays = engine_->witness_stats().replays;
+  stats_.witness_replays = engine_->trainer().witness_stats().replays;
   if (peer_) {
     stats_.peer_background_s = peer_->stats().replicate_virtual_s;
   }
@@ -546,7 +546,7 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
             ce.rank = static_cast<int>(event.worker % workers_);
             ce.stall_s = event.stall_s;
             ce.payload_seed = event.payload_seed;
-            engine_->inject_comm_fault(ce);
+            engine_->trainer().inject_comm_fault(ce);
           } else {
             // No failure-aware fabric: the sync layer still retransmits,
             // costing one detection window of wall time.
@@ -566,7 +566,7 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
             comm::CommFaultEvent ce;
             ce.kind = comm::LinkFaultKind::kRankDeath;
             ce.rank = static_cast<int>(event.worker % workers_);
-            engine_->inject_comm_fault(ce);
+            engine_->trainer().inject_comm_fault(ce);
           } else {
             fatal = true;
             lose_worker = true;

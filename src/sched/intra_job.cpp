@@ -71,9 +71,9 @@ bool IntraJobScheduler::report_throughput(double observed_mbps) {
 }
 
 bool IntraJobScheduler::rebalance_stragglers(double threshold_s) {
-  const auto stalls = engine_->comm_stall_per_worker();
+  const auto stalls = engine_->trainer().comm_stall_per_worker();
   if (stalls.size() < 2) return false;  // nothing to move between
-  auto assignment = engine_->current_assignment();
+  auto assignment = engine_->trainer().current_assignment();
   std::size_t best = 0;
   std::size_t worst = stalls.size();  // sentinel: none above threshold
   for (std::size_t w = 0; w < stalls.size(); ++w) {
@@ -101,7 +101,7 @@ bool IntraJobScheduler::rebalance_stragglers(double threshold_s) {
 
 bool IntraJobScheduler::quarantine_worker(std::int64_t slot) {
   auto specs = engine_->current_worker_specs();
-  auto assignment = engine_->current_assignment();
+  auto assignment = engine_->trainer().current_assignment();
   if (slot < 0 || slot >= static_cast<std::int64_t>(specs.size()) ||
       specs.size() < 2) {
     return false;

@@ -247,9 +247,9 @@ TEST(EdgeEngine, ModelForEvalRejectsOutOfRangeEst) {
   core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
   e.configure_workers({core::WorkerSpec{}});
   for (const std::int64_t est : {-1, 2}) {
-    expect_out_of_range([&] { (void)e.model_for_eval(est); }, est, 2);
+    expect_out_of_range([&] { (void)e.trainer().model(est); }, est, 2);
   }
-  EXPECT_NO_THROW((void)e.model_for_eval(1));
+  EXPECT_NO_THROW((void)e.trainer().model(1));
 }
 
 TEST(EdgeEngine, WorkerExecRejectsOutOfRangeIndex) {
@@ -257,9 +257,9 @@ TEST(EdgeEngine, WorkerExecRejectsOutOfRangeIndex) {
   core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
   e.configure_workers(std::vector<core::WorkerSpec>(2));
   for (const std::int64_t i : {-1, 2}) {
-    expect_out_of_range([&] { (void)e.worker_exec(i); }, i, 2);
+    expect_out_of_range([&] { (void)e.trainer().worker_exec(i); }, i, 2);
   }
-  EXPECT_NO_THROW((void)e.worker_exec(1));
+  EXPECT_NO_THROW((void)e.trainer().worker_exec(1));
 }
 
 TEST(EdgeTrainer, ModelRejectsOutOfRangeRank) {
@@ -269,6 +269,68 @@ TEST(EdgeTrainer, ModelRejectsOutOfRangeRank) {
     expect_out_of_range([&] { (void)t.model(r); }, r, 2);
   }
   EXPECT_NO_THROW((void)t.model(1));
+}
+
+/// Constructs a trainer over `cfg` at `packing` and expects an Error whose
+/// message names both `field` and `other`.
+void expect_pairing_error(const parallel::TrainerConfig& cfg,
+                          const parallel::Assignment& packing,
+                          const std::string& field, const std::string& other) {
+  auto wd = models::make_dataset_for(cfg.workload, 64, 16, 7);
+  try {
+    parallel::Trainer t(
+        cfg, *wd.train, wd.augment,
+        std::vector<parallel::WorkerSpec>(packing.size()), packing);
+    FAIL() << field << " with this packing was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find(other), std::string::npos) << what;
+  }
+}
+
+parallel::TrainerConfig four_rank_neumf() {
+  auto cfg = two_rank_neumf();
+  cfg.world_size = 4;
+  cfg.context_switching = true;
+  return cfg;
+}
+
+const parallel::Assignment kTwoPerWorker{{0, 1}, {2, 3}};
+
+TEST(EdgeTrainer, ShardingNeedsOneRankPerWorker) {
+  auto cfg = four_rank_neumf();
+  cfg.shard_degree = 2;
+  expect_pairing_error(cfg, kTwoPerWorker, "shard_degree", "rank per worker");
+  // A packed trainer cannot reshard into ZeRO-1 either.
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  parallel::Trainer t(four_rank_neumf(), *wd.train, wd.augment,
+                      std::vector<parallel::WorkerSpec>(2), kTwoPerWorker);
+  EXPECT_THROW(t.reshard(2), Error);
+}
+
+TEST(EdgeTrainer, VotingNeedsOneRankPerWorker) {
+  auto cfg = four_rank_neumf();
+  cfg.logical_world = 2;
+  expect_pairing_error(cfg, kTwoPerWorker, "logical_world", "rank per worker");
+}
+
+TEST(EdgeTrainer, WitnessAndVotingAreExclusive) {
+  auto cfg = four_rank_neumf();
+  cfg.logical_world = 2;
+  cfg.witness.witness_every = 2;
+  expect_pairing_error(cfg, {{0}, {1}, {2}, {3}}, "witness", "logical_world");
+  cfg.witness.witness_every = 0;
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  parallel::Trainer t(cfg, *wd.train, wd.augment);
+  EXPECT_THROW(t.set_witness_every(2), Error);
+}
+
+TEST(EdgeTrainer, ResidentRanksNeedOneRankPerWorker) {
+  auto cfg = four_rank_neumf();
+  cfg.context_switching = false;
+  expect_pairing_error(cfg, kTwoPerWorker, "context_switching",
+                       "rank per worker");
 }
 
 TEST(EdgeTrainer, SchedulerRejectsOutOfRangeRank) {

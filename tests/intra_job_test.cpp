@@ -126,20 +126,20 @@ TEST(IntraJob, RebalancesESTsOffAStalledWorkerBitwiseNeutrally) {
     stall.kind = comm::LinkFaultKind::kStallLink;
     stall.rank = 1;
     stall.stall_s = 0.2;
-    engine.inject_comm_fault(stall);
+    engine.trainer().inject_comm_fault(stall);
     engine.run_steps(1);
   }
-  const auto stalls = engine.comm_stall_per_worker();
+  const auto stalls = engine.trainer().comm_stall_per_worker();
   ASSERT_EQ(stalls.size(), 2u);
   EXPECT_GT(stalls[1], 0.5);
 
-  const auto before = engine.current_assignment();
+  const auto before = engine.trainer().current_assignment();
   ASSERT_TRUE(sched.rebalance_stragglers(0.5));
-  const auto after = engine.current_assignment();
+  const auto after = engine.trainer().current_assignment();
   EXPECT_EQ(after[0].size(), before[0].size() + 1);
   EXPECT_EQ(after[1].size(), before[1].size() - 1);
   // The remap rebuilt the fabric: stall counters start over.
-  EXPECT_EQ(engine.comm_stall_per_worker(), std::vector<double>(2, 0.0));
+  EXPECT_EQ(engine.trainer().comm_stall_per_worker(), std::vector<double>(2, 0.0));
   // ... so an immediate second call has no straggler to act on.
   EXPECT_FALSE(sched.rebalance_stragglers(0.5));
 

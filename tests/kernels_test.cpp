@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -279,23 +280,30 @@ TEST(Scatter, SortedMatchesSourceOrderReference) {
 }
 
 TEST(Scatter, EmulatedAtomicsVaryAcrossCalls) {
+  // Update 0 adds 2^24 and every other update adds 1.  Added first, 2^24
+  // absorbs each later 1 (2^24 + 1 rounds back to 2^24); added last, it
+  // lands on the exact sum of the ones.  Rotating the order by one call
+  // therefore changes update 0's row whenever that row collects two or
+  // more other updates.  The collision pattern comes from the test's own
+  // generator, so no other test's draws can change it.
   ExecContext fast;
   fast.policy = KernelPolicy::kFastest;
   reset_atomic_emulation_counter();
+  rng::Philox local(4242);
   std::vector<std::int64_t> idx(300);
-  rng::fill_randint(gen, idx, 4);  // heavy collisions
-  const auto src = random_vec(300);
+  rng::fill_randint(local, idx, 4);  // heavy collisions
+  ASSERT_GE(std::count(idx.begin() + 1, idx.end(), idx[0]), 2);
+  std::vector<float> src(idx.size(), 1.0f);
+  src[0] = 16777216.0f;  // 2^24
   std::vector<std::uint64_t> digests;
   for (int run = 0; run < 4; ++run) {
     std::vector<float> out(4, 0.0f);
     scatter_add(fast, idx, src, 1, out);
     digests.push_back(digest_floats(out));
   }
-  bool any_diff = false;
-  for (std::size_t i = 1; i < digests.size(); ++i) {
-    if (digests[i] != digests[0]) any_diff = true;
-  }
-  EXPECT_TRUE(any_diff) << "atomic emulation should vary run to run";
+  // Call 0 applies update 0 first, call 1 applies it last.
+  EXPECT_NE(digests[1], digests[0])
+      << "atomic emulation should vary run to run";
 }
 
 TEST(Scatter, OutOfRangeThrows) {

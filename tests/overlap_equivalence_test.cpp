@@ -125,7 +125,7 @@ TEST(OverlapEquivalence, EngineCommFaultAbortsAndReexecutesBitwise) {
   comm::CommFaultEvent drop;
   drop.kind = comm::LinkFaultKind::kDropChunk;
   drop.rank = 1;  // collective = -1: hits an in-flight bucket next step
-  victim.inject_comm_fault(drop);
+  victim.trainer().inject_comm_fault(drop);
   victim.run_steps(3);
   ASSERT_TRUE(victim.last_comm_report().has_value());
   EXPECT_GT(victim.transport_stats().drops, 0);
@@ -219,7 +219,7 @@ TEST_F(BucketCapEnv, ConfigCapBeatsEnv) {
 TEST_F(BucketCapEnv, EnvCapSmallerThanLargestParameterIsRejected) {
   ::setenv("EASYSCALE_BUCKET_CAP", "4", 1);  // smaller than any parameter
   auto model = models::make_workload("NeuMF");
-  EXPECT_THROW(comm::resolve_bucket_cap(0, model->params()), Error);
+  EXPECT_THROW((void)comm::resolve_bucket_cap(0, model->params()), Error);
 }
 
 TEST_F(BucketCapEnv, GarbageEnvIsRejectedWithNamedError) {
@@ -227,8 +227,8 @@ TEST_F(BucketCapEnv, GarbageEnvIsRejectedWithNamedError) {
   // silently with the built-in default (common/env.hpp strict parsing).
   ::setenv("EASYSCALE_BUCKET_CAP", "not-a-number", 1);
   auto model = models::make_workload("NeuMF");
-  EXPECT_THROW(comm::env_default_bucket_cap(), Error);
-  EXPECT_THROW(comm::resolve_bucket_cap(0, model->params()), Error);
+  EXPECT_THROW((void)comm::env_default_bucket_cap(), Error);
+  EXPECT_THROW((void)comm::resolve_bucket_cap(0, model->params()), Error);
 }
 
 TEST_F(BucketCapEnv, EngineLayoutRespectsEnvCap) {

@@ -386,9 +386,10 @@ TEST(ShardCost, StateShrinksCommStaysFlat) {
 TEST(ShardCost, RejectsFractionalStateMultiple) {
   Params p;
   const Plan plan = parallel::make_plan(4, 2, p.store);
-  EXPECT_THROW(sim::shard_step_cost(plan, p.store.total_numel() + 1, 0),
+  EXPECT_THROW((void)sim::shard_step_cost(plan, p.store.total_numel() + 1, 0),
                Error);
-  EXPECT_THROW(sim::shard_step_cost(plan, p.store.total_numel(), 9), Error);
+  EXPECT_THROW((void)sim::shard_step_cost(plan, p.store.total_numel(), 9),
+               Error);
 }
 
 TEST(ShardOptimizer, SliceBoundsAreChecked) {

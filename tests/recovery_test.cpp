@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "core/checkpoint_manager.hpp"
 #include "core/engine.hpp"
 #include "fault/injector.hpp"
@@ -289,7 +291,7 @@ TEST(Recovery, TrainerSnapshotRestoresAcrossShardDegrees) {
   // the straight-through run.
   auto& wd = trainer_data();
   const std::uint64_t clean = trainer_clean_digest(1, 8);
-  for (const auto [save_deg, restore_deg] : {std::pair{4, 1},
+  for (const auto& [save_deg, restore_deg] : {std::pair{4, 1},
                                              std::pair{1, 4}}) {
     parallel::Trainer saver(trainer_config(save_deg), *wd.train, wd.augment);
     saver.run_steps(4);
@@ -335,6 +337,67 @@ TEST(Recovery, TrainerSnapshotRejectsTornBytes) {
     EXPECT_THROW(victim.restore_checkpoint_bytes(torn), Error)
         << "flipped byte " << i;
   }
+}
+
+std::uint64_t buffers_digest(parallel::Trainer& t, std::int64_t rank) {
+  Digest d;
+  for (const auto* b : t.model(rank).buffers()) d.update(b->data());
+  return d.value();
+}
+
+TEST(Recovery, TrainerImageKeepsBatchNormBuffers) {
+  // BatchNorm running statistics are per-rank state: a restore that drops
+  // them comes back with freshly initialized buffers while the parameters
+  // still match (training-mode BN normalizes with batch statistics).
+  auto& wd = trainer_data();
+  auto cfg = trainer_config(1);
+  cfg.world_size = 2;
+  parallel::Trainer live(cfg, *wd.train, wd.augment);
+  live.run_steps(3);
+  const auto path = temp_prefix("bn_buffers.ckpt");
+  live.save_checkpoint(path);
+  parallel::Trainer from_bytes(cfg, *wd.train, wd.augment);
+  from_bytes.restore_checkpoint_bytes(live.checkpoint_bytes());
+  parallel::Trainer from_file(cfg, *wd.train, wd.augment);
+  from_file.restore_checkpoint(path);
+  std::remove(path.c_str());
+  for (std::int64_t rank = 0; rank < cfg.world_size; ++rank) {
+    const std::uint64_t want = buffers_digest(live, rank);
+    EXPECT_EQ(buffers_digest(from_bytes, rank), want) << "rank " << rank;
+    EXPECT_EQ(buffers_digest(from_file, rank), want) << "rank " << rank;
+  }
+  EXPECT_NE(buffers_digest(live, 0), buffers_digest(live, 1))
+      << "ranks saw different batches, so their statistics must differ";
+}
+
+TEST(Recovery, RestoreLeavesLossHistoryAlone) {
+  // loss_history records the steps this trainer or engine ran: a restore,
+  // forwards or backwards, neither truncates nor replaces it.
+  auto& wd = trainer_data();
+  parallel::Trainer t(trainer_config(1), *wd.train, wd.augment);
+  t.run_steps(2);
+  const auto snapshot = t.checkpoint_bytes();
+  t.run_steps(2);
+  const std::vector<float> ran = t.loss_history();
+  t.restore_checkpoint_bytes(snapshot);
+  EXPECT_EQ(t.global_step(), 2);
+  EXPECT_EQ(t.loss_history(), ran);
+  parallel::Trainer fresh(trainer_config(1), *wd.train, wd.augment);
+  fresh.restore_checkpoint_bytes(snapshot);
+  EXPECT_TRUE(fresh.loss_history().empty());
+  fresh.run_steps(1);
+  EXPECT_EQ(fresh.loss_history(), std::vector<float>{ran[2]});
+
+  EasyScaleConfig ecfg;
+  ecfg.workload = "ResNet18";
+  ecfg.batch_per_est = 4;
+  EasyScaleEngine engine(ecfg, *wd.train, wd.augment);
+  engine.configure_workers(std::vector<WorkerSpec>(2));
+  engine.run_steps(1);
+  const auto ckpt = engine.checkpoint();
+  engine.run_steps(1);
+  engine.restore(ckpt);
+  EXPECT_EQ(engine.loss_history().size(), 2u);
 }
 
 // --- Recovery-latency / lost-steps model under the PR 1 MTBF trace ---

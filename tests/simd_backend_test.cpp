@@ -90,7 +90,8 @@ TEST(Simd, EnvOverrideStrictValidation) {
   for (const char* bad : {"avx2 ", " scalar", "AVX-512", "AVX2", "Scalar",
                           "sse", "avx", "best", "auto\t"}) {
     ASSERT_EQ(setenv(kVar, bad, 1), 0);
-    EXPECT_THROW(parse_simd_backend_env(), Error) << "value: '" << bad << "'";
+    EXPECT_THROW((void)parse_simd_backend_env(), Error)
+        << "value: '" << bad << "'";
   }
   // Valid tokens parse; pinning a backend the host cannot run throws
   // (never silently downgrades).
@@ -99,7 +100,7 @@ TEST(Simd, EnvOverrideStrictValidation) {
     if (simd_backend_available(b)) {
       EXPECT_EQ(parse_simd_backend_env(), b);
     } else {
-      EXPECT_THROW(parse_simd_backend_env(), Error);
+      EXPECT_THROW((void)parse_simd_backend_env(), Error);
     }
   }
   ASSERT_EQ(unsetenv(kVar), 0);
