@@ -9,45 +9,45 @@ namespace easyscale::cluster {
 
 namespace {
 
-/// Distribute `capacity` integer GPUs over `want` (fractional targets) by
-/// largest remainder, never exceeding ceil of the target's demand cap.
-/// Deterministic: remainder ties break toward the lower index.
-std::vector<std::int64_t> round_shares(const std::vector<double>& want,
-                                       const std::vector<std::int64_t>& cap,
-                                       std::int64_t capacity) {
-  const std::size_t n = want.size();
-  std::vector<std::int64_t> out(n, 0);
-  std::vector<std::pair<double, std::size_t>> frac;
+using Keyed = std::pair<double, std::size_t>;  // (sort key, request index)
+
+/// Add to `alloc` the largest-remainder rounding of the fractional surplus
+/// shares ws.extra, each capped at its ws.headroom, handing out at most
+/// `capacity` GPUs in all.  Deterministic: remainder ties break toward the
+/// lower index.  A positive remainder means floor(share) < headroom, so
+/// the GPU it may earn never overshoots the headroom.
+void round_shares(FairShareWorkspace& ws, std::int64_t capacity,
+                  std::vector<std::int64_t>& alloc) {
+  auto& rem = ws.remainders;
+  rem.clear();
   std::int64_t used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < ws.extra.size(); ++i) {
     const double clamped =
-        std::min(want[i], static_cast<double>(cap[i]));
-    out[i] = static_cast<std::int64_t>(std::floor(clamped));
-    used += out[i];
-    frac.push_back({clamped - std::floor(clamped), i});
+        std::min(ws.extra[i], static_cast<double>(ws.headroom[i]));
+    const double whole = std::floor(clamped);
+    alloc[i] += static_cast<std::int64_t>(whole);
+    used += static_cast<std::int64_t>(whole);
+    if (clamped - whole > 0.0) rem.push_back({clamped - whole, i});
   }
-  std::sort(frac.begin(), frac.end(),
-            [](const std::pair<double, std::size_t>& a,
-               const std::pair<double, std::size_t>& b) {
+  std::sort(rem.begin(), rem.end(),
+            [](const Keyed& a, const Keyed& b) {
               if (a.first != b.first) return a.first > b.first;
               return a.second < b.second;
             });
-  for (const auto& [rem, i] : frac) {
+  for (const auto& entry : rem) {
     if (used >= capacity) break;
-    if (rem <= 0.0 || out[i] >= cap[i]) continue;
-    ++out[i];
+    ++alloc[entry.second];
     ++used;
   }
-  return out;
 }
 
 }  // namespace
 
-std::vector<std::int64_t> fair_share(const std::vector<ShareRequest>& reqs,
-                                     std::int64_t capacity) {
+void fair_share(const std::vector<ShareRequest>& reqs, std::int64_t capacity,
+                FairShareWorkspace& ws, std::vector<std::int64_t>& alloc) {
   ES_CHECK(capacity >= 0, "negative capacity");
   const std::size_t n = reqs.size();
-  std::vector<std::int64_t> alloc(n, 0);
+  alloc.assign(n, 0);
   std::int64_t remaining = capacity;
 
   // Pass 1 — entitlements, guaranteed before burst: each quota-holding
@@ -68,29 +68,31 @@ std::vector<std::int64_t> fair_share(const std::vector<ShareRequest>& reqs,
   // sort by saturation level headroom/weight, walk until the water level
   // fits under the next tenant's cap; everyone before the walk point gets
   // their full headroom, everyone after gets weight × level.
-  std::vector<std::int64_t> headroom(n, 0);
-  std::vector<std::size_t> order;
+  auto& headroom = ws.headroom;
+  auto& order = ws.order;
+  auto& extra = ws.extra;
+  headroom.resize(n);
+  order.clear();
+  extra.assign(n, 0.0);
   double weight_tail = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     headroom[i] = std::max<std::int64_t>(0, reqs[i].demand - alloc[i]);
     if (headroom[i] > 0 && reqs[i].weight > 0.0) {
-      order.push_back(i);
+      order.push_back(
+          {static_cast<double>(headroom[i]) / reqs[i].weight, i});
       weight_tail += reqs[i].weight;
     }
   }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double la = static_cast<double>(headroom[a]) / reqs[a].weight;
-    const double lb = static_cast<double>(headroom[b]) / reqs[b].weight;
-    if (la != lb) return la < lb;
-    return a < b;
+  std::sort(order.begin(), order.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.first != b.first) return a.first < b.first;
+    return a.second < b.second;
   });
-  std::vector<double> extra(n, 0.0);
   double spare = static_cast<double>(remaining);
   std::size_t walk = 0;
   for (; walk < order.size() && weight_tail > 0.0; ++walk) {
-    const std::size_t i = order[walk];
+    const auto [saturation, i] = order[walk];
     const double level = spare / weight_tail;
-    if (static_cast<double>(headroom[i]) / reqs[i].weight > level) break;
+    if (saturation > level) break;
     extra[i] = static_cast<double>(headroom[i]);  // saturates below level
     spare -= extra[i];
     weight_tail -= reqs[i].weight;
@@ -98,12 +100,18 @@ std::vector<std::int64_t> fair_share(const std::vector<ShareRequest>& reqs,
   if (weight_tail > 0.0) {
     const double level = spare / weight_tail;
     for (std::size_t k = walk; k < order.size(); ++k) {
-      const std::size_t i = order[k];
+      const std::size_t i = order[k].second;
       extra[i] = level * reqs[i].weight;
     }
   }
-  const auto extra_int = round_shares(extra, headroom, remaining);
-  for (std::size_t i = 0; i < n; ++i) alloc[i] += extra_int[i];
+  round_shares(ws, remaining, alloc);
+}
+
+std::vector<std::int64_t> fair_share(const std::vector<ShareRequest>& reqs,
+                                     std::int64_t capacity) {
+  FairShareWorkspace ws;
+  std::vector<std::int64_t> alloc;
+  fair_share(reqs, capacity, ws, alloc);
   return alloc;
 }
 

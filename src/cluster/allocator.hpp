@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/tenant.hpp"
@@ -26,11 +27,29 @@ struct ShareRequest {
   SlaTier tier = SlaTier::kBurst;
   std::int64_t quota = 0;
   double weight = 1.0;
-  std::int64_t demand = 0;  // sum over the tenant's jobs of min(maxP, want)
+  std::int64_t demand = 0;  // sum of maxP over the tenant's live jobs
 };
 
-/// result[i] is the GPU share of requests[i]; sums to at most capacity and
-/// never exceeds the request's demand.
+/// Scratch buffers of fair_share.  Reusing one across calls makes a call
+/// allocation-free once the buffers have grown to the largest request set;
+/// the contents carry nothing from one call to the next.
+struct FairShareWorkspace {
+  std::vector<std::int64_t> headroom;
+  /// (headroom / weight, request index), sorted: the water-fill walk.
+  std::vector<std::pair<double, std::size_t>> order;
+  std::vector<double> extra;  // fractional surplus shares
+  /// (fractional part, request index): the rounding order.
+  std::vector<std::pair<double, std::size_t>> remainders;
+};
+
+/// out[i] becomes the GPU share of requests[i]; the shares sum to at most
+/// capacity and never exceed the request's demand.  `out` is resized to
+/// requests.size().
+void fair_share(const std::vector<ShareRequest>& requests,
+                std::int64_t capacity, FairShareWorkspace& ws,
+                std::vector<std::int64_t>& out);
+
+/// The same shares in a fresh vector, with a fresh workspace.
 [[nodiscard]] std::vector<std::int64_t> fair_share(
     const std::vector<ShareRequest>& requests, std::int64_t capacity);
 

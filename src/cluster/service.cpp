@@ -49,7 +49,6 @@ struct ClusterService::JobState {
   /// Device types in descending capability for this workload (placement
   /// preference), computed once.
   std::array<int, sched::kNumDeviceTypes> type_order{};
-  bool arrived = false;
   bool done = false;
 };
 
@@ -87,6 +86,7 @@ ClusterService::ClusterService(std::vector<Tenant> tenants,
     tenant_index[tenants_[i].id] = i;
   }
   tenant_active_.resize(tenants_.size());
+  tenant_demand_.resize(tenants_.size(), 0);
   metrics_.per_tenant.resize(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     metrics_.per_tenant[i].tenant = tenants_[i].id;
@@ -262,6 +262,11 @@ void ClusterService::finish_job(std::size_t idx, double now) {
   js.finish_s = now;
   js.rate = 0.0;
   allocated_ -= sched::total(js.alloc);
+  // Leave the tenant's live list.  Lists are FIFO and jobs tend to finish
+  // in arrival order, so the job sits near the front.
+  auto& active = tenant_active_[js.tenant_index];
+  active.erase(std::find(active.begin(), active.end(), idx));
+  tenant_demand_[js.tenant_index] -= jobs_[idx].spec.max_p;
   ++metrics_.jobs_finished;
   const Tenant& tenant = tenants_[js.tenant_index];
   const double jct = now - jobs_[idx].spec.arrival_s;
@@ -291,9 +296,9 @@ ClusterMetrics ClusterService::run() {
     switch (ev.payload.kind) {
       case Ev::kArrival: {
         const auto idx = static_cast<std::size_t>(ev.payload.a);
-        states_[idx].arrived = true;
         states_[idx].last_change_s = now;
         tenant_active_[states_[idx].tenant_index].push_back(idx);
+        tenant_demand_[states_[idx].tenant_index] += jobs_[idx].spec.max_p;
         if (cfg_.policy == AllocationPolicy::kGang) gang_queue_.push_back(idx);
         need_rebalance = true;
         break;
@@ -382,14 +387,6 @@ void ClusterService::rebalance(double now) {
   }
 }
 
-std::vector<std::size_t>& ClusterService::live_jobs(std::size_t ti) {
-  auto& active = tenant_active_[ti];
-  active.erase(std::remove_if(active.begin(), active.end(),
-                              [&](std::size_t j) { return states_[j].done; }),
-               active.end());
-  return active;
-}
-
 void ClusterService::install(const std::vector<std::size_t>& order,
                              const std::vector<sched::GpuVector>& mixes,
                              double now) {
@@ -407,7 +404,7 @@ void ClusterService::install(const std::vector<std::size_t>& order,
 }
 
 void ClusterService::rebalance_greedy(double now) {
-  const std::vector<std::size_t>& active = live_jobs(0);
+  const std::vector<std::size_t>& active = tenant_active_[0];
   sched::GpuVector free{};
   for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
     free[ty] = healthy_[ty] + degraded_[ty];
@@ -447,7 +444,7 @@ void ClusterService::rebalance_greedy(double now) {
 }
 
 void ClusterService::rebalance_gang(double now) {
-  const std::vector<std::size_t>& active = live_jobs(0);
+  const std::vector<std::size_t>& active = tenant_active_[0];
   sched::GpuVector free{};
   for (std::size_t ty = 0; ty < sched::kNumDeviceTypes; ++ty) {
     free[ty] = healthy_[ty] + degraded_[ty];
@@ -505,45 +502,48 @@ void ClusterService::rebalance_gang(double now) {
 }
 
 void ClusterService::rebalance_fair_share(double now) {
-  // 1. Tenant demand from live jobs (compacting finished ones).
-  std::vector<ShareRequest> requests;
-  std::vector<std::size_t> req_tenant;
+  // 1. Tenant demand of the live jobs (kept up to date at arrivals and
+  // finishes).
+  requests_.clear();
+  req_tenant_.clear();
+  std::size_t live = 0;
   for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
-    const auto& active = live_jobs(ti);
-    if (active.empty()) continue;
+    if (tenant_active_[ti].empty()) continue;
     ShareRequest r;
     r.tenant = tenants_[ti].id;
     r.tier = tenants_[ti].tier;
     r.quota = tenants_[ti].quota_gpus;
     r.weight = tenants_[ti].weight;
-    for (std::size_t j : active) r.demand += jobs_[j].spec.max_p;
-    requests.push_back(r);
-    req_tenant.push_back(ti);
+    r.demand = tenant_demand_[ti];
+    requests_.push_back(r);
+    req_tenant_.push_back(ti);
+    live += tenant_active_[ti].size();
   }
-  if (requests.empty()) return;
+  if (requests_.empty()) return;
 
   // 2. Tenant-level fair share of the whole pool (degraded GPUs are still
   // capacity, just slow), then FIFO distribution within each tenant:
   // every job gets one GPU first (no job starves behind a gang), the rest
-  // grows jobs toward maxP in arrival order.
+  // grows jobs toward maxP in arrival order.  target_ holds one entry per
+  // live job, request by request, in each tenant's FIFO order.
   const std::int64_t cap = sched::total(healthy_) + sched::total(degraded_);
-  const auto shares = fair_share(requests, cap);
-  std::vector<std::int64_t> target(states_.size(), 0);
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    const auto& active = tenant_active_[req_tenant[r]];
-    std::int64_t left = shares[r];
-    for (std::size_t j : active) {
-      if (left <= 0) break;
-      target[j] = 1;
+  fair_share(requests_, cap, share_ws_, shares_);
+  target_.assign(live, 0);
+  for (std::size_t r = 0, base = 0; r < requests_.size(); ++r) {
+    const auto& active = tenant_active_[req_tenant_[r]];
+    std::int64_t* target = target_.data() + base;
+    std::int64_t left = shares_[r];
+    for (std::size_t k = 0; k < active.size() && left > 0; ++k) {
+      target[k] = 1;
       --left;
     }
-    for (std::size_t j : active) {
-      if (left <= 0) break;
+    for (std::size_t k = 0; k < active.size() && left > 0; ++k) {
       const std::int64_t grow =
-          std::min(left, jobs_[j].spec.max_p - target[j]);
-      target[j] += grow;
+          std::min(left, jobs_[active[k]].spec.max_p - target[k]);
+      target[k] += grow;
       left -= grow;
     }
+    base += active.size();
   }
 
   // 3. Placement.  Pass A: jobs whose GPU count is unchanged keep their
@@ -554,12 +554,15 @@ void ClusterService::rebalance_fair_share(double now) {
   // absent from both pools.
   sched::GpuVector healthy_free = healthy_;
   sched::GpuVector degraded_free = degraded_;
-  std::vector<std::size_t> replace;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    for (std::size_t j : tenant_active_[req_tenant[r]]) {
+  replace_.clear();
+  for (std::size_t r = 0, base = 0; r < requests_.size(); ++r) {
+    const auto& active = tenant_active_[req_tenant_[r]];
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const std::size_t j = active[k];
+      const std::int64_t target = target_[base + k];
       JobState& js = states_[j];
-      if (target[j] != sched::total(js.alloc) || target[j] == 0) {
-        if (target[j] != 0) replace.push_back(j);
+      if (target != sched::total(js.alloc) || target == 0) {
+        if (target != 0) replace_.push_back({j, target});
         continue;
       }
       bool fits = true;
@@ -567,7 +570,7 @@ void ClusterService::rebalance_fair_share(double now) {
         if (js.alloc[ty] > healthy_free[ty] + degraded_free[ty]) fits = false;
       }
       if (!fits) {
-        replace.push_back(j);
+        replace_.push_back({j, target});
         continue;
       }
       sched::GpuVector degr{};
@@ -584,11 +587,12 @@ void ClusterService::rebalance_fair_share(double now) {
         apply_plan(j, js.alloc, degr, now);
       }
     }
+    base += active.size();
   }
-  for (std::size_t j : replace) {
+  for (const auto& [j, target] : replace_) {
     JobState& js = states_[j];
     sched::GpuVector mix{}, degr{};
-    std::int64_t want = target[j];
+    std::int64_t want = target;
     if (jobs_[j].spec.allow_heter) {
       for (int oi = 0; oi < sched::kNumDeviceTypes && want > 0; ++oi) {
         const auto ty = static_cast<std::size_t>(js.type_order[oi]);
@@ -632,12 +636,15 @@ void ClusterService::rebalance_fair_share(double now) {
   }
   // Jobs squeezed to zero release everything (they stay queued, never
   // killed — the elastic pause).
-  for (std::size_t r = 0; r < requests.size(); ++r) {
-    for (std::size_t j : tenant_active_[req_tenant[r]]) {
-      if (target[j] == 0 && sched::total(states_[j].alloc) > 0) {
+  for (std::size_t r = 0, base = 0; r < requests_.size(); ++r) {
+    const auto& active = tenant_active_[req_tenant_[r]];
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const std::size_t j = active[k];
+      if (target_[base + k] == 0 && sched::total(states_[j].alloc) > 0) {
         apply_plan(j, sched::GpuVector{}, sched::GpuVector{}, now);
       }
     }
+    base += active.size();
   }
 }
 

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/allocator.hpp"
@@ -137,8 +138,6 @@ class ClusterService {
   void rebalance_fair_share(double now);
   void rebalance_greedy(double now);
   void rebalance_gang(double now);
-  /// Tenant `ti`'s arrived jobs in FIFO order, with finished ones dropped.
-  std::vector<std::size_t>& live_jobs(std::size_t ti);
   /// Install mixes[k] for job order[k], each drawing healthy GPUs before
   /// degraded-link ones, in order.
   void install(const std::vector<std::size_t>& order,
@@ -157,7 +156,22 @@ class ClusterService {
   sched::PlanCache cache_;
 
   std::vector<JobState> states_;
+  /// Per tenant: its arrived, unfinished jobs in FIFO order (a job leaves
+  /// in finish_job), and the sum of their maxP.
   std::vector<std::vector<std::size_t>> tenant_active_;
+  std::vector<std::int64_t> tenant_demand_;
+
+  /// kFairShare scratch, reused by every rebalance: the requests of the
+  /// tenants with live jobs and their tenant indices, the shares, the
+  /// per-job GPU targets (flat, request by request, parallel to each
+  /// request's tenant_active_ list) and the jobs to place afresh, with
+  /// their targets.
+  std::vector<ShareRequest> requests_;
+  std::vector<std::size_t> req_tenant_;
+  std::vector<std::int64_t> shares_;
+  FairShareWorkspace share_ws_;
+  std::vector<std::int64_t> target_;
+  std::vector<std::pair<std::size_t, std::int64_t>> replace_;
   std::vector<CapacityStep> capacity_steps_;
   std::unique_ptr<EventQueue<Ev>> queue_;
   std::deque<std::size_t> gang_queue_;  // kGang admission order

@@ -19,8 +19,6 @@ parallel::TrainerConfig trainer_config(const EasyScaleConfig& c) {
   t.parallel_workers = c.parallel_workers;
   t.intra_op_threads = c.intra_op_threads;
   t.resilient_comm = c.resilient_comm;
-  t.transport = c.transport;
-  t.resilient = c.resilient;
   t.overlap_comm = c.overlap_comm;
   t.witness = c.witness;
   t.use_async_loader = c.use_async_loader;

@@ -52,8 +52,6 @@ struct EasyScaleConfig {
   /// The failure-aware fabric: a dead worker's ESTs lose their gradients,
   /// so the step aborts and FaultSupervisor recovers via checkpoint.
   bool resilient_comm = false;
-  comm::TransportConfig transport;
-  comm::ResilientConfig resilient;
   WitnessConfig witness;
   bool overlap_comm = false;
 };

@@ -29,14 +29,12 @@ void GradSync::set_contrib_counts(std::vector<int> counts) {
   contrib_counts_ = std::move(counts);
 }
 
-void GradSync::reset_fabric(int hosts, const comm::TransportConfig& transport,
-                            const comm::ResilientConfig& resilient,
-                            std::vector<int> host_of_part,
+void GradSync::reset_fabric(int hosts, std::vector<int> host_of_part,
                             std::vector<comm::CommFaultEvent> faults) {
-  transport_ = std::make_unique<comm::SimTransport>(hosts, transport,
-                                                    std::move(faults));
-  monitor_ = std::make_unique<comm::MembershipMonitor>(hosts, transport);
-  resilient_ = resilient;
+  transport_ = std::make_unique<comm::SimTransport>(
+      hosts, comm::TransportConfig{}, std::move(faults));
+  monitor_ = std::make_unique<comm::MembershipMonitor>(
+      hosts, comm::TransportConfig{});
   resilient_.on_death = comm::DeathPolicy::kAbort;
   host_of_part_ = std::move(host_of_part);
   last_comm_report_.reset();

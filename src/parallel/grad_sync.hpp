@@ -51,12 +51,11 @@ class GradSync {
   void reset_layout(const autograd::ParameterStore& params);
   void set_contrib_counts(std::vector<int> counts);
 
-  /// Route the collectives over a fresh fabric of `hosts` ranks;
-  /// `host_of_part` empty = the identity.  A condemned host always aborts
-  /// the step (DeathPolicy::kAbort): the driver must roll back.
-  void reset_fabric(int hosts, const comm::TransportConfig& transport,
-                    const comm::ResilientConfig& resilient,
-                    std::vector<int> host_of_part = {},
+  /// Route the collectives over a fresh fabric of `hosts` ranks with the
+  /// default link model; `host_of_part` empty = the identity.  A condemned
+  /// host always aborts the step (DeathPolicy::kAbort): the driver must
+  /// roll back.
+  void reset_fabric(int hosts, std::vector<int> host_of_part = {},
                     std::vector<comm::CommFaultEvent> faults = {});
   [[nodiscard]] bool resilient() const { return transport_ != nullptr; }
   [[nodiscard]] comm::SimTransport* transport() { return transport_.get(); }

@@ -214,8 +214,8 @@ void Trainer::reset_fabric(std::vector<comm::CommFaultEvent> faults) {
   // A fresh membership epoch: the group is rebuilt at the new worker
   // count.  Ranks ride their worker's links; co-hosted ranks exchange
   // chunks locally.
-  sync_->reset_fabric(static_cast<int>(workers_.size()), config_.transport,
-                      config_.resilient, host_of_rank_, std::move(faults));
+  sync_->reset_fabric(static_cast<int>(workers_.size()), host_of_rank_,
+                      std::move(faults));
 }
 
 void Trainer::rebuild_loader() {

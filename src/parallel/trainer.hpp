@@ -83,8 +83,6 @@ struct TrainerConfig {
   /// throws comm::RankDeathError out of run_steps (the caller then rolls
   /// back and, when sharded, reshards).
   bool resilient_comm = false;
-  comm::TransportConfig transport;
-  comm::ResilientConfig resilient;  // on_death is forced to kAbort
   /// Pre-sampled comm fault schedule replayed by the first fabric (a
   /// configure_workers builds the next one without it).
   std::vector<comm::CommFaultEvent> comm_faults;

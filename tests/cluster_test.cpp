@@ -144,6 +144,59 @@ TEST(FairShare, SaturatedTenantReleasesSurplusToOthers) {
   EXPECT_EQ(a[1], 95);
 }
 
+TEST(FairShare, EdgeCasesAndTheTieRule) {
+  EXPECT_TRUE(fair_share({}, 64).empty());
+  const std::vector<ShareRequest> reqs = {
+      {0, SlaTier::kSpot, 0, 1.0, 10},
+      {1, SlaTier::kSpot, 0, 1.0, 10},
+      {2, SlaTier::kSpot, 0, 1.0, 10},
+  };
+  EXPECT_EQ(fair_share(reqs, 0), (std::vector<std::int64_t>{0, 0, 0}));
+  // Equal headroom/weight: three equal thirds of 10 GPUs, and the one
+  // remainder GPU goes to the lowest index.
+  EXPECT_EQ(fair_share(reqs, 10), (std::vector<std::int64_t>{4, 3, 3}));
+  // A zero-weight tenant takes no surplus, only its entitlement.
+  const std::vector<ShareRequest> zero = {
+      {0, SlaTier::kBurst, 2, 0.0, 10},
+      {1, SlaTier::kSpot, 0, 0.0, 10},
+      {2, SlaTier::kSpot, 0, 1.0, 4},
+  };
+  EXPECT_EQ(fair_share(zero, 20), (std::vector<std::int64_t>{2, 0, 4}));
+}
+
+TEST(FairShare, ReusedWorkspaceMatchesAFreshOne) {
+  // One workspace and one output vector across request sets that grow and
+  // shrink (empty included): nothing may leak from one call to the next.
+  rng::Philox gen(0x5EED5ull);
+  FairShareWorkspace ws;
+  std::vector<std::int64_t> out;
+  const double weights[] = {0.0, 0.5, 1.0, 1.0, 2.0, 3.0};
+  for (int round = 0; round < 400; ++round) {
+    const auto n = static_cast<std::size_t>(
+        round % 50 == 0 ? 0 : gen.next_below(round % 2 == 0 ? 40 : 6));
+    std::vector<ShareRequest> reqs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      reqs[i].tenant = static_cast<std::int64_t>(i);
+      reqs[i].tier = static_cast<SlaTier>(gen.next_below(3));
+      reqs[i].quota = static_cast<std::int64_t>(gen.next_below(8));
+      // Small weights and demands make equal headroom/weight ratios common.
+      reqs[i].weight = weights[gen.next_below(6)];
+      reqs[i].demand = static_cast<std::int64_t>(gen.next_below(24));
+    }
+    const auto capacity = static_cast<std::int64_t>(
+        round % 7 == 0 ? 0 : gen.next_below(160));
+    fair_share(reqs, capacity, ws, out);
+    ASSERT_EQ(out, fair_share(reqs, capacity)) << "round " << round;
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_GE(out[i], 0);
+      EXPECT_LE(out[i], reqs[i].demand);
+      sum += out[i];
+    }
+    EXPECT_LE(sum, capacity);
+  }
+}
+
 TEST(FairShare, JainIndexBounds) {
   EXPECT_DOUBLE_EQ(jain_index({1.0, 1.0, 1.0}), 1.0);
   EXPECT_NEAR(jain_index({1.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
@@ -582,6 +635,96 @@ TEST(ClusterService, SingleTenantPoliciesRejectMultiTenantConfigs) {
           << e.what();
     }
   }
+}
+
+// --- golden schedules -------------------------------------------------------
+//
+// The other service tests compare two runs of the same tree (calendar vs
+// heap, a run vs its replay).  These pin the schedule itself: the digest,
+// an FNV-1a of to_json() (plan-cache hits and misses included), the gang
+// kill accounting and the allocated-GPU timeline, as recorded before the
+// fair-share rebalance went allocation-free.  A change here changes a
+// scheduling decision.
+
+struct Golden {
+  std::uint64_t digest;
+  std::uint64_t json_fnv;
+  std::uint64_t timeline_fnv;
+  std::int64_t failed_jobs;
+  std::int64_t lost_steps;
+};
+
+std::uint64_t fnv1a_bytes(const std::string& s) {
+  std::uint64_t h = kFnvOffset;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+std::uint64_t timeline_fnv(const ClusterMetrics& m) {
+  std::uint64_t h = kFnvOffset;
+  for (const auto& p : m.allocated_gpus) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &p.t_s, sizeof bits);
+    h = fnv1a64(fnv1a64(h, bits), static_cast<std::uint64_t>(p.gpus));
+  }
+  return h;
+}
+
+void expect_golden(const ClusterMetrics& m, const Golden& g) {
+  EXPECT_EQ(m.schedule_digest, g.digest);
+  EXPECT_EQ(fnv1a_bytes(m.to_json()), g.json_fnv);
+  EXPECT_EQ(timeline_fnv(m), g.timeline_fnv);
+  EXPECT_EQ(m.failed_jobs, g.failed_jobs);
+  EXPECT_EQ(m.lost_steps, g.lost_steps);
+}
+
+TEST(ClusterGolden, FairShareMultiTenantWithEveryCapacityFeed) {
+  // Nine tenants on 16 GPUs, kept busy: failures, one SDC quarantine, one
+  // degraded link and serving co-location all take capacity mid-trace.
+  ServiceFixture fx(/*seed=*/31, /*gpus=*/16, /*peak_jobs_per_day=*/40.0,
+                    /*max_steps=*/20000);
+  for (int i = 0; i < 4; ++i) {
+    fx.cfg.failures.push_back({15000.0 + 2000.0 * i, i % 3, 9000.0});
+  }
+  fx.cfg.quarantines.push_back({26000.0, 1});
+  fx.cfg.link_degrades.push_back({20000.0, 30000.0, 0, 3, 0.5});
+  fx.cfg.serving_colocation = true;
+  fx.cfg.serving.minutes = 2880;
+  fx.cfg.serving_peak_fraction = 0.4;
+  const auto m = fx.run();
+  ASSERT_EQ(m.jobs_finished, static_cast<std::int64_t>(fx.jobs.size()));
+  EXPECT_GT(m.preemptions, 0);
+  expect_golden(m, {0x19AFEFFC689EFCB6ull, 0x2FE7EDE0D425AB1Eull,
+                    0x5FF0CC379C90F913ull, 0, 0});
+}
+
+ClusterServiceConfig golden_single_tenant_config(AllocationPolicy policy) {
+  auto cfg = policy_config(policy);
+  trace::FailureTraceConfig fcfg;
+  fcfg.cluster = cfg.capacity;
+  fcfg.horizon_s = 1.0e5;
+  fcfg.mtbf_per_gpu_s = 2.0e4;
+  cfg.failures = trace::gpu_failure_trace(fcfg);
+  return cfg;
+}
+
+TEST(ClusterGolden, GreedySingleTenant) {
+  const auto r = run_policy(
+      small_trace(24), golden_single_tenant_config(AllocationPolicy::kGreedy));
+  ASSERT_EQ(r.m.jobs_finished, 24);
+  expect_golden(r.m, {0x907C45749AA14939ull, 0x1DE20A83189931CFull,
+                      0xD4D9B7EB09672743ull, 0, 0});
+}
+
+TEST(ClusterGolden, GangSingleTenant) {
+  const auto r = run_policy(
+      small_trace(24), golden_single_tenant_config(AllocationPolicy::kGang));
+  ASSERT_EQ(r.m.jobs_finished, 24);
+  expect_golden(r.m, {0xDFF5679F424CB94Aull, 0x6BBE9B145905E109ull,
+                      0xC75CD9B9062A33A5ull, 10, 15095});
 }
 
 // --- quarantine feed --------------------------------------------------------
