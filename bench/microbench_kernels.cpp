@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the substrate hot paths: GEMM kernel
-// variants, SIMD backend sweeps (GEMM, conv, Bert attention and GELU
-// backward, reductions), ring all-reduce, Philox, EST context
+// variants, SIMD backend sweeps (GEMM, conv, operand transpose, row-blocked
+// GEMM, same-geometry im2col/col2im, Bert attention and GELU backward,
+// reductions), ring all-reduce, Philox, EST context
 // capture/restore and on-demand checkpointing.
 //
 // Modes:
@@ -503,6 +504,65 @@ std::vector<SimdMeasurement> measure_simd_kernels() {
             kernels::reduce_sum_strided_batch(ctx, *values, stride, count,
                                               *slots);
             benchmark::DoNotOptimize(slots->data());
+          });
+  }
+
+  {
+    // est_conv's layer-3 operand shapes (16 -> 16 channels, 3x3, 4x4
+    // planes): the W^T block transpose [16, 144] -> [144, 16] and the dX
+    // column product dcols[144, 16] = W^T[144, 16] * dOut[16, 16], whose
+    // whole rows run on the row-blocked GEMM body.
+    const std::int64_t fg = 16, kdim = 144, ohow = 16;
+    rng::Philox gen(6);
+    auto w = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(fg * kdim));
+    auto wt = std::make_shared<std::vector<float>>(w->size());
+    auto go = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(fg * ohow));
+    auto dcols = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(kdim * ohow));
+    rng::fill_normal(gen, *w, 0.0f, 0.1f);
+    rng::fill_normal(gen, *go, 0.0f, 1.0f);
+    sweep("transpose_16x144", static_cast<double>(fg * kdim),
+          [=](const kernels::ExecContext& ctx) {
+            kernels::transpose(ctx, fg, kdim, *w, *wt);
+            benchmark::DoNotOptimize(wt->data());
+          });
+    sweep("gemm_rows_m144", 2.0 * kdim * ohow * fg,
+          [=](const kernels::ExecContext& ctx) {
+            kernels::gemm(ctx, kdim, ohow, fg, *wt, *go, *dcols, false);
+            benchmark::DoNotOptimize(dcols->data());
+          });
+  }
+
+  for (const std::int64_t side : {std::int64_t{4}, std::int64_t{8}}) {
+    // est_conv's same-geometry 3x3 convs: im2col then col2im of one
+    // sample's group (16 channels on 4x4 planes, 8 on 8x8 planes).
+    const kernels::Conv2dDims d{.batch = 1,
+                                .in_channels = side == 4 ? 16 : 8,
+                                .in_h = side,
+                                .in_w = side,
+                                .out_channels = side == 4 ? 16 : 8,
+                                .kernel_h = 3,
+                                .kernel_w = 3,
+                                .stride = 1,
+                                .pad = 1,
+                                .groups = 1};
+    const std::int64_t plane = side * side;
+    rng::Philox gen(10);
+    auto input = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(d.in_channels * plane));
+    auto cols = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(d.in_channels * 9 * plane));
+    auto grad = std::make_shared<std::vector<float>>(input->size());
+    rng::fill_normal(gen, *input, 0.0f, 1.0f);
+    sweep("conv_same_" + std::to_string(side) + "x" + std::to_string(side),
+          static_cast<double>(2 * cols->size()),
+          [=](const kernels::ExecContext& ctx) {
+            kernels::im2col(ctx, d, *input, 0, *cols);
+            std::fill(grad->begin(), grad->end(), 0.0f);
+            kernels::col2im(ctx, d, *cols, 0, *grad);
+            benchmark::DoNotOptimize(grad->data());
           });
   }
   return out;

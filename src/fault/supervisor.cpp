@@ -8,6 +8,7 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/serialize.hpp"
 
 namespace easyscale::fault {
 
@@ -215,8 +216,12 @@ void FaultSupervisor::save_checkpoint() {
   const auto bless =
       decide(DecisionKind::kBlessCheckpoint, config_.sdc_defense ? 1 : 0);
   const std::int64_t fence = bless.has_value() ? bless->epoch : 0;
-  checkpoints_->save(engine_->checkpoint(),
-                     engine_->trainer().params_digest_chain(), fence);
+  // The image opens with the parameter digest chain it was built with
+  // (Trainer::checkpoint_bytes), so the generation's chain is read back
+  // from its head instead of hashing every parameter a second time.
+  const std::vector<std::uint8_t> image = engine_->checkpoint();
+  ByteReader head(image);
+  checkpoints_->save(image, DigestChain::load(head), fence);
   if (config_.sdc_defense &&
       engine_->trainer().last_clean_witness_step() == engine_->global_step() &&
       checkpoints_->bless_newest(fence)) {

@@ -118,6 +118,18 @@ void im2col_tap(const Conv2dDims& d, std::int64_t oh, std::int64_t ow,
   zero_cols(t.xs.hi, ow);
 }
 
+/// The vector backends' same-geometry bodies apply (see ConvSameArgs).
+bool same_geometry(const Conv2dDims& d, ConvSameArgs& geo) {
+  geo = {d.in_h, d.in_w, d.out_h(), d.kernel_h, d.kernel_w, d.pad};
+  return d.stride == 1 && d.out_w() == d.in_w && geo.fits();
+}
+
+/// 1x1, stride 1, pad 0: the column matrix IS the group's input block, and
+/// col2im is a plain per-element add.
+bool pointwise(const Conv2dDims& d) {
+  return d.kernel_h == 1 && d.kernel_w == 1 && d.stride == 1 && d.pad == 0;
+}
+
 }  // namespace
 
 void im2col(const ExecContext& ctx, const Conv2dDims& d,
@@ -132,9 +144,17 @@ void im2col(const ExecContext& ctx, const Conv2dDims& d,
   // the channel loop parallelizes owner-computes.  The copy never sums: it
   // is pure data movement and produces the same bytes on every
   // SimdBackend.
+  const SimdOps& ops = ctx.simd_ops();
+  ConvSameArgs geo{};
+  const bool same = ops.im2col_same != nullptr && same_geometry(d, geo);
+  const float* planes = sample_input.data() + group * cg * d.in_h * d.in_w;
   parallel_for(
       ctx, cg, work_grain(taps * oh * ow),
       [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
+        if (same) {
+          ops.im2col_same(geo, planes, c0, c1, cols.data());
+          return;
+        }
         for_each_tap(d, c0, c1, [&](const Tap& t, std::int64_t c) {
           im2col_tap(d, oh, ow, t,
                      sample_input.data() + (group * cg + c) * d.in_h * d.in_w,
@@ -156,12 +176,21 @@ void col2im(const ExecContext& ctx, const Conv2dDims& d,
   // the taps in the sequential (kh, kw) order — owner-computes over
   // channels.  Within one tap distinct outputs (y, x) hit distinct input
   // elements, so every element receives its adds in tap order no matter
-  // how a tap's rows are walked.  The adds stay inline on every backend:
-  // on the small planes the workloads use, an indirect add_vec call per
-  // row cost more than the adds.
+  // how a tap's rows are walked.  Same-geometry convs run the backend's
+  // col2im_same, which keeps that per-element tap order; the other
+  // geometries' adds stay inline (an indirect add_vec call per row cost
+  // more than the adds on the small planes the workloads use).
+  const SimdOps& ops = ctx.simd_ops();
+  ConvSameArgs geo{};
+  const bool same = ops.col2im_same != nullptr && same_geometry(d, geo);
+  float* planes = sample_grad_input.data() + group * cg * d.in_h * d.in_w;
   parallel_for(
       ctx, cg, work_grain(taps * oh * ow),
       [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
+        if (same) {
+          ops.col2im_same(geo, cols.data(), c0, c1, planes);
+          return;
+        }
         for_each_tap(d, c0, c1, [&](const Tap& t, std::int64_t c) {
           float* plane =
               sample_grad_input.data() + (group * cg + c) * d.in_h * d.in_w;
@@ -185,6 +214,19 @@ void col2im(const ExecContext& ctx, const Conv2dDims& d,
 }
 
 namespace {
+
+/// Group g's column matrix of one sample: the input block itself for a
+/// pointwise conv, else im2col into `cols`.
+std::span<const float> columns(const ExecContext& ctx, const Conv2dDims& d,
+                               std::span<const float> in_n, std::int64_t g,
+                               std::span<float> cols) {
+  if (pointwise(d)) {
+    return in_n.subspan(static_cast<std::size_t>(g) * cols.size(),
+                        cols.size());
+  }
+  im2col(ctx, d, in_n, g, cols);
+  return cols;
+}
 
 void forward_direct(const ExecContext& ctx, const Conv2dDims& d,
                     std::span<const float> input,
@@ -286,13 +328,13 @@ void forward_im2col(const ExecContext& ctx, const Conv2dDims& d,
     std::span<const float> in_n(input.data() + n * in_sample,
                                 static_cast<std::size_t>(in_sample));
     for (std::int64_t g = 0; g < d.groups; ++g) {
-      im2col(ctx, d, in_n, g, cols);
+      const std::span<const float> cols_g = columns(ctx, d, in_n, g, cols);
       std::span<float> out_g(
           out.data() + ((n * d.out_channels + g * fg) * oh * ow),
           static_cast<std::size_t>(fg * oh * ow));
       std::span<const float> w_g(weight.data() + g * fg * kdim,
                                  static_cast<std::size_t>(fg * kdim));
-      gemm(ctx, fg, oh * ow, kdim, w_g, cols, out_g, false);
+      gemm(ctx, fg, oh * ow, kdim, w_g, cols_g, out_g, false);
       if (!bias.empty()) {
         const SimdOps& ops = ctx.simd_ops();
         parallel_for(ctx, fg, work_grain(oh * ow),
@@ -419,6 +461,10 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
   const std::int64_t oh = d.out_h(), ow = d.out_w();
   const std::int64_t kdim = cg * d.kernel_h * d.kernel_w;
   const std::int64_t in_sample = d.in_channels * d.in_h * d.in_w;
+  // A pointwise conv reads its columns straight from the input and
+  // accumulates dX straight into grad_input: the GEMM's prev + total there
+  // is col2im's 0 + v (or prev + v) on the same value, so the bits hold.
+  const bool pw = pointwise(d);
   std::span<float> cols = ctx.scratch.borrow(
       ScratchArena::kConvCols, static_cast<std::size_t>(kdim * oh * ow));
   std::span<float> cols_grad = ctx.scratch.borrow(
@@ -440,7 +486,7 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
     std::span<const float> in_n(input.data() + n * in_sample,
                                 static_cast<std::size_t>(in_sample));
     for (std::int64_t g = 0; g < d.groups; ++g) {
-      im2col(ctx, d, in_n, g, cols);
+      const std::span<const float> cols_g = columns(ctx, d, in_n, g, cols);
       std::span<const float> go_g(
           grad_out.data() + ((n * d.out_channels + g * fg) * oh * ow),
           static_cast<std::size_t>(fg * oh * ow));
@@ -448,15 +494,23 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
         std::span<float> gw_g(grad_weight.data() + g * fg * kdim,
                               static_cast<std::size_t>(fg * kdim));
         // dW[fg, kdim] += dOut[fg, ohow] * cols^T[ohow, kdim]
-        gemm_nt(ctx, fg, kdim, oh * ow, go_g, cols, gw_g, true);
+        gemm_nt(ctx, fg, kdim, oh * ow, go_g, cols_g, gw_g, true);
       }
       if (!grad_input.empty()) {
         std::span<const float> wt_g(wt.data() + g * kdim * fg,
                                     static_cast<std::size_t>(kdim * fg));
-        // dcols[kdim, ohow] = W^T[kdim, fg] * dOut[fg, ohow]
-        gemm(ctx, kdim, oh * ow, fg, wt_g, go_g, cols_grad, false);
         std::span<float> gin_n(grad_input.data() + n * in_sample,
                                static_cast<std::size_t>(in_sample));
+        if (pw) {
+          // dX_g[kdim, ohow] += W^T[kdim, fg] * dOut[fg, ohow]
+          gemm(ctx, kdim, oh * ow, fg, wt_g, go_g,
+               gin_n.subspan(static_cast<std::size_t>(g * kdim * oh * ow),
+                             static_cast<std::size_t>(kdim * oh * ow)),
+               true);
+          continue;
+        }
+        // dcols[kdim, ohow] = W^T[kdim, fg] * dOut[fg, ohow]
+        gemm(ctx, kdim, oh * ow, fg, wt_g, go_g, cols_grad, false);
         col2im(ctx, d, cols_grad, g, gin_n);
       }
     }

@@ -137,19 +137,16 @@ inline float dot_with_variant(GemmVariant variant, const float* x,
   ES_THROW("unreachable gemm variant");
 }
 
-/// k indices per block of the [n, k] -> tile transpose: each source row
-/// contributes one 64-byte line per block while the block's destination
-/// tile rows stay cache-resident.
-constexpr std::int64_t kTransposeBlock = 16;
-
 /// Pack B into the backend's column-tile layout (kernels/simd.hpp
 /// gemm_tile_cols): tile t holds columns [t*tw, (t+1)*tw) row-major at row
 /// stride tw, zero-padded past column n.  B is read as [k, n], or as
-/// [n, k] when `b_nk` (gemm_nt's B^T goes straight into its tiles, with no
-/// intermediate transpose).  Tiles are disjoint, so the pack parallelizes
-/// owner-computes; it relocates each element once and never re-associates.
-void pack_tiles(const ExecContext& ctx, std::int64_t tw, std::int64_t n,
-                std::int64_t k, const float* b, bool b_nk, float* packed) {
+/// [n, k] when `b_nk` (gemm_nt's B^T goes straight into its tiles through
+/// the backend's block transpose, with no intermediate copy).  Tiles are
+/// disjoint, so the pack parallelizes owner-computes; it relocates each
+/// element once and never re-associates.
+void pack_tiles(const ExecContext& ctx, const SimdOps& ops, std::int64_t tw,
+                std::int64_t n, std::int64_t k, const float* b, bool b_nk,
+                float* packed) {
   const std::int64_t ntiles = (n + tw - 1) / tw;
   parallel_for(ctx, ntiles, 1,
                [&](int /*chunk*/, std::int64_t t0, std::int64_t t1) {
@@ -158,16 +155,7 @@ void pack_tiles(const ExecContext& ctx, std::int64_t tw, std::int64_t n,
                    const std::int64_t jlo = tile * tw;
                    const std::int64_t w = std::min<std::int64_t>(tw, n - jlo);
                    if (b_nk) {
-                     for (std::int64_t k0 = 0; k0 < k; k0 += kTransposeBlock) {
-                       const std::int64_t k1 =
-                           std::min(k, k0 + kTransposeBlock);
-                       for (std::int64_t p = 0; p < w; ++p) {
-                         const float* src = b + (jlo + p) * k;
-                         for (std::int64_t kk = k0; kk < k1; ++kk) {
-                           dst[kk * tw + p] = src[kk];
-                         }
-                       }
-                     }
+                     ops.transpose(b + jlo * k, w, k, k, dst, tw);
                    } else {
                      for (std::int64_t kk = 0; kk < k; ++kk) {
                        std::memcpy(dst + kk * tw, b + kk * n + jlo,
@@ -225,7 +213,7 @@ void gemm_impl(const ExecContext* ctx, GemmVariant variant,
       std::span<float> pb = ctx->scratch.borrow(
           ScratchArena::kGemmPackB,
           static_cast<std::size_t>((n + tw - 1) / tw * tw * k));
-      pack_tiles(*ctx, tw, n, k, b.data(), b_nk, pb.data());
+      pack_tiles(*ctx, *ops, tw, n, k, b.data(), b_nk, pb.data());
       packed = pb.data();
     } else if (b_nk) {
       std::span<float> pb = ctx->scratch.borrow(
@@ -234,25 +222,39 @@ void gemm_impl(const ExecContext* ctx, GemmVariant variant,
       bkn = pb.data();
     }
     // Chunk boundaries are identical to the scalar path (same n, same
-    // grain); panels just walk each chunk row-run by row-run.
+    // grain).  A chunk's whole rows go to the row-blocked body in one call;
+    // the partial rows at its edges, and every row of a custom panel, run
+    // on the per-row panels.
+    const float* bmat = packed != nullptr ? packed : bkn;
+    auto row_run = [&](std::int64_t i, std::int64_t j0, std::int64_t j1) {
+      const float* arow = a.data() + i * k;
+      float* crow = c.data() + i * n;
+      if (custom_panel != nullptr) {
+        (*custom_panel)(*ops, arow, bkn, k, n, j0, j1, crow, accumulate);
+      } else if (packed != nullptr) {
+        ops->gemm_panel_packed(variant, arow, packed, k, n, j0, j1, crow,
+                               accumulate);
+      } else {
+        ops->gemm_panel(variant, arow, bkn, k, n, j0, j1, crow, accumulate);
+      }
+    };
     auto panel_range = [&](std::int64_t i0, std::int64_t i1) {
-      std::int64_t idx = i0;
-      while (idx < i1) {
-        const std::int64_t i = idx / n;
-        const std::int64_t j0 = idx % n;
-        const std::int64_t j1 = std::min<std::int64_t>(n, j0 + (i1 - idx));
-        const float* arow = a.data() + i * k;
-        float* crow = c.data() + i * n;
-        if (custom_panel != nullptr) {
-          (*custom_panel)(*ops, arow, bkn, k, n, j0, j1, crow, accumulate);
-        } else if (packed != nullptr) {
-          ops->gemm_panel_packed(variant, arow, packed, k, n, j0, j1, crow,
-                                 accumulate);
-        } else {
-          ops->gemm_panel(variant, arow, bkn, k, n, j0, j1, crow,
-                          accumulate);
+      std::int64_t row = i0 / n;
+      if (i0 % n != 0) {
+        row_run(row, i0 % n, std::min<std::int64_t>(n, i0 % n + (i1 - i0)));
+        ++row;
+      }
+      const std::int64_t whole_end = std::max(row, i1 / n);
+      if (custom_panel == nullptr) {
+        if (row < whole_end) {
+          ops->gemm_rows(variant, a.data(), bmat, packed != nullptr, k, n, row,
+                         whole_end, c.data(), accumulate);
         }
-        idx += j1 - j0;
+      } else {
+        for (std::int64_t i = row; i < whole_end; ++i) row_run(i, 0, n);
+      }
+      if (whole_end * n < i1) {
+        row_run(whole_end, 0, i1 - whole_end * n);
       }
     };
     parallel_for(*ctx, m * n, grain,
@@ -400,9 +402,15 @@ void transpose(const ExecContext& ctx, std::int64_t rows, std::int64_t cols,
                static_cast<std::int64_t>(dst.size()) == rows * cols,
            "transpose: bad size");
   // Each chunk owns whole rows of dst (columns of src).
+  const SimdOps& ops = ctx.simd_ops();
   parallel_for(ctx, cols,
                std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, rows)),
                [&](int /*chunk*/, std::int64_t c0, std::int64_t c1) {
+                 if (ops.transpose != nullptr) {
+                   ops.transpose(src.data() + c0, rows, c1 - c0, cols,
+                                 dst.data() + c0 * rows, rows);
+                   return;
+                 }
                  for (std::int64_t r = 0; r < rows; ++r) {
                    for (std::int64_t c = c0; c < c1; ++c) {
                      dst[static_cast<std::size_t>(c * rows + r)] =

@@ -20,13 +20,15 @@
 // backends explicitly; kAuto follows the process-wide resolution.
 //
 // The bodies (SimdOps below): GEMM row panels (unpacked, packed-B and
-// Kahan), the strided batched reduction, the direct-conv row interior and
-// elementwise maps.  The maps are ReLU forward/backward, sigmoid backward,
-// scalar and vector adds, divide by a scalar, the norm affines, and for
-// the transformer step axpy (attention's dv/dk updates), mul_vec (the
-// dropout mask), gelu_bwd (from the forward's cached tanh), and the
-// optimizer updates adam_update and sgd_update.  Attention's score and
-// context products run on the kSequential panel.
+// Kahan) and the row-blocked GEMM, the operand block transpose, the
+// same-geometry im2col/col2im, the strided batched reduction, the
+// direct-conv row interior and elementwise maps.  The maps are ReLU
+// forward/backward, sigmoid backward, scalar and vector adds, divide by a
+// scalar, the norm affines, and for the transformer step axpy
+// (attention's dv/dk updates), mul_vec (the dropout mask), gelu_bwd (from
+// the forward's cached tanh), and the optimizer updates adam_update and
+// sgd_update.  Attention's score and context products run on the
+// kSequential panel.
 //
 // The scalar backend publishes no function pointers: call sites fall back
 // to the original scalar loops, which ARE the reference semantics the
@@ -71,6 +73,30 @@ struct ConvRowArgs {
   float bias;
   std::int64_t x_lo;   // interior output columns: all taps in-bounds
   std::int64_t x_hi;
+};
+
+/// Geometry of a stride-1 conv whose output rows are as wide as its input
+/// rows (out_w == in_w: "same" padding along x).  Output (y, x) of tap
+/// (kh, kw) reads input (y + kh - pad, x + kw - pad), so over the flattened
+/// planes the tap is a shift by (kh - pad) * in_w + (kw - pad), masked to
+/// the cells whose row and column stay inside both planes.
+struct ConvSameArgs {
+  /// Bounds of the vector bodies' on-stack lane masks; larger planes and
+  /// kernels keep the generic loops.
+  static constexpr std::int64_t kMaxPlane = 1024;
+  static constexpr std::int64_t kMaxTaps = 49;
+
+  std::int64_t in_h;
+  std::int64_t in_w;   // == out_w
+  std::int64_t out_h;
+  std::int64_t kernel_h;
+  std::int64_t kernel_w;
+  std::int64_t pad;
+
+  [[nodiscard]] bool fits() const {
+    return in_h * in_w <= kMaxPlane && out_h * in_w <= kMaxPlane &&
+           kernel_h * kernel_w <= kMaxTaps;
+  }
 };
 
 /// GELU's tanh-approximation constants (nn/activations.cpp and gelu_bwd).
@@ -126,6 +152,38 @@ struct SimdOps {
                             const float* packed_b, std::int64_t k,
                             std::int64_t n, std::int64_t j0, std::int64_t j1,
                             float* c_row, bool accumulate) = nullptr;
+
+  /// Whole rows [i0, i1) of C = A * B (row i of A at a + i * k, of C at
+  /// c + i * n), four rows at a time: each B vector load feeds the four
+  /// rows' independent chains, and every output keeps `variant`'s exact
+  /// k-association, so the rows are bitwise those of gemm_panel.  B is
+  /// unpacked [k, n], or in the gemm_tile_cols layout when `packed`.  The
+  /// last (i1 - i0) % 4 rows, and every kBlocked8 row, run on the per-row
+  /// panels.
+  void (*gemm_rows)(GemmVariant variant, const float* a, const float* b,
+                    bool packed, std::int64_t k, std::int64_t n,
+                    std::int64_t i0, std::int64_t i1, float* c,
+                    bool accumulate) = nullptr;
+
+  /// dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols: in-register
+  /// block transposes, moving each value once (the scalar loop's bytes).
+  void (*transpose)(const float* src, std::int64_t rows, std::int64_t cols,
+                    std::int64_t lds, float* dst, std::int64_t ldd) = nullptr;
+
+  /// Same-geometry im2col of channels [c0, c1) (see ConvSameArgs; the caller
+  /// checks fits()): channel c's plane is planes + c * in_h * in_w and its
+  /// tap t fills cols row c * taps + t (out_h * in_w floats) with the
+  /// shifted input or +0.0f, one masked vector load per vector of outputs.
+  void (*im2col_same)(const ConvSameArgs& geo, const float* planes,
+                      std::int64_t c0, std::int64_t c1, float* cols) = nullptr;
+
+  /// Same-geometry col2im of channels [c0, c1), the inverse walk: each
+  /// input-plane vector is loaded once, receives every tap's cols values
+  /// as masked adds in (kh, kw) order (lanes a tap does not reach are
+  /// skipped, never added +0), and is stored once.
+  void (*col2im_same)(const ConvSameArgs& geo, const float* cols,
+                      std::int64_t c0, std::int64_t c1,
+                      float* planes) = nullptr;
 
   /// Kahan-compensated row panel (the built-in custom D2 kernel): per lane
   /// exactly kernels::kahan_dot's sum/comp recurrence.

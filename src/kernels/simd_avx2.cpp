@@ -22,6 +22,11 @@ alignas(32) constexpr std::int32_t kMaskTable[16] = {-1, -1, -1, -1,
                                                      0,  0,  0,  0,
                                                      0,  0,  0,  0};
 
+// Lane indices 0..7 twice: an 8-entry window starting at 8 - up maps lane
+// l to l - up (mod 8), the lane move of maskload_up.
+alignas(32) constexpr std::int32_t kLaneRot[16] = {0, 1, 2, 3, 4, 5, 6, 7,
+                                                   0, 1, 2, 3, 4, 5, 6, 7};
+
 struct VecAvx2 {
   using Reg = __m256;
   static constexpr int kLanes = 8;
@@ -50,6 +55,47 @@ struct VecAvx2 {
   static Reg keep_gt_zero(Reg x, Reg v) {
     return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ),
                          v);
+  }
+  /// All-ones in the lanes whose bit is set in `bits`.
+  static __m256i bits_mask(unsigned bits) {
+    const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    return _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), lane),
+        lane);
+  }
+  static Reg maskload_bits(const float* p, unsigned bits) {
+    return _mm256_maskload_ps(p, bits_mask(bits));
+  }
+  static Reg maskload_up(const float* p, unsigned bits, int up) {
+    const Reg v = _mm256_maskload_ps(p, bits_mask(bits >> up));
+    const __m256i idx = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kLaneRot + 8 - up));
+    return _mm256_and_ps(_mm256_permutevar8x32_ps(v, idx),
+                         _mm256_castsi256_ps(bits_mask(bits)));
+  }
+  static Reg mask_add(Reg acc, unsigned bits, Reg x) {
+    return _mm256_blendv_ps(acc, _mm256_add_ps(acc, x),
+                            _mm256_castsi256_ps(bits_mask(bits)));
+  }
+  /// 8x8 in-register transpose: 32-bit interleaves and 64-bit shuffles
+  /// inside each 128-bit half, then a swap of the halves.
+  static void transpose(Reg (&r)[8]) {
+    Reg t[8];
+    for (int i = 0; i < 4; ++i) {
+      t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+      t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    for (int g = 0; g < 2; ++g) {
+      r[4 * g] = _mm256_shuffle_ps(t[4 * g], t[4 * g + 2], 0x44);
+      r[4 * g + 1] = _mm256_shuffle_ps(t[4 * g], t[4 * g + 2], 0xEE);
+      r[4 * g + 2] = _mm256_shuffle_ps(t[4 * g + 1], t[4 * g + 3], 0x44);
+      r[4 * g + 3] = _mm256_shuffle_ps(t[4 * g + 1], t[4 * g + 3], 0xEE);
+    }
+    for (int j = 0; j < 4; ++j) {
+      t[j] = _mm256_permute2f128_ps(r[j], r[4 + j], 0x20);
+      t[4 + j] = _mm256_permute2f128_ps(r[j], r[4 + j], 0x31);
+    }
+    for (int i = 0; i < 8; ++i) r[i] = t[i];
   }
 };
 

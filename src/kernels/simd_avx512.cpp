@@ -15,6 +15,12 @@
 namespace easyscale::kernels {
 namespace {
 
+// Lane indices 0..15 twice: a 16-entry window starting at 16 - up maps
+// lane l to l - up (mod 16), the lane move of maskload_up.
+alignas(64) constexpr std::int32_t kLaneRot[32] = {
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+
 struct VecAvx512 {
   using Reg = __m512;
   static constexpr int kLanes = 16;
@@ -46,6 +52,54 @@ struct VecAvx512 {
     const __mmask16 gt =
         _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_GT_OQ);
     return _mm512_maskz_mov_ps(gt, v);
+  }
+  static Reg maskload_bits(const float* p, unsigned bits) {
+    return _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits), p);
+  }
+  static Reg maskload_up(const float* p, unsigned bits, int up) {
+    const Reg v = _mm512_maskz_loadu_ps(static_cast<__mmask16>(bits >> up), p);
+    const __m512i idx = _mm512_loadu_si512(kLaneRot + 16 - up);
+    return _mm512_maskz_permutexvar_ps(static_cast<__mmask16>(bits), idx, v);
+  }
+  static Reg mask_add(Reg acc, unsigned bits, Reg x) {
+    return _mm512_mask_add_ps(acc, static_cast<__mmask16>(bits), acc, x);
+  }
+  /// 16x16 in-register transpose: 32-bit then 64-bit interleaves inside
+  /// each 128-bit lane, then two rounds of 128-bit lane shuffles.  The
+  /// all-lanes maskz forms sidestep GCC 12's spurious -Wuninitialized on
+  /// the plain intrinsics' undefined passthrough (as sqrt above).
+  static void transpose(Reg (&r)[16]) {
+    constexpr __mmask16 kAll = 0xFFFF;
+    constexpr __mmask8 kAll8 = 0xFF;
+    Reg t[16];
+    for (int i = 0; i < 8; ++i) {
+      t[2 * i] = _mm512_maskz_unpacklo_ps(kAll, r[2 * i], r[2 * i + 1]);
+      t[2 * i + 1] = _mm512_maskz_unpackhi_ps(kAll, r[2 * i], r[2 * i + 1]);
+    }
+    for (int g = 0; g < 4; ++g) {
+      const __m512d a = _mm512_castps_pd(t[4 * g]);
+      const __m512d b = _mm512_castps_pd(t[4 * g + 1]);
+      const __m512d c = _mm512_castps_pd(t[4 * g + 2]);
+      const __m512d d = _mm512_castps_pd(t[4 * g + 3]);
+      r[4 * g] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAll8, a, c));
+      r[4 * g + 1] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAll8, a, c));
+      r[4 * g + 2] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAll8, b, d));
+      r[4 * g + 3] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAll8, b, d));
+    }
+    // r[4g + j] now holds, in 128-bit lane q, rows 4g..4g+3 of column
+    // 4q + j; gather lane q of the four row groups into row 4q + j.
+    for (int j = 0; j < 4; ++j) {
+      t[j] = _mm512_maskz_shuffle_f32x4(kAll, r[j], r[4 + j], 0x88);
+      t[4 + j] = _mm512_maskz_shuffle_f32x4(kAll, r[j], r[4 + j], 0xdd);
+      t[8 + j] = _mm512_maskz_shuffle_f32x4(kAll, r[8 + j], r[12 + j], 0x88);
+      t[12 + j] = _mm512_maskz_shuffle_f32x4(kAll, r[8 + j], r[12 + j], 0xdd);
+    }
+    for (int j = 0; j < 4; ++j) {
+      r[j] = _mm512_maskz_shuffle_f32x4(kAll, t[j], t[8 + j], 0x88);
+      r[8 + j] = _mm512_maskz_shuffle_f32x4(kAll, t[j], t[8 + j], 0xdd);
+      r[4 + j] = _mm512_maskz_shuffle_f32x4(kAll, t[4 + j], t[12 + j], 0x88);
+      r[12 + j] = _mm512_maskz_shuffle_f32x4(kAll, t[4 + j], t[12 + j], 0xdd);
+    }
   }
 };
 

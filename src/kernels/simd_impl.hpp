@@ -12,6 +12,11 @@
 //   maskload(p, m), maskstore(p, m, v)   // first m lanes; rest untouched/0
 //   add, sub, mul, div(Reg, Reg), sqrt(Reg)  // IEEE-exact, like std::sqrt
 //   keep_gt_zero(x, v)                   // x > 0 ? v : +0.0f, per lane
+//   transpose(Reg (&r)[kLanes])          // in-register kLanes x kLanes
+//   maskload_bits(p, bits)               // lanes in `bits` from p[l], rest 0
+//   maskload_up(p, bits, up)             // lane l = p[l - up] for l in
+//                                        // `bits` (all >= up), rest 0
+//   mask_add(acc, bits, x)               // acc + x on `bits`, acc elsewhere
 //
 // The determinism argument, once, for all bodies here: lanes are DISTINCT
 // OUTPUT ELEMENTS (GEMM columns, reduction slots, conv output columns,
@@ -24,6 +29,7 @@
 // the scalar fallback.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +57,20 @@ using std::int64_t;
 /// Column-tile width (in vectors) of the packed-B layout and of the wide
 /// interior tiles; 6 measured fastest on both AVX2 and AVX-512.
 inline constexpr int kPanelTileVecs = 6;
+
+// Full-width or first-m-lanes load/store.
+template <typename V>
+inline typename V::Reg load_m(const float* p, int m) {
+  return m == V::kLanes ? V::load(p) : V::maskload(p, m);
+}
+template <typename V>
+inline void store_m(float* p, int m, typename V::Reg v) {
+  if (m == V::kLanes) {
+    V::store(p, v);
+  } else {
+    V::maskstore(p, m, v);
+  }
+}
 
 template <typename V, int W, int T, bool Masked>
 inline void gemm_tile(const float* a, const float* bbase, int64_t bs,
@@ -366,6 +386,340 @@ void kahan_panel(const float* a, const float* b, int64_t k, int64_t n,
 }
 
 // ---------------------------------------------------------------------------
+// Row-blocked GEMM: kRowBlock whole rows share each B vector load.  Per
+// row and lane the chains are gemm_tile's: chain w takes the terms
+// kk == w mod W in ascending kk, the k remainder goes to chain 0, and the
+// fold is 0 + acc[0] + ... + acc[W-1].  Chains run PW at a time (the
+// passes of gemm_tile_split), and since the passes go in ascending w,
+// each pass's chains are folded into the running total as soon as they
+// complete — the same left-to-right fold, with no spill buffer.
+// ---------------------------------------------------------------------------
+
+/// Rows per block: with PW = 2 chains per pass that is 8 independent
+/// chains in flight, enough to cover the add latency on two FP ports.
+inline constexpr int kRowBlock = 4;
+
+template <typename V, int W, bool MaskB>
+inline void gemm_rows_vec(const float* a, int64_t k, const float* bp0,
+                          int64_t bs, float* c, int64_t ldc, int m,
+                          bool accumulate) {
+  using Reg = typename V::Reg;
+  constexpr int R = kRowBlock;
+  constexpr int PW = W < 2 ? W : 2;
+  auto loadb = [&](const float* p) {
+    if constexpr (MaskB) {
+      return V::maskload(p, m);
+    } else {
+      return V::load(p);
+    }
+  };
+  Reg total[R];
+  for (int r = 0; r < R; ++r) total[r] = V::zero();
+  for (int h = 0; h < W / PW; ++h) {
+    Reg acc[R][PW];
+    for (int r = 0; r < R; ++r) {
+      for (int p = 0; p < PW; ++p) acc[r][p] = V::zero();
+    }
+    int64_t kk = 0;
+    for (; kk + W <= k; kk += W) {
+      for (int p = 0; p < PW; ++p) {
+        const int w = h * PW + p;
+        const Reg bv = loadb(bp0 + (kk + w) * bs);
+        for (int r = 0; r < R; ++r) {
+          acc[r][p] = V::add(acc[r][p],
+                             V::mul(V::broadcast(a[r * k + kk + w]), bv));
+        }
+      }
+    }
+    if (h == 0) {  // remainder: all into chain 0, like the scalar loop
+      for (; kk < k; ++kk) {
+        const Reg bv = loadb(bp0 + kk * bs);
+        for (int r = 0; r < R; ++r) {
+          acc[r][0] =
+              V::add(acc[r][0], V::mul(V::broadcast(a[r * k + kk]), bv));
+        }
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int p = 0; p < PW; ++p) total[r] = V::add(total[r], acc[r][p]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    float* cp = c + r * ldc;
+    Reg out = total[r];
+    if (accumulate) out = V::add(load_m<V>(cp, m), out);
+    store_m<V>(cp, m, out);
+  }
+}
+
+/// One row block over a (bbase, bs)-addressed segment of `cols` columns;
+/// the tail vector masks its stores, and its B loads too unless
+/// `b_padded` (packed tiles are zero-padded in-bounds past n).
+template <typename V, int W>
+inline void gemm_rows_segment(const float* a, int64_t k, const float* bbase,
+                              int64_t bs, int64_t cols, bool b_padded,
+                              float* c, int64_t ldc, bool accumulate) {
+  constexpr int64_t L = V::kLanes;
+  int64_t j = 0;
+  for (; j + L <= cols; j += L) {
+    gemm_rows_vec<V, W, false>(a, k, bbase + j, bs, c + j, ldc,
+                               static_cast<int>(L), accumulate);
+  }
+  if (j == cols) return;
+  const int m = static_cast<int>(cols - j);
+  if (b_padded) {
+    gemm_rows_vec<V, W, false>(a, k, bbase + j, bs, c + j, ldc, m,
+                               accumulate);
+  } else {
+    gemm_rows_vec<V, W, true>(a, k, bbase + j, bs, c + j, ldc, m,
+                              accumulate);
+  }
+}
+
+template <typename V, int W>
+inline void gemm_rows_block(const float* a, const float* b, bool packed,
+                            int64_t k, int64_t n, float* c, bool accumulate) {
+  if (!packed) {
+    gemm_rows_segment<V, W>(a, k, b, n, n, false, c, n, accumulate);
+    return;
+  }
+  constexpr int64_t TW = kPanelTileVecs * V::kLanes;
+  for (int64_t t = 0; t * TW < n; ++t) {
+    const int64_t cols = n - t * TW < TW ? n - t * TW : TW;
+    gemm_rows_segment<V, W>(a, k, b + t * k * TW, TW, cols, true,
+                            c + t * TW, n, accumulate);
+  }
+}
+
+/// Row panel of row i over all n columns (packed or unpacked B).
+template <typename V>
+inline void gemm_row(GemmVariant variant, const float* a, const float* b,
+                     bool packed, int64_t k, int64_t n, int64_t i, float* c,
+                     bool accumulate) {
+  if (packed) {
+    gemm_panel_packed<V>(variant, a + i * k, b, k, n, 0, n, c + i * n,
+                         accumulate);
+  } else {
+    gemm_panel<V>(variant, a + i * k, b, k, n, 0, n, c + i * n, accumulate);
+  }
+}
+
+/// Rows [i0, i1) in blocks of kRowBlock; the last (i1 - i0) % kRowBlock
+/// rows take the per-row panel.
+template <typename V, int W>
+inline void gemm_rows_w(GemmVariant variant, const float* a, const float* b,
+                        bool packed, int64_t k, int64_t n, int64_t i0,
+                        int64_t i1, float* c, bool accumulate) {
+  int64_t i = i0;
+  for (; i + kRowBlock <= i1; i += kRowBlock) {
+    gemm_rows_block<V, W>(a + i * k, b, packed, k, n, c + i * n, accumulate);
+  }
+  for (; i < i1; ++i) {
+    gemm_row<V>(variant, a, b, packed, k, n, i, c, accumulate);
+  }
+}
+
+template <typename V>
+void gemm_rows(GemmVariant variant, const float* a, const float* b,
+               bool packed, int64_t k, int64_t n, int64_t i0, int64_t i1,
+               float* c, bool accumulate) {
+  switch (variant) {
+    case GemmVariant::kSequential:
+      gemm_rows_w<V, 1>(variant, a, b, packed, k, n, i0, i1, c,
+                            accumulate);
+      return;
+    case GemmVariant::kInterleaved2:
+      gemm_rows_w<V, 2>(variant, a, b, packed, k, n, i0, i1, c,
+                            accumulate);
+      return;
+    case GemmVariant::kInterleaved4:
+      gemm_rows_w<V, 4>(variant, a, b, packed, k, n, i0, i1, c,
+                            accumulate);
+      return;
+    case GemmVariant::kInterleaved8:
+      gemm_rows_w<V, 8>(variant, a, b, packed, k, n, i0, i1, c,
+                            accumulate);
+      return;
+    case GemmVariant::kBlocked8:
+      for (int64_t i = i0; i < i1; ++i) {
+        gemm_row<V>(variant, a, b, packed, k, n, i, c, accumulate);
+      }
+      return;
+  }
+  ES_THROW("unreachable gemm variant");
+}
+
+// ---------------------------------------------------------------------------
+// Block transpose: kLanes x kLanes blocks go through registers (masked
+// loads and stores at the ragged edges, zero rows past `rows` that are
+// never stored).  Pure data movement.
+// ---------------------------------------------------------------------------
+
+template <typename V>
+void transpose(const float* src, int64_t rows, int64_t cols, int64_t lds,
+               float* dst, int64_t ldd) {
+  using Reg = typename V::Reg;
+  constexpr int L = V::kLanes;
+  for (int64_t c0 = 0; c0 < cols; c0 += L) {
+    const int nc = cols - c0 < L ? static_cast<int>(cols - c0) : L;
+    for (int64_t r0 = 0; r0 < rows; r0 += L) {
+      const int nr = rows - r0 < L ? static_cast<int>(rows - r0) : L;
+      Reg v[L];
+      const float* s = src + r0 * lds + c0;
+      float* d = dst + c0 * ldd + r0;
+      if (nr == L && nc == L) {
+        for (int i = 0; i < L; ++i) v[i] = V::load(s + i * lds);
+        V::transpose(v);
+        for (int i = 0; i < L; ++i) V::store(d + i * ldd, v[i]);
+        continue;
+      }
+      for (int i = 0; i < L; ++i) {
+        v[i] = i < nr ? load_m<V>(s + i * lds, nc) : V::zero();
+      }
+      V::transpose(v);
+      for (int i = 0; i < nc; ++i) store_m<V>(d + i * ldd, nr, v[i]);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Same-geometry im2col / col2im (ConvSameArgs).  A tap is a flat shift
+// `s`, so one vector of outputs is one masked load at offset v*L + s of the
+// source plane.  The lane masks (the cells whose row and column stay inside
+// both planes) depend on the geometry alone: they are built once per call,
+// one per (tap, vector), and reused by every channel.  A load window that
+// starts before the plane is taken from the plane's base and its lanes are
+// moved up (maskload_up), so no pointer ever leaves the buffer.
+// ---------------------------------------------------------------------------
+
+namespace conv_same {
+
+/// Masks per call: kMaxTaps taps x up to kMaxPlane / 8 vectors (AVX2).
+constexpr int64_t kMaxMasks =
+    ConvSameArgs::kMaxTaps * (ConvSameArgs::kMaxPlane / 8);
+
+/// Lanes [lo, hi) of an L-lane vector, clamped to [0, L).
+template <int L>
+inline unsigned lane_range(int64_t lo, int64_t hi) {
+  lo = lo < 0 ? 0 : (lo > L ? L : lo);
+  hi = hi < 0 ? 0 : (hi > L ? L : hi);
+  return lo >= hi ? 0u : ((1u << hi) - 1u) & ~((1u << lo) - 1u);
+}
+
+/// masks[t * nvec + v]: the lanes of vector v of the [rows, w] target plane
+/// that tap t = (kh, kw) reaches, i.e. the cells (y, x) with
+/// y - dir * (pad - kh) in [0, reach) and x - dir * (pad - kw) in [0, w):
+/// im2col targets the output plane (dir = +1, reach = in_h), col2im the
+/// input plane (dir = -1, reach = out_h).  A mask is its row lanes (one
+/// contiguous run) AND its column lanes (one run per row the vector
+/// spans), so a call costs O(taps * nvec), not O(taps * plane).
+template <int L>
+inline void build_masks(const ConvSameArgs& g, int64_t rows, int64_t reach,
+                        int64_t dir, int64_t nvec, std::uint16_t* masks) {
+  const int64_t w = g.in_w;
+  for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+    const int64_t x0 = dir * (g.pad - kw);
+    const int64_t xlo = std::max<int64_t>(x0, 0), xhi = std::min(x0 + w, w);
+    for (int64_t v = 0; v < nvec; ++v) {
+      const int64_t i0 = v * L;
+      unsigned cols = 0;
+      for (int64_t y = i0 / w; y * w < i0 + L; ++y) {
+        cols |= lane_range<L>(y * w - i0 + xlo, y * w - i0 + xhi);
+      }
+      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+        const int64_t y0 = dir * (g.pad - kh);
+        const int64_t ylo = std::max<int64_t>(y0, 0);
+        const int64_t yhi = std::min(y0 + reach, rows);
+        masks[(kh * g.kernel_w + kw) * nvec + v] = static_cast<std::uint16_t>(
+            cols & lane_range<L>(ylo * w - i0, yhi * w - i0));
+      }
+    }
+  }
+}
+
+/// shift[t]: the flat offset of tap t, (kh - pad) * in_w + (kw - pad).
+inline void build_shifts(const ConvSameArgs& g, int64_t* shift) {
+  for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      shift[kh * g.kernel_w + kw] = (kh - g.pad) * g.in_w + (kw - g.pad);
+    }
+  }
+}
+
+/// Lanes `bits` of src[o + l] (o may be negative: then every set lane has
+/// l >= -o, and the window is taken from src itself).
+template <typename V>
+inline typename V::Reg load_shifted(const float* src, int64_t o,
+                                    unsigned bits) {
+  return o >= 0 ? V::maskload_bits(src + o, bits)
+                : V::maskload_up(src, bits, static_cast<int>(-o));
+}
+
+}  // namespace conv_same
+
+template <typename V>
+void im2col_same(const ConvSameArgs& g, const float* planes, int64_t c0,
+                 int64_t c1, float* cols) {
+  constexpr int L = V::kLanes;
+  const int64_t taps = g.kernel_h * g.kernel_w;
+  const int64_t w = g.in_w;
+  const int64_t in_plane = g.in_h * w, out_plane = g.out_h * w;
+  const int64_t nvec = (out_plane + L - 1) / L;
+  const int tail = static_cast<int>(out_plane - (nvec - 1) * L);
+  std::uint16_t masks[conv_same::kMaxMasks];
+  int64_t shift[ConvSameArgs::kMaxTaps];
+  conv_same::build_masks<L>(g, g.out_h, g.in_h, 1, nvec, masks);
+  conv_same::build_shifts(g, shift);
+  for (int64_t c = c0; c < c1; ++c) {
+    const float* plane = planes + c * in_plane;
+    for (int64_t t = 0; t < taps; ++t) {
+      // Output i of tap t reads input i + shift[t].
+      const std::uint16_t* tm = masks + t * nvec;
+      float* dst = cols + (c * taps + t) * out_plane;
+      for (int64_t v = 0; v < nvec; ++v) {
+        const auto val =
+            tm[v] == 0
+                ? V::zero()
+                : conv_same::load_shifted<V>(plane, v * L + shift[t], tm[v]);
+        store_m<V>(dst + v * L, v + 1 == nvec ? tail : L, val);
+      }
+    }
+  }
+}
+
+template <typename V>
+void col2im_same(const ConvSameArgs& g, const float* cols, int64_t c0,
+                 int64_t c1, float* planes) {
+  constexpr int L = V::kLanes;
+  const int64_t taps = g.kernel_h * g.kernel_w;
+  const int64_t w = g.in_w;
+  const int64_t in_plane = g.in_h * w, out_plane = g.out_h * w;
+  const int64_t nvec = (in_plane + L - 1) / L;
+  const int tail = static_cast<int>(in_plane - (nvec - 1) * L);
+  std::uint16_t masks[conv_same::kMaxMasks];
+  int64_t shift[ConvSameArgs::kMaxTaps];
+  conv_same::build_masks<L>(g, g.in_h, g.out_h, -1, nvec, masks);
+  conv_same::build_shifts(g, shift);
+  for (int64_t c = c0; c < c1; ++c) {
+    float* plane = planes + c * in_plane;
+    const float* crow = cols + c * taps * out_plane;
+    for (int64_t v = 0; v < nvec; ++v) {
+      const int lanes = v + 1 == nvec ? tail : L;
+      auto acc = load_m<V>(plane + v * L, lanes);
+      for (int64_t t = 0; t < taps; ++t) {
+        const unsigned m = masks[t * nvec + v];
+        if (m == 0) continue;
+        // Input j of tap t receives output j - shift[t].
+        acc = V::mask_add(acc, m,
+                          conv_same::load_shifted<V>(
+                              crow + t * out_plane, v * L - shift[t], m));
+      }
+      store_m<V>(plane + v * L, lanes, acc);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Batched strided reduction: lanes are output slots.  Per slot the leaf /
 // fold order is exactly sum_sequential / sum_pairwise (reduce.cpp); the
 // strided loads values[s + i * stride] are contiguous across lanes.
@@ -593,20 +947,6 @@ void div_scalar(float* out, float c, int64_t n) {
   });
 }
 
-// Full-width or first-m-lanes load/store for the elementwise bodies.
-template <typename V>
-inline typename V::Reg load_m(const float* p, int m) {
-  return m == V::kLanes ? V::load(p) : V::maskload(p, m);
-}
-template <typename V>
-inline void store_m(float* p, int m, typename V::Reg v) {
-  if (m == V::kLanes) {
-    V::store(p, v);
-  } else {
-    V::maskstore(p, m, v);
-  }
-}
-
 template <typename V>
 void axpy(float* out, float c, const float* x, int64_t n) {
   const auto cv = V::broadcast(c);
@@ -752,6 +1092,10 @@ SimdOps make_simd_ops(SimdBackend kind) {
   ops.gemm_panel = &gemm_panel<V>;
   ops.gemm_tile_cols = kPanelTileVecs * V::kLanes;
   ops.gemm_panel_packed = &gemm_panel_packed<V>;
+  ops.gemm_rows = &gemm_rows<V>;
+  ops.transpose = &transpose<V>;
+  ops.im2col_same = &im2col_same<V>;
+  ops.col2im_same = &col2im_same<V>;
   ops.kahan_panel = &kahan_panel<V>;
   ops.reduce_batch = &reduce_batch<V>;
   ops.conv_row = &conv_row<V>;

@@ -68,8 +68,13 @@ void axpy(const kernels::SimdOps& ops, float* out, float c, const float* x,
 
 /// dst[d * t + j] = src[j * ld + d]: one head's [t, hd] slice (row stride
 /// ld) as a dense [hd, t] buffer, so per-row products over j stream.
-void transpose_head(const float* src, std::int64_t t, std::int64_t hd,
-                    std::int64_t ld, float* dst) {
+void transpose_head(const kernels::SimdOps& ops, const float* src,
+                    std::int64_t t, std::int64_t hd, std::int64_t ld,
+                    float* dst) {
+  if (ops.transpose != nullptr) {
+    ops.transpose(src, t, hd, ld, dst, t);
+    return;
+  }
   for (std::int64_t j = 0; j < t; ++j) {
     for (std::int64_t d = 0; d < hd; ++d) dst[d * t + j] = src[j * ld + d];
   }
@@ -108,7 +113,7 @@ Tensor MultiheadSelfAttention::forward(StepContext& ctx, const Tensor& x) {
           const float* q = cached_q_.raw() + base;
           const float* v = cached_v_.raw() + base;
           float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
-          transpose_head(cached_k_.raw() + base, t, hd, dim_, k_t.data());
+          transpose_head(ops, cached_k_.raw() + base, t, hd, dim_, k_t.data());
           for (std::int64_t i = 0; i < t; ++i) {
             float* prow = probs + i * t;
             dot_row(ops, q + i * dim_, k_t.data(), hd, t, t, prow);
@@ -170,7 +175,7 @@ Tensor MultiheadSelfAttention::backward(StepContext& ctx,
           float* dk_h = dk.raw() + base;
           float* dv_h = dv.raw() + base;
           const float* probs = cached_probs_.raw() + ((s * heads_ + h) * t * t);
-          transpose_head(cached_v_.raw() + base, t, hd, dim_, v_t.data());
+          transpose_head(ops, cached_v_.raw() + base, t, hd, dim_, v_t.data());
           for (std::int64_t i = 0; i < t; ++i) {
             const float* prow = probs + i * t;
             const float* dci = dc + i * dim_;

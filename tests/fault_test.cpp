@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/checkpoint_io.hpp"
 #include "core/checkpoint_manager.hpp"
@@ -247,6 +249,47 @@ TEST(FaultSupervisor, TornNewestGenerationFallsBackOneInterval) {
   EXPECT_GE(stats.lost_steps, 4);
   EXPECT_EQ(engine.params_digest(), fault_free_digest(2, kSteps));
   mgr.clear();
+}
+
+// The supervised save records the chain it reads back from the image's
+// head; the generation it writes must be byte-identical to a save that
+// hashes the parameters afresh.
+TEST(FaultSupervisor, SupervisedSaveMatchesFreshlyHashedChainFile) {
+  auto& wd = shared_data();
+  EasyScaleEngine engine(small_config(), *wd.train, wd.augment);
+  CheckpointManager mgr(temp_path("sup_save"), 3);
+  CheckpointManager ref(temp_path("ref_save"), 3);
+  mgr.clear();
+  ref.clear();
+  SupervisorConfig cfg;
+  cfg.checkpoint_every = 2;
+  FaultSupervisor sup(engine, mgr, FaultInjector(), cfg);
+  const auto stats = sup.run_to(4, 2);  // generations at steps 0, 2 and 4
+  ASSERT_FALSE(stats.failed);
+  ASSERT_EQ(engine.global_step(), 4);
+  ref.save(engine.checkpoint(), engine.trainer().params_digest_chain());
+  const auto read_file = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    std::vector<std::uint8_t> bytes;
+    if (f == nullptr) return bytes;
+    for (int ch = std::fgetc(f); ch != EOF; ch = std::fgetc(f)) {
+      bytes.push_back(static_cast<std::uint8_t>(ch));
+    }
+    std::fclose(f);
+    return bytes;
+  };
+  const auto got = read_file(mgr.path_for(0));
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, read_file(ref.path_for(0)));
+  // A v2 file: the per-tensor chain and no shard frame.
+  DigestChain chain;
+  std::optional<core::ShardFrameMeta> frame;
+  (void)core::load_checkpoint_file(mgr.path_for(0), &chain, &frame);
+  EXPECT_EQ(chain, engine.trainer().params_digest_chain());
+  EXPECT_FALSE(frame.has_value());
+  mgr.clear();
+  ref.clear();
 }
 
 TEST(FaultSupervisor, ElasticSurvivesWhereGangRestartFails) {
