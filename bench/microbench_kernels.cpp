@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the substrate hot paths: GEMM kernel
 // variants, SIMD backend sweeps (GEMM, conv, operand transpose, row-blocked
-// GEMM, same-geometry im2col/col2im, Bert attention and GELU backward,
-// reductions), ring all-reduce, Philox, EST context
+// GEMM, same-geometry im2col/col2im, Bert attention, GELU backward and
+// Dropout, reductions), ring all-reduce, Philox, EST context
 // capture/restore and on-demand checkpointing.
 //
 // Modes:
@@ -33,8 +33,10 @@
 #include "models/datasets.hpp"
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
+#include "nn/dropout.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
+#include "rng/stream_set.hpp"
 
 namespace {
 
@@ -563,6 +565,27 @@ std::vector<SimdMeasurement> measure_simd_kernels() {
             std::fill(grad->begin(), grad->end(), 0.0f);
             kernels::col2im(ctx, d, *cols, 0, *grad);
             benchmark::DoNotOptimize(grad->data());
+          });
+  }
+
+  {
+    // Bert-mini's feed-forward Dropout ([4 * 16, 64], p = 0.1) forward:
+    // 4096 Philox draws thresholded into the mask, then the mask applied.
+    const tensor::Shape shape{4 * 16, 64};
+    auto dropout = std::make_shared<nn::Dropout>(0.1f);
+    auto x = std::make_shared<tensor::Tensor>(shape);
+    auto streams = std::make_shared<rng::StreamSet>();
+    streams->seed_all(11, 0);
+    rng::Philox gen(11);
+    rng::fill_normal(gen, x->data(), 0.0f, 1.0f);
+    sweep("dropout_bert", static_cast<double>(shape.numel()),
+          [=](const kernels::ExecContext& ctx) {
+            autograd::StepContext step;
+            step.exec = &ctx;
+            step.rng = streams.get();
+            step.training = true;
+            const tensor::Tensor y = dropout->forward(step, *x);
+            benchmark::DoNotOptimize(y.raw());
           });
   }
   return out;

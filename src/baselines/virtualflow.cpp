@@ -9,9 +9,11 @@ VirtualFlowTrainer::VirtualFlowTrainer(VirtualFlowConfig config,
                                        const data::AugmentConfig& augment)
     : config_(std::move(config)), train_(&train), augment_(augment) {
   ES_CHECK(config_.virtual_nodes > 0, "need at least one virtual node");
+  const auto order =
+      std::make_shared<data::EpochOrder>(train.size(), config_.seed, true);
   for (std::int64_t v = 0; v < config_.virtual_nodes; ++v) {
     pipelines_.emplace_back(train, augment_, config_.virtual_nodes, v,
-                            config_.batch_per_virtual, config_.seed);
+                            config_.batch_per_virtual, config_.seed, order);
   }
 }
 

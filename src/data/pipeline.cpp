@@ -11,10 +11,15 @@ constexpr std::uint64_t kDataSeedSalt = 0xD474D474ull;
 RankDataPipeline::RankDataPipeline(const Dataset& dataset,
                                    AugmentConfig augment,
                                    std::int64_t world_size, std::int64_t rank,
-                                   std::int64_t batch_size, std::uint64_t seed)
+                                   std::int64_t batch_size, std::uint64_t seed,
+                                   std::shared_ptr<EpochOrder> order)
     : dataset_(&dataset),
       augment_(augment),
-      sampler_(dataset.size(), world_size, rank, batch_size, seed),
+      sampler_(order != nullptr
+                   ? std::move(order)
+                   : std::make_shared<EpochOrder>(dataset.size(), seed,
+                                                  /*shuffle=*/true),
+               world_size, rank, batch_size),
       rank_(rank) {
   streams_.seed_all(seed ^ kDataSeedSalt, static_cast<std::uint64_t>(rank));
 }

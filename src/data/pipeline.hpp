@@ -17,9 +17,12 @@ namespace easyscale::data {
 
 class RankDataPipeline {
  public:
+  /// `order` shares the epoch permutations with the other ranks'
+  /// pipelines of one world (see EpochOrder); null draws them alone.
   RankDataPipeline(const Dataset& dataset, AugmentConfig augment,
                    std::int64_t world_size, std::int64_t rank,
-                   std::int64_t batch_size, std::uint64_t seed);
+                   std::int64_t batch_size, std::uint64_t seed,
+                   std::shared_ptr<EpochOrder> order = nullptr);
 
   /// Build the next batch synchronously.
   [[nodiscard]] Batch next();

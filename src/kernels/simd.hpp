@@ -22,12 +22,12 @@
 // The bodies (SimdOps below): GEMM row panels (unpacked, packed-B and
 // Kahan) and the row-blocked GEMM, the operand block transpose, the
 // same-geometry im2col/col2im, the strided batched reduction, the
-// direct-conv row interior and elementwise maps.  The maps are ReLU
-// forward/backward, sigmoid backward, scalar and vector adds, divide by a
-// scalar, the norm affines, and for the transformer step axpy
-// (attention's dv/dk updates), mul_vec (the dropout mask), gelu_bwd (from
-// the forward's cached tanh), and the optimizer updates adam_update and
-// sgd_update.  Attention's score and context products run on the
+// direct-conv row interior, the Dropout mask (a lane-per-block Philox) and
+// elementwise maps.  The maps are ReLU forward/backward, sigmoid backward,
+// scalar and vector adds, divide by a scalar, the norm affines, and for the
+// transformer step mul_vec (applying the dropout mask), gelu_bwd (from the
+// forward's cached tanh), and the optimizer updates adam_update and
+// sgd_update.  Attention's score, context and dV/dK products run on the
 // kSequential panel.
 //
 // The scalar backend publishes no function pointers: call sites fall back
@@ -40,6 +40,10 @@
 #include <vector>
 
 #include "kernels/variants.hpp"
+
+namespace easyscale::rng {
+struct PhiloxState;
+}  // namespace easyscale::rng
 
 namespace easyscale::kernels {
 
@@ -201,6 +205,15 @@ struct SimdOps {
   /// Direct-conv stride-1 row interior (see ConvRowArgs).
   void (*conv_row)(const ConvRowArgs& args) = nullptr;
 
+  /// Dropout mask from n successive Philox draws: mask[i] = u_i >= p ?
+  /// scale : +0.0f, where u_i is the i-th next_float() of `state`, and
+  /// `state` is left exactly as those n calls leave it (counter, buffer
+  /// words and buffer_pos, also when the draws end on a block boundary).
+  /// Lanes are block counters running the one Philox round
+  /// (rng/philox_round.hpp), so every word is the scalar stream's.
+  void (*dropout_mask)(rng::PhiloxState& state, float p, float scale,
+                       float* mask, std::int64_t n) = nullptr;
+
   // Elementwise maps: per-lane expression identical to the scalar loop.
   /// out[i] = x[i] > 0 ? x[i] : 0
   void (*relu_fwd)(const float* x, float* out, std::int64_t n) = nullptr;
@@ -216,8 +229,6 @@ struct SimdOps {
   void (*add_vec)(float* out, const float* add, std::int64_t n) = nullptr;
   /// out[i] = out[i] / c
   void (*div_scalar)(float* out, float c, std::int64_t n) = nullptr;
-  /// out[i] = out[i] + c * x[i]
-  void (*axpy)(float* out, float c, const float* x, std::int64_t n) = nullptr;
   /// out[i] = a[i] * b[i]
   void (*mul_vec)(const float* a, const float* b, float* out,
                   std::int64_t n) = nullptr;

@@ -77,6 +77,61 @@ struct VecAvx2 {
     return _mm256_blendv_ps(acc, _mm256_add_ps(acc, x),
                             _mm256_castsi256_ps(bits_mask(bits)));
   }
+  static Reg keep_ge(Reg x, Reg p, Reg v) {
+    return _mm256_and_ps(_mm256_cmp_ps(x, p, _CMP_GE_OQ), v);
+  }
+
+  /// Two interleaved 8-block batches fill 8 of the 16 registers.
+  static constexpr int kPhiloxBatches = 2;
+
+  struct Words {
+    using Word = __m256i;
+    static Word splat(std::uint32_t v) {
+      return _mm256_set1_epi32(static_cast<int>(v));
+    }
+    static Word lanes() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
+    static Word add(Word a, Word b) { return _mm256_add_epi32(a, b); }
+    static Word load(const std::uint32_t* p) {
+      return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+    }
+    static void store(std::uint32_t* p, Word w) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), w);
+    }
+    /// mul_epu32 multiplies the even lanes; the odd lanes go through it
+    /// shifted down, and blends put each product's halves back in place.
+    static void mulhilo(std::uint32_t m, Word x, Word& hi, Word& lo) {
+      const Word mv = splat(m);
+      const Word even = _mm256_mul_epu32(x, mv);
+      const Word odd = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), mv);
+      hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+      lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+    }
+    static Word xor3(Word a, Word b, Word c) {
+      return _mm256_xor_si256(_mm256_xor_si256(a, b), c);
+    }
+    /// Lane l's block into words 4l .. 4l + 3: 32- and 64-bit interleaves
+    /// leave block 4h + j in 128-bit half h of register j, then half swaps
+    /// gather blocks 2m, 2m + 1 into w[m].
+    static void interleave4(Word (&w)[4]) {
+      const Word t0 = _mm256_unpacklo_epi32(w[0], w[1]);
+      const Word t1 = _mm256_unpackhi_epi32(w[0], w[1]);
+      const Word t2 = _mm256_unpacklo_epi32(w[2], w[3]);
+      const Word t3 = _mm256_unpackhi_epi32(w[2], w[3]);
+      const Word b0 = _mm256_unpacklo_epi64(t0, t2);
+      const Word b1 = _mm256_unpackhi_epi64(t0, t2);
+      const Word b2 = _mm256_unpacklo_epi64(t1, t3);
+      const Word b3 = _mm256_unpackhi_epi64(t1, t3);
+      w[0] = _mm256_permute2x128_si256(b0, b1, 0x20);
+      w[1] = _mm256_permute2x128_si256(b2, b3, 0x20);
+      w[2] = _mm256_permute2x128_si256(b0, b1, 0x31);
+      w[3] = _mm256_permute2x128_si256(b2, b3, 0x31);
+    }
+    static Reg unit_float(Word w) {
+      return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(w, 8)),
+                           _mm256_set1_ps(0x1.0p-24f));
+    }
+  };
+
   /// 8x8 in-register transpose: 32-bit interleaves and 64-bit shuffles
   /// inside each 128-bit half, then a swap of the halves.
   static void transpose(Reg (&r)[8]) {

@@ -64,6 +64,72 @@ struct VecAvx512 {
   static Reg mask_add(Reg acc, unsigned bits, Reg x) {
     return _mm512_mask_add_ps(acc, static_cast<__mmask16>(bits), acc, x);
   }
+  static Reg keep_ge(Reg x, Reg p, Reg v) {
+    return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(x, p, _CMP_GE_OQ), v);
+  }
+
+  /// Four interleaved 16-block batches fill 16 of the 32 registers.
+  static constexpr int kPhiloxBatches = 4;
+
+  /// The all-lanes maskz forms below sidestep GCC 12's spurious
+  /// -Wmaybe-uninitialized on the plain intrinsics' undefined passthrough.
+  struct Words {
+    using Word = __m512i;
+    static constexpr __mmask16 kAll = 0xFFFF;
+    static constexpr __mmask8 kAll8 = 0xFF;
+    static Word splat(std::uint32_t v) {
+      return _mm512_set1_epi32(static_cast<int>(v));
+    }
+    static Word lanes() {
+      return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                               14, 15);
+    }
+    static Word add(Word a, Word b) { return _mm512_add_epi32(a, b); }
+    static Word load(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
+    static void store(std::uint32_t* p, Word w) { _mm512_storeu_si512(p, w); }
+    /// mul_epu32 multiplies the even lanes; the odd lanes go through it
+    /// shifted down, and blends put each product's halves back in place.
+    static void mulhilo(std::uint32_t m, Word x, Word& hi, Word& lo) {
+      const Word mv = splat(m);
+      const Word even = _mm512_maskz_mul_epu32(kAll8, x, mv);
+      const Word odd = _mm512_maskz_mul_epu32(
+          kAll8, _mm512_maskz_srli_epi64(kAll8, x, 32), mv);
+      hi = _mm512_mask_blend_epi32(
+          0xAAAA, _mm512_maskz_srli_epi64(kAll8, even, 32), odd);
+      lo = _mm512_mask_blend_epi32(
+          0xAAAA, even, _mm512_maskz_slli_epi64(kAll8, odd, 32));
+    }
+    static Word xor3(Word a, Word b, Word c) {
+      return _mm512_ternarylogic_epi32(a, b, c, 0x96);
+    }
+    /// Lane l's block into words 4l .. 4l + 3: 32- and 64-bit interleaves
+    /// leave block 4q + j in 128-bit lane q of register j, then a 4 x 4
+    /// transpose of 128-bit lanes gathers blocks 4m .. 4m + 3 into w[m].
+    static void interleave4(Word (&w)[4]) {
+      const Word t0 = _mm512_maskz_unpacklo_epi32(kAll, w[0], w[1]);
+      const Word t1 = _mm512_maskz_unpackhi_epi32(kAll, w[0], w[1]);
+      const Word t2 = _mm512_maskz_unpacklo_epi32(kAll, w[2], w[3]);
+      const Word t3 = _mm512_maskz_unpackhi_epi32(kAll, w[2], w[3]);
+      const Word b0 = _mm512_maskz_unpacklo_epi64(kAll8, t0, t2);
+      const Word b1 = _mm512_maskz_unpackhi_epi64(kAll8, t0, t2);
+      const Word b2 = _mm512_maskz_unpacklo_epi64(kAll8, t1, t3);
+      const Word b3 = _mm512_maskz_unpackhi_epi64(kAll8, t1, t3);
+      const Word u0 = _mm512_maskz_shuffle_i32x4(kAll, b0, b1, 0x44);
+      const Word u1 = _mm512_maskz_shuffle_i32x4(kAll, b0, b1, 0xEE);
+      const Word u2 = _mm512_maskz_shuffle_i32x4(kAll, b2, b3, 0x44);
+      const Word u3 = _mm512_maskz_shuffle_i32x4(kAll, b2, b3, 0xEE);
+      w[0] = _mm512_maskz_shuffle_i32x4(kAll, u0, u2, 0x88);
+      w[1] = _mm512_maskz_shuffle_i32x4(kAll, u0, u2, 0xDD);
+      w[2] = _mm512_maskz_shuffle_i32x4(kAll, u1, u3, 0x88);
+      w[3] = _mm512_maskz_shuffle_i32x4(kAll, u1, u3, 0xDD);
+    }
+    static Reg unit_float(Word w) {
+      return _mm512_mul_ps(
+          _mm512_maskz_cvtepi32_ps(kAll, _mm512_maskz_srli_epi32(kAll, w, 8)),
+          _mm512_set1_ps(0x1.0p-24f));
+    }
+  };
+
   /// 16x16 in-register transpose: 32-bit then 64-bit interleaves inside
   /// each 128-bit lane, then two rounds of 128-bit lane shuffles.  The
   /// all-lanes maskz forms sidestep GCC 12's spurious -Wuninitialized on

@@ -17,6 +17,13 @@
 //   maskload_up(p, bits, up)             // lane l = p[l - up] for l in
 //                                        // `bits` (all >= up), rest 0
 //   mask_add(acc, bits, x)               // acc + x on `bits`, acc elsewhere
+//   keep_ge(x, p, v)                     // x >= p ? v : +0.0f, per lane
+//   kPhiloxBatches                       // dropout_mask's interleaved batches
+//   Words: the Philox word ops of rng/philox_round.hpp over a kLanes-wide
+//     integer register, plus lanes() (0, 1, ..., kLanes - 1), add, load,
+//     store, interleave4(w[4]) (lane-major 4 x kLanes words -> stream
+//     order: w[m] = words m * kLanes ... of the batch) and unit_float(w)
+//     (next_float's map per lane)
 //
 // The determinism argument, once, for all bodies here: lanes are DISTINCT
 // OUTPUT ELEMENTS (GEMM columns, reduction slots, conv output columns,
@@ -35,6 +42,8 @@
 
 #include "common/error.hpp"
 #include "kernels/simd.hpp"
+#include "rng/philox_round.hpp"
+#include "rng/philox_state.hpp"
 
 namespace easyscale::kernels::simd_impl {
 
@@ -847,6 +856,105 @@ void conv_row(const ConvRowArgs& g) {
 }
 
 // ---------------------------------------------------------------------------
+// Dropout mask.  Lanes are Philox block counters: lane l of a batch runs
+// counter c + l through the same rounds as Philox::refill, so its four words
+// are the block refill() would produce, and interleave4 lays the batch's
+// 4 x kLanes words out in stream order.  Word i thresholds exactly as the
+// scalar loop does (next_float's map, then >= p), so mask and state are the
+// scalar stream's bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Counter words of blocks c, c + 1, ..., c + kLanes - 1 (64-bit, carrying
+/// into the high word and wrapping like the scalar ++counter).
+template <typename V>
+inline void philox_counters(std::uint64_t c,
+                            typename V::Words::Word (&ctr)[4]) {
+  using W = typename V::Words;
+  constexpr int L = V::kLanes;
+  const auto lo = static_cast<std::uint32_t>(c);
+  const auto hi = static_cast<std::uint32_t>(c >> 32);
+  if (lo <= 0xFFFFFFFFu - (L - 1)) {
+    ctr[0] = W::add(W::splat(lo), W::lanes());
+    ctr[1] = W::splat(hi);
+  } else {
+    alignas(64) std::uint32_t los[L];
+    alignas(64) std::uint32_t his[L];
+    for (int l = 0; l < L; ++l) {
+      const std::uint64_t cl = c + static_cast<std::uint64_t>(l);
+      los[l] = static_cast<std::uint32_t>(cl);
+      his[l] = static_cast<std::uint32_t>(cl >> 32);
+    }
+    ctr[0] = W::load(los);
+    ctr[1] = W::load(his);
+  }
+  ctr[2] = W::splat(0);
+  ctr[3] = W::splat(0);
+}
+
+/// B batches of kLanes blocks from `counter` on, each left in stream order.
+template <typename V, int B>
+inline void philox_batches(const rng::PhiloxState& st,
+                           typename V::Words::Word (&w)[B][4]) {
+  constexpr int L = V::kLanes;
+  for (int b = 0; b < B; ++b) {
+    philox_counters<V>(st.counter + static_cast<std::uint64_t>(b * L), w[b]);
+  }
+  rng::philox_blocks<typename V::Words, B>(
+      w, static_cast<std::uint32_t>(st.key),
+      static_cast<std::uint32_t>(st.key >> 32));
+  for (int b = 0; b < B; ++b) V::Words::interleave4(w[b]);
+}
+
+template <typename V>
+void dropout_mask(rng::PhiloxState& st, float p, float scale, float* mask,
+                  int64_t n) {
+  using W = typename V::Words;
+  using Word = typename W::Word;
+  constexpr int L = V::kLanes;
+  constexpr int B = V::kPhiloxBatches;
+  const auto keep = [&](std::uint32_t word) {
+    return rng::philox_unit_float(word) >= p ? scale : 0.0f;
+  };
+  const auto store_batch = [&](const Word (&w)[4], float* out) {
+    const auto pv = V::broadcast(p);
+    const auto sv = V::broadcast(scale);
+    for (int m = 0; m < 4; ++m) {
+      V::store(out + m * L, V::keep_ge(W::unit_float(w[m]), pv, sv));
+    }
+  };
+  int64_t i = 0;
+  for (; i < n && st.buffer_pos < 4; ++i) {
+    mask[i] = keep(st.buffer[st.buffer_pos++]);
+  }
+  if (i == n) return;
+  // Every batch but the last goes straight to `mask`; the last keeps its
+  // words, since its final block becomes the state's buffer.
+  int64_t blocks = (n - i + 3) / 4;
+  for (; blocks > B * L; blocks -= B * L, i += 4 * B * L) {
+    Word w[B][4];
+    philox_batches<V, B>(st, w);
+    for (int b = 0; b < B; ++b) store_batch(w[b], mask + i + b * 4 * L);
+    st.counter += B * L;
+  }
+  for (; blocks > L; blocks -= L, i += 4 * L) {
+    Word w[1][4];
+    philox_batches<V, 1>(st, w);
+    store_batch(w[0], mask + i);
+    st.counter += L;
+  }
+  Word w[1][4];
+  philox_batches<V, 1>(st, w);
+  alignas(64) std::uint32_t words[4 * L];
+  for (int m = 0; m < 4; ++m) W::store(words + m * L, w[0][m]);
+  const int64_t rest = n - i;
+  for (int64_t j = 0; j < rest; ++j) mask[i + j] = keep(words[j]);
+  const int64_t last = 4 * (blocks - 1);
+  for (int k = 0; k < 4; ++k) st.buffer[k] = words[last + k];
+  st.buffer_pos = static_cast<std::uint32_t>(rest - last);
+  st.counter += static_cast<std::uint64_t>(blocks);
+}
+
+// ---------------------------------------------------------------------------
 // Elementwise maps: one lane = one index, same per-element expression as
 // the scalar loops they replace.
 // ---------------------------------------------------------------------------
@@ -944,15 +1052,6 @@ void div_scalar(float* out, float c, int64_t n) {
     } else {
       V::maskstore(out + i, m, V::div(V::maskload(out + i, m), cv));
     }
-  });
-}
-
-template <typename V>
-void axpy(float* out, float c, const float* x, int64_t n) {
-  const auto cv = V::broadcast(c);
-  foreach_block<V>(n, [&](int64_t i, int m) {
-    store_m<V>(out + i, m,
-               V::add(load_m<V>(out + i, m), V::mul(cv, load_m<V>(x + i, m))));
   });
 }
 
@@ -1099,13 +1198,13 @@ SimdOps make_simd_ops(SimdBackend kind) {
   ops.kahan_panel = &kahan_panel<V>;
   ops.reduce_batch = &reduce_batch<V>;
   ops.conv_row = &conv_row<V>;
+  ops.dropout_mask = &dropout_mask<V>;
   ops.relu_fwd = &relu_fwd<V>;
   ops.relu_bwd = &relu_bwd<V>;
   ops.sigmoid_bwd = &sigmoid_bwd<V>;
   ops.add_scalar = &add_scalar<V>;
   ops.add_vec = &add_vec<V>;
   ops.div_scalar = &div_scalar<V>;
-  ops.axpy = &axpy<V>;
   ops.mul_vec = &mul_vec<V>;
   ops.gelu_bwd = &gelu_bwd<V>;
   ops.adam_update = &adam_update<V>;

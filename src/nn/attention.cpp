@@ -56,16 +56,6 @@ void dot_row(const kernels::SimdOps& ops, const float* a, const float* b,
   }
 }
 
-/// out[d] += c * x[d] for d in [0, n).
-void axpy(const kernels::SimdOps& ops, float* out, float c, const float* x,
-          std::int64_t n) {
-  if (ops.axpy != nullptr) {
-    ops.axpy(out, c, x, n);
-    return;
-  }
-  for (std::int64_t d = 0; d < n; ++d) out[d] += c * x[d];
-}
-
 /// dst[d * t + j] = src[j * ld + d]: one head's [t, hd] slice (row stride
 /// ld) as a dense [hd, t] buffer, so per-row products over j stream.
 void transpose_head(const kernels::SimdOps& ops, const float* src,
@@ -150,11 +140,12 @@ Tensor MultiheadSelfAttention::backward(StepContext& ctx,
 
   Tensor dq(Shape{n * t, dim_}), dk(Shape{n * t, dim_}), dv(Shape{n * t, dim_});
   // dq/dk/dv writes for a (sample, head) pair stay inside that pair's
-  // head-offset column slice, and within a slice every dv_j / dk_j element
-  // accumulates i-ascending exactly as the sequential loop — owner-computes
-  // over n*heads with chunk-local buffers.  dq_i is written once, by one
-  // row product over ds (it starts at zero); the softmax-backward dot
-  // stays scalar.
+  // head-offset column slice — owner-computes over n*heads with chunk-local
+  // buffers.  dq_i is written once, by one row product over ds_i.  dv_j =
+  // sum_i p_ij dc_i and dk_j = sum_i ds_ij q_i are each one row product
+  // over i against the transposed P and dS: the chain 0 + term_0 + term_1
+  // + ... in ascending i, exactly the scalar loop that adds p_ij dc_i into
+  // a zeroed dv_j row by row.  The softmax-backward dot stays scalar.
   const kernels::SimdOps& ops = ctx.ex().simd_ops();
   const std::int64_t hd = head_dim_;
   kernels::parallel_for(
@@ -163,7 +154,8 @@ Tensor MultiheadSelfAttention::backward(StepContext& ctx,
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
         std::vector<float> v_t(static_cast<std::size_t>(hd * t));
         std::vector<float> dprobs(static_cast<std::size_t>(t));
-        std::vector<float> ds(static_cast<std::size_t>(t));
+        std::vector<float> ds(static_cast<std::size_t>(t * t));
+        std::vector<float> panel_t(static_cast<std::size_t>(t * t));
         for (std::int64_t p = p0; p < p1; ++p) {
           const std::int64_t s = p / heads_;
           const std::int64_t h = p % heads_;
@@ -178,28 +170,31 @@ Tensor MultiheadSelfAttention::backward(StepContext& ctx,
           transpose_head(ops, cached_v_.raw() + base, t, hd, dim_, v_t.data());
           for (std::int64_t i = 0; i < t; ++i) {
             const float* prow = probs + i * t;
-            const float* dci = dc + i * dim_;
-            // dprobs_ij = <d_ctx_i, v_j>, dv_j += p_ij * d_ctx_i
-            dot_row(ops, dci, v_t.data(), hd, t, t, dprobs.data());
-            for (std::int64_t j = 0; j < t; ++j) {
-              axpy(ops, dv_h + j * dim_, prow[j], dci, hd);
-            }
+            float* ds_i = ds.data() + i * t;
+            // dprobs_ij = <d_ctx_i, v_j>
+            dot_row(ops, dc + i * dim_, v_t.data(), hd, t, t, dprobs.data());
             // softmax backward
             float dot = 0.0f;
             for (std::int64_t j = 0; j < t; ++j) {
               dot += prow[j] * dprobs[static_cast<std::size_t>(j)];
             }
             for (std::int64_t j = 0; j < t; ++j) {
-              ds[static_cast<std::size_t>(j)] =
-                  prow[j] * (dprobs[static_cast<std::size_t>(j)] - dot) *
-                  inv_sqrt;
+              ds_i[j] = prow[j] * (dprobs[static_cast<std::size_t>(j)] - dot) *
+                        inv_sqrt;
             }
-            // dq_i = sum_j ds_j k_j; dk_j += ds_j * q_i
-            dot_row(ops, ds.data(), k, t, dim_, hd, dq_h + i * dim_);
-            for (std::int64_t j = 0; j < t; ++j) {
-              axpy(ops, dk_h + j * dim_, ds[static_cast<std::size_t>(j)],
-                   q + i * dim_, hd);
-            }
+            // dq_i = sum_j ds_ij k_j
+            dot_row(ops, ds_i, k, t, dim_, hd, dq_h + i * dim_);
+          }
+          // dv_j = sum_i p_ij dc_i; dk_j = sum_i ds_ij q_i
+          transpose_head(ops, probs, t, t, t, panel_t.data());
+          for (std::int64_t j = 0; j < t; ++j) {
+            dot_row(ops, panel_t.data() + j * t, dc, t, dim_, hd,
+                    dv_h + j * dim_);
+          }
+          transpose_head(ops, ds.data(), t, t, t, panel_t.data());
+          for (std::int64_t j = 0; j < t; ++j) {
+            dot_row(ops, panel_t.data() + j * t, q, t, dim_, hd,
+                    dk_h + j * dim_);
           }
         }
       });

@@ -35,10 +35,19 @@ Tensor Dropout::forward(StepContext& ctx, const Tensor& x) {
   // Deliberately sequential: element i consumes the i-th draw from the
   // shared RNG stream, so the draw order IS the mask.  Splitting the draws
   // would permute them across threads and change training trajectories.
+  // The vector body draws the same stream, lanes being block counters.
   float* mask = cached_mask_.raw();
-  ctx.torch_rng().fill_floats(mask, n);
-  for (std::int64_t i = 0; i < n; ++i) {
-    mask[i] = mask[i] >= p_ ? scale : 0.0f;
+  rng::Philox& gen = ctx.torch_rng();
+  const kernels::SimdOps& ops = ctx.ex().simd_ops();
+  if (ops.dropout_mask != nullptr) {
+    rng::PhiloxState st = gen.state();
+    ops.dropout_mask(st, p_, scale, mask, n);
+    gen.set_state(st);
+  } else {
+    gen.fill_floats(mask, n);
+    for (std::int64_t i = 0; i < n; ++i) {
+      mask[i] = mask[i] >= p_ ? scale : 0.0f;
+    }
   }
   mul_elementwise(ctx, x.raw(), mask, out.raw(), n);
   return out;

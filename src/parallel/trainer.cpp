@@ -86,10 +86,13 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
       config_.logical_world > 0 ? config_.logical_world : config_.world_size;
   contexts_.resize(static_cast<std::size_t>(config_.world_size));
   pipelines_.reserve(contexts_.size());
+  // Every rank cuts its shard from the same epoch permutation: draw it once.
+  const auto order =
+      std::make_shared<data::EpochOrder>(train.size(), config_.seed, true);
   for (std::int64_t r = 0; r < config_.world_size; ++r) {
     const std::int64_t logical = r % data_world;
     pipelines_.emplace_back(train, augment, data_world, logical,
-                            config_.batch_per_worker, config_.seed);
+                            config_.batch_per_worker, config_.seed, order);
     rng::StreamSet streams;
     streams.seed_all(config_.seed, static_cast<std::uint64_t>(logical));
     auto& ctx = contexts_[static_cast<std::size_t>(r)];
@@ -97,8 +100,7 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
     ctx.model_streams = streams.state();
   }
   steps_per_epoch_ =
-      data::DistributedSampler(train.size(), data_world, 0,
-                               config_.batch_per_worker, config_.seed)
+      data::DistributedSampler(order, data_world, 0, config_.batch_per_worker)
           .steps_per_epoch();
   build_workers(specs, std::move(packing));
   // Every rank starts from the same initialized buffers, like DDP after

@@ -2,32 +2,9 @@
 
 #include <cmath>
 
+#include "rng/philox_round.hpp"
+
 namespace easyscale::rng {
-
-namespace {
-
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
-constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;
-constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
-
-inline void philox_round(std::array<std::uint32_t, 4>& ctr, std::uint32_t k0,
-                         std::uint32_t k1) {
-  const std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * ctr[0];
-  const std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * ctr[2];
-  const std::uint32_t hi0 = static_cast<std::uint32_t>(p0 >> 32);
-  const std::uint32_t lo0 = static_cast<std::uint32_t>(p0);
-  const std::uint32_t hi1 = static_cast<std::uint32_t>(p1 >> 32);
-  const std::uint32_t lo1 = static_cast<std::uint32_t>(p1);
-  ctr = {hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0};
-}
-
-/// 24 high bits of one word -> uniform float in [0, 1).
-inline float unit_float(std::uint32_t word) {
-  return static_cast<float>(word >> 8) * 0x1.0p-24f;
-}
-
-}  // namespace
 
 void PhiloxState::save(ByteWriter& w) const {
   w.write(key);
@@ -55,17 +32,13 @@ void Philox::reseed(std::uint64_t seed) {
 }
 
 void Philox::refill() {
-  std::array<std::uint32_t, 4> ctr = {
-      static_cast<std::uint32_t>(state_.counter),
-      static_cast<std::uint32_t>(state_.counter >> 32), 0, 0};
-  std::uint32_t k0 = static_cast<std::uint32_t>(state_.key);
-  std::uint32_t k1 = static_cast<std::uint32_t>(state_.key >> 32);
-  for (int round = 0; round < 10; ++round) {
-    philox_round(ctr, k0, k1);
-    k0 += kPhiloxW0;
-    k1 += kPhiloxW1;
-  }
-  state_.buffer = ctr;
+  std::uint32_t ctr[1][4] = {{static_cast<std::uint32_t>(state_.counter),
+                              static_cast<std::uint32_t>(state_.counter >> 32),
+                              0, 0}};
+  philox_blocks<ScalarPhiloxOps, 1>(
+      ctr, static_cast<std::uint32_t>(state_.key),
+      static_cast<std::uint32_t>(state_.key >> 32));
+  state_.buffer = {ctr[0][0], ctr[0][1], ctr[0][2], ctr[0][3]};
   state_.buffer_pos = 0;
   ++state_.counter;
 }
@@ -86,12 +59,12 @@ double Philox::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-float Philox::next_float() { return unit_float(next_u32()); }
+float Philox::next_float() { return philox_unit_float(next_u32()); }
 
 void Philox::fill_floats(float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     if (state_.buffer_pos >= 4) refill();
-    out[i] = unit_float(state_.buffer[state_.buffer_pos++]);
+    out[i] = philox_unit_float(state_.buffer[state_.buffer_pos++]);
   }
 }
 

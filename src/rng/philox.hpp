@@ -7,30 +7,12 @@
 // dozen bytes rather than re-recording consumed randomness.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "common/serialize.hpp"
+#include "rng/philox_state.hpp"
 
 namespace easyscale::rng {
-
-/// Serializable Philox state.  `buffer` caches the most recent 4-word block
-/// so single-value draws do not waste generated words; `buffer_pos == 4`
-/// means the buffer is empty.
-struct PhiloxState {
-  std::uint64_t key = 0;
-  std::uint64_t counter = 0;
-  std::array<std::uint32_t, 4> buffer = {0, 0, 0, 0};
-  std::uint32_t buffer_pos = 4;
-  /// Spare normal value for Box-Muller pairs (valid when has_spare_normal).
-  double spare_normal = 0.0;
-  std::uint32_t has_spare_normal = 0;
-
-  void save(ByteWriter& w) const;
-  static PhiloxState load(ByteReader& r);
-
-  friend bool operator==(const PhiloxState&, const PhiloxState&) = default;
-};
 
 /// The generator itself.  Deterministic across platforms: only integer
 /// arithmetic and IEEE-754 double→float conversions.

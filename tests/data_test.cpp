@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "common/digest.hpp"
 #include "data/dataset.hpp"
@@ -255,6 +257,70 @@ TEST(Pipeline, StateRoundTripResumesExactly) {
   ByteReader r(w.bytes());
   q.load(r);
   EXPECT_EQ(batch_digest(q.next()), batch_digest(expected));
+}
+
+TEST(Pipeline, SharedEpochOrderEqualsIndependentSamplers) {
+  // 38 samples over 4 ranks pads each shard to 10 (5 steps of 2), so four
+  // epochs are 20 steps; the ranks run on their own threads, as on
+  // parallel workers, and draw each epoch's permutation from one EpochOrder.
+  SyntheticImageDataset ds(38, 4, 3, 8, 8, 11);
+  AugmentConfig aug;
+  const std::int64_t world = 4, batch = 2, steps = 20, seed = 13;
+  const auto make_world = [&] {
+    const auto order = std::make_shared<EpochOrder>(ds.size(), seed, true);
+    std::vector<RankDataPipeline> ranks;
+    for (std::int64_t r = 0; r < world; ++r) {
+      ranks.emplace_back(ds, aug, world, r, batch, seed, order);
+    }
+    return ranks;
+  };
+  // want[r][step]: rank r's indices from its own, unshared sampler.
+  std::vector<std::vector<std::vector<std::int64_t>>> want(world);
+  for (std::int64_t r = 0; r < world; ++r) {
+    DistributedSampler alone(ds.size(), world, r, batch, seed);
+    ASSERT_EQ(alone.steps_per_epoch(), 5);
+    for (std::int64_t epoch = 0; epoch < 4; ++epoch) {
+      alone.set_epoch(epoch);
+      for (std::int64_t s = 0; s < alone.steps_per_epoch(); ++s) {
+        want[static_cast<std::size_t>(r)].push_back(alone.batch_indices(s));
+      }
+    }
+  }
+  auto shared = make_world();
+  std::vector<std::vector<std::vector<std::int64_t>>> got(world);
+  std::vector<std::thread> threads;
+  for (std::int64_t r = 0; r < world; ++r) {
+    threads.emplace_back([&, r] {
+      for (std::int64_t s = 0; s < steps; ++s) {
+        got[static_cast<std::size_t>(r)].push_back(
+            shared[static_cast<std::size_t>(r)].make_item().indices);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(got, want);
+
+  // Save every rank mid-epoch 2, restore into a fresh shared world whose
+  // order still holds epoch 0, and replay the rest of the four epochs.
+  auto first = make_world();
+  std::vector<ByteWriter> images(static_cast<std::size_t>(world));
+  for (std::int64_t r = 0; r < world; ++r) {
+    auto& p = first[static_cast<std::size_t>(r)];
+    for (std::int64_t s = 0; s < 12; ++s) (void)p.make_item();
+    p.save(images[static_cast<std::size_t>(r)]);
+  }
+  auto resumed = make_world();
+  for (std::int64_t r = 0; r < world; ++r) {
+    ByteReader in(images[static_cast<std::size_t>(r)].bytes());
+    resumed[static_cast<std::size_t>(r)].load(in);
+  }
+  for (std::int64_t s = 12; s < steps; ++s) {
+    for (std::int64_t r = 0; r < world; ++r) {
+      EXPECT_EQ(resumed[static_cast<std::size_t>(r)].make_item().indices,
+                want[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)])
+          << "rank " << r << " step " << s;
+    }
+  }
 }
 
 TEST(Pipeline, EpochRollsOverAutomatically) {

@@ -21,6 +21,7 @@
 #include "kernels/gemm.hpp"
 #include "kernels/reduce.hpp"
 #include "nn/attention.hpp"
+#include "nn/dropout.hpp"
 #include "rng/philox.hpp"
 #include "rng/sampling.hpp"
 #include "rng/stream_set.hpp"
@@ -533,20 +534,16 @@ TEST(Simd, ElementwiseBodiesBitwise) {
   for (std::int64_t n = 1; n <= 3 * 16 + 1; ++n) {
     auto x = random_vec(101, n);
     auto g = random_vec(103, n);
-    auto acc = random_vec(107, n);
-    sprinkle(x, 0, 3);
-    sprinkle(g, 1, 3);
-    sprinkle(acc, 2, 3);
-    const float c = -1.375f;
+    sprinkle(x, 0, 2);
+    sprinkle(g, 1, 2);
     // GELU's t is the forward's tanh(u) of the same x.
     std::vector<float> t(static_cast<std::size_t>(n));
     for (std::size_t i = 0; i < t.size(); ++i) {
       t[i] = std::tanh(kGeluC * (x[i] + kGeluA * x[i] * x[i] * x[i]));
     }
 
-    std::vector<float> axpy_ref = acc, mul_ref(t.size()), gelu_ref(t.size());
+    std::vector<float> mul_ref(t.size()), gelu_ref(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
-      axpy_ref[i] += c * x[i];
       mul_ref[i] = x[i] * g[i];
       const float du = kGeluC * (1.0f + 3.0f * kGeluA * x[i] * x[i]);
       const float d =
@@ -555,9 +552,7 @@ TEST(Simd, ElementwiseBodiesBitwise) {
     }
     for (SimdBackend backend : vector_backends()) {
       const SimdOps& ops = simd_ops(backend);
-      std::vector<float> out = acc;
-      ops.axpy(out.data(), c, x.data(), n);
-      EXPECT_TRUE(bitwise_equal(axpy_ref, out)) << "axpy n=" << n;
+      std::vector<float> out(t.size());
       ops.mul_vec(x.data(), g.data(), out.data(), n);
       EXPECT_TRUE(bitwise_equal(mul_ref, out)) << "mul_vec n=" << n;
       ops.gelu_bwd(x.data(), t.data(), g.data(), out.data(), n);
@@ -638,6 +633,72 @@ TEST(Simd, ElementwiseBodiesBitwise) {
   }
 }
 
+TEST(Simd, DropoutMaskBitwiseAcrossBackendsAndThreads) {
+  // Every length 0..300 (each buffer phase, each batch tail of both lane
+  // widths, the interleaved batches) plus 4097, from every buffer position,
+  // at counters whose blocks stay in the low word, carry into the high word
+  // or wrap past 2^64.  The reference is n next_float() draws.
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4097);
+  const std::uint64_t counters[] = {5, (std::uint64_t{1} << 32) - 3,
+                                    ~std::uint64_t{0} - 2};
+  const auto forward = [](const rng::PhiloxState& start, float p,
+                          std::int64_t n, SimdBackend backend, int threads,
+                          std::vector<float>* mask, rng::PhiloxState* end) {
+    ExecContext exec = make_ctx(backend, threads);
+    rng::StreamSet streams;
+    streams.seed_all(29, 0);
+    rng::Philox& torch = streams.stream(rng::StreamKind::kTorch);
+    torch.set_state(start);
+    autograd::StepContext ctx;
+    ctx.exec = &exec;
+    ctx.rng = &streams;
+    ctx.training = true;
+    nn::Dropout layer(p);
+    // x = 1 makes the output the mask itself: 1 * scale and 1 * 0.
+    const tensor::Tensor out = layer.forward(
+        ctx, tensor::Tensor(tensor::Shape{n},
+                            std::vector<float>(static_cast<std::size_t>(n),
+                                               1.0f)));
+    mask->assign(out.raw(), out.raw() + out.numel());
+    *end = torch.state();
+  };
+  rng::Philox live(19);
+  for (int i = 0; i < 5; ++i) live.next_u32();
+  for (const float p : {0.1f, 0.5f}) {
+    const float scale = 1.0f / (1.0f - p);
+    for (const std::uint64_t counter : counters) {
+      for (std::uint32_t pos = 0; pos <= 4; ++pos) {
+        rng::PhiloxState start = live.state();
+        start.counter = counter;
+        start.buffer_pos = pos;
+        for (const std::int64_t n : lengths) {
+          rng::Philox ref;
+          ref.set_state(start);
+          std::vector<float> want(static_cast<std::size_t>(n));
+          for (auto& v : want) v = ref.next_float() >= p ? scale : 0.0f;
+          for (SimdBackend backend : available_simd_backends()) {
+            for (int threads : {1, 4}) {
+              std::vector<float> got;
+              rng::PhiloxState end;
+              forward(start, p, n, backend, threads, &got, &end);
+              const std::string where =
+                  std::string(simd_backend_name(backend)) +
+                  " threads=" + std::to_string(threads) +
+                  " p=" + std::to_string(p) +
+                  " counter=" + std::to_string(counter) +
+                  " pos=" + std::to_string(pos) + " n=" + std::to_string(n);
+              ASSERT_TRUE(bitwise_equal(want, got)) << "mask " << where;
+              ASSERT_EQ(ref.state(), end) << "state " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Simd, AttentionBitwiseAcrossBackendsAndThreads) {
   struct Dims {
     std::int64_t t, heads, dim;
@@ -650,7 +711,13 @@ TEST(Simd, AttentionBitwiseAcrossBackendsAndThreads) {
     std::vector<float> out, probs, dx;
     std::vector<std::vector<float>> grads;
   };
-  const auto run = [](const Dims& d, SimdBackend backend, int threads) {
+  // With `specials`, d_ctx (= gy * W_o) gets a +0 row and a NaN row, and
+  // inputs scaled by 16 push probabilities to exactly +0, so the dV/dK
+  // chains see +-0 terms (p_ij * d_ctx_i, ds_ij = -0 where p_ij = 0) and
+  // NaN terms.  W_o's GEMM starts every chain at +0, so no d_ctx entry is
+  // -0; the -0 operands are those ds entries.
+  const auto run = [](const Dims& d, bool specials, SimdBackend backend,
+                      int threads) {
     ExecContext exec = make_ctx(backend, threads);
     rng::StreamSet streams;
     streams.seed_all(5, 0);
@@ -664,8 +731,14 @@ TEST(Simd, AttentionBitwiseAcrossBackendsAndThreads) {
     layer.register_parameters(store);
     store.zero_grads();
     const std::int64_t batch = 2;
-    const auto x = random_vec(137, batch * d.t * d.dim);
-    const auto gy = random_vec(139, batch * d.t * d.dim);
+    auto x = random_vec(137, batch * d.t * d.dim);
+    auto gy = random_vec(139, batch * d.t * d.dim);
+    if (specials) {
+      for (auto& v : x) v *= 16.0f;
+      std::fill(gy.begin(), gy.begin() + d.dim, 0.0f);
+      gy[static_cast<std::size_t>((2 * d.t - 1) * d.dim)] =
+          std::numeric_limits<float>::quiet_NaN();
+    }
     const tensor::Shape shape{batch, d.t, d.dim};
     const tensor::Tensor out =
         layer.forward(ctx, tensor::Tensor(shape, x));
@@ -682,22 +755,31 @@ TEST(Simd, AttentionBitwiseAcrossBackendsAndThreads) {
     return r;
   };
   for (const Dims& d : cases) {
-    const Run ref = run(d, SimdBackend::kScalar, 1);
-    for (SimdBackend backend : available_simd_backends()) {
-      for (int threads : {1, 4}) {
-        const Run got = run(d, backend, threads);
-        const std::string where =
-            std::string(simd_backend_name(backend)) +
-            " threads=" + std::to_string(threads) + " t=" +
-            std::to_string(d.t) + " heads=" + std::to_string(d.heads) +
-            " dim=" + std::to_string(d.dim);
-        EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "out " << where;
-        EXPECT_TRUE(bitwise_equal(ref.probs, got.probs)) << "probs " << where;
-        EXPECT_TRUE(bitwise_equal(ref.dx, got.dx)) << "dx " << where;
-        ASSERT_EQ(ref.grads.size(), got.grads.size());
-        for (std::size_t i = 0; i < ref.grads.size(); ++i) {
-          EXPECT_TRUE(bitwise_equal(ref.grads[i], got.grads[i]))
-              << "param grad " << i << " " << where;
+    for (const bool specials : {false, true}) {
+      const Run ref = run(d, specials, SimdBackend::kScalar, 1);
+      if (specials && d.t > 1) {
+        EXPECT_NE(std::find(ref.probs.begin(), ref.probs.end(), 0.0f),
+                  ref.probs.end())
+            << "no probability underflowed to +0 at t=" << d.t;
+      }
+      for (SimdBackend backend : available_simd_backends()) {
+        for (int threads : {1, 4}) {
+          const Run got = run(d, specials, backend, threads);
+          const std::string where =
+              std::string(simd_backend_name(backend)) +
+              " threads=" + std::to_string(threads) +
+              " specials=" + std::to_string(specials) + " t=" +
+              std::to_string(d.t) + " heads=" + std::to_string(d.heads) +
+              " dim=" + std::to_string(d.dim);
+          EXPECT_TRUE(bitwise_equal(ref.out, got.out)) << "out " << where;
+          EXPECT_TRUE(bitwise_equal(ref.probs, got.probs))
+              << "probs " << where;
+          EXPECT_TRUE(bitwise_equal(ref.dx, got.dx)) << "dx " << where;
+          ASSERT_EQ(ref.grads.size(), got.grads.size());
+          for (std::size_t i = 0; i < ref.grads.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(ref.grads[i], got.grads[i]))
+                << "param grad " << i << " " << where;
+          }
         }
       }
     }
