@@ -4,7 +4,7 @@
 //   escale_train [--workload NAME] [--ests N] [--batch N] [--epochs N]
 //                [--seed S] [--optimizer sgd|adam] [--lr F] [--d2]
 //                [--schedule W1,W2,...]       # worker count per epoch
-//                [--checkpoint PATH]          # save at the end
+//                [--checkpoint PATH]          # save the image at the end
 //                [--resume PATH]              # restore before training
 //                [--verify]                   # compare vs fixed-DoP DDP
 //
@@ -137,7 +137,9 @@ int main(int argc, char** argv) {
   core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<core::WorkerSpec>(args.schedule[0]));
   if (!args.resume.empty()) {
-    engine.restore(core::load_checkpoint_file(args.resume));
+    // Errors name the file: a torn or foreign file never restores.
+    engine.trainer().restore_checkpoint_bytes(
+        core::load_checkpoint_file(args.resume), args.resume);
     std::printf("resumed from %s at global step %lld\n", args.resume.c_str(),
                 static_cast<long long>(engine.global_step()));
   }

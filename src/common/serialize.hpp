@@ -51,6 +51,17 @@ class ByteWriter {
     bytes_.insert(bytes_.end(), p, p + v.size_bytes());
   }
 
+  /// Overwrite `value` at byte offset `at`, inside what was written so far
+  /// (a length prefix known only once its section is written).
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void overwrite(std::size_t at, const T& value) {
+    ES_CHECK(at <= bytes_.size() && sizeof(T) <= bytes_.size() - at,
+             "overwrite at " << at << " past the " << bytes_.size()
+                             << " byte(s) written");
+    std::memcpy(bytes_.data() + at, &value, sizeof(T));
+  }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -109,6 +120,18 @@ class ByteReader {
     }
     pos_ += static_cast<std::size_t>(n) * sizeof(T);
     return v;
+  }
+
+  /// A u64-length-prefixed byte section (write_vector of bytes) as a view
+  /// into the buffer, without copying it.
+  std::span<const std::uint8_t> read_byte_span() {
+    const auto n = read<std::uint64_t>();
+    ES_CHECK(n <= remaining(), "checkpoint stream truncated: section of "
+                                   << n << " byte(s), " << remaining()
+                                   << " left");
+    const auto view = bytes_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += view.size();
+    return view;
   }
 
   /// Throw unless the stream was consumed exactly; call at the end of a

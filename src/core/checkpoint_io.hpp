@@ -1,30 +1,28 @@
-// On-demand checkpoint persistence: a small framed file format (magic +
-// version + payload size + FNV digest + per-tensor digest chain) around
-// the engine's checkpoint bytes, so crashes mid-write are detected on
-// load and the parameter content is independently attestable.
+// The checkpoint image: the one frame of an on-demand checkpoint (§3.2), the
+// same bytes in memory, in a file, in a rotating store generation and in a
+// peer snapshot.
 //
-// Version history:
-//   1 — magic, version, size, digest, payload (PR 1)
-//   2 — adds a DigestChain section between the header and the payload:
-//       one record per model tensor, hash-linked, so flipping any byte of
-//       any stored digest (or truncating / extending the chain) fails the
-//       load.  Verified checkpoints (checkpoint_manager) re-derive the
-//       chain from the restored parameters and compare.
-//   3 — adds a ShardFrameMeta section between the chain and the payload:
-//       the parallelism-plan layout the checkpoint was taken under
-//       (world_size, shard_degree, the fixed chunk bounds over the
-//       flattened parameter space) plus a per-chunk digest chain over the
-//       CANONICAL parameter bytes.  Because chunk bounds are a pure
-//       function of (total_numel, num_chunks) — independent of
-//       shard_degree — the chunk chain of a run saved at degree N is
-//       byte-comparable to one saved at any other degree, which is how
-//       sharded round-trip tests prove cross-degree restores bitwise.
-//       v2 files (written whenever no shard frame is given) are unchanged
-//       byte for byte.
+//   DigestChain      one record per model tensor, hash-linked, so flipping
+//                    any stored digest or truncating the chain fails a load
+//   ShardFrameMeta   the plan layout the image was taken under (world_size,
+//                    shard_degree, the fixed chunk bounds over the flattened
+//                    parameter space) plus a per-chunk digest chain over
+//                    the CANONICAL parameter bytes
+//   u64 + payload    parallel::Trainer's state (save_state)
+//   u64 digest       FNV of every byte before it: the whole-image trailer
+//
+// Chunk bounds are a pure function of (total_numel, num_chunks), not of
+// shard_degree, so the chunk chain of an image taken at degree N is
+// byte-comparable to one taken at any other degree; that is how sharded
+// round-trip tests prove cross-degree restores bitwise.  The trailer is
+// what catches a flip inside the optimizer, schedule or context sections,
+// which the chunk chain does not attest.  A file holds the image verbatim,
+// so the trailer is the one whole-image digest of a save.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +30,7 @@
 
 namespace easyscale::core {
 
-/// Shard-layout metadata frame of a v3 checkpoint.
+/// Shard-layout metadata frame of a checkpoint image.
 struct ShardFrameMeta {
   std::int32_t world_size = 1;
   std::int32_t shard_degree = 1;
@@ -49,20 +47,32 @@ struct ShardFrameMeta {
                          const ShardFrameMeta&) = default;
 };
 
-/// Write checkpoint bytes to `path` atomically (write temp + rename),
-/// recording `chain` alongside the payload (version 2), plus the
-/// shard-layout frame when `shard` is given (version 3).
-void save_checkpoint_file(const std::string& path,
-                          const std::vector<std::uint8_t>& bytes,
-                          const DigestChain& chain = {},
-                          const ShardFrameMeta* shard = nullptr);
+/// A parsed and verified image; `payload` views the parsed bytes.
+struct CheckpointImage {
+  DigestChain chain;
+  ShardFrameMeta shard;
+  std::span<const std::uint8_t> payload;
+  std::uint64_t digest = 0;  // the trailer
+};
 
-/// Read and verify a checkpoint file; throws on corruption or truncation
-/// (payload digest mismatch, broken chain links, framing damage).  The
-/// stored digest chain (empty for version-1 files) and shard frame
-/// (nullopt for pre-v3 files) come back through the optional out-params.
+/// Serialize an image; `write_payload` writes the payload in place.
+[[nodiscard]] std::vector<std::uint8_t> serialize_image(
+    const DigestChain& chain, const ShardFrameMeta& shard,
+    const std::function<void(ByteWriter&)>& write_payload);
+
+/// Verify the trailer, then parse the chain (every link verified), the
+/// shard frame and the payload.  Any truncation or byte flip throws an
+/// Error whose message starts with `what` (a path or a label).
+[[nodiscard]] CheckpointImage parse_image(std::span<const std::uint8_t> image,
+                                          const std::string& what);
+
+/// Write an image to `path` atomically (write temp + rename).
+void save_checkpoint_file(const std::string& path,
+                          std::span<const std::uint8_t> image);
+
+/// Read a file's bytes in one read bounded by its size; throws an Error
+/// naming `path` when it cannot be read.  parse_image verifies them.
 [[nodiscard]] std::vector<std::uint8_t> load_checkpoint_file(
-    const std::string& path, DigestChain* chain_out = nullptr,
-    std::optional<ShardFrameMeta>* shard_out = nullptr);
+    const std::string& path);
 
 }  // namespace easyscale::core

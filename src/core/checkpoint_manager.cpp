@@ -18,7 +18,7 @@ bool file_exists(const std::string& path) {
   return false;
 }
 
-/// Sidecar payload: the checkpoint payload digest as 16 hex chars.  Tying
+/// Sidecar payload: the image's trailing digest as 16 hex chars.  Tying
 /// the sidecar to the digest (not just the filename) means a rotation or
 /// partial rewrite can never leave a stale `.ok` blessing a different file.
 std::string sidecar_payload(std::uint64_t digest) {
@@ -76,8 +76,8 @@ std::string CheckpointManager::sidecar_for(int generation) const {
   return path_for(generation) + ".ok";
 }
 
-void CheckpointManager::save(const std::vector<std::uint8_t>& bytes,
-                             const DigestChain& chain, std::int64_t fence) {
+void CheckpointManager::save(std::span<const std::uint8_t> image,
+                             std::int64_t fence) {
   check_fence(fence, "checkpoint save");
   raise_fence(fence);
   // Rotate: gen keep-2 -> keep-1, ..., gen 0 -> 1; then write gen 0.
@@ -96,7 +96,7 @@ void CheckpointManager::save(const std::vector<std::uint8_t>& bytes,
                "checkpoint sidecar rotation failed for generation " << g);
     }
   }
-  save_checkpoint_file(path_for(0), bytes, chain);
+  save_checkpoint_file(path_for(0), image);
   // The fresh generation is unblessed until bless_newest() re-reads it.
   std::remove(sidecar_for(0).c_str());
 }
@@ -107,10 +107,8 @@ bool CheckpointManager::bless_newest(std::int64_t fence) {
   const std::string path = path_for(0);
   if (!file_exists(path)) return false;
   try {
-    DigestChain chain;
-    const auto bytes = load_checkpoint_file(path, &chain);
-    ES_CHECK(chain.verify(), "digest chain failed re-verification");
-    write_sidecar(sidecar_for(0), digest_bytes(bytes));
+    const auto bytes = load_checkpoint_file(path);
+    write_sidecar(sidecar_for(0), parse_image(bytes, path).digest);
     return true;
   } catch (const Error& e) {
     ES_LOG_WARN("checkpoint generation 0 failed verification: " << e.what());
@@ -129,9 +127,10 @@ std::optional<LoadedCheckpoint> CheckpointManager::read_generation(
   try {
     LoadedCheckpoint loaded;
     loaded.generation = generation;
-    loaded.bytes = load_checkpoint_file(path_for(generation), &loaded.chain);
-    if (recorded.has_value() &&
-        *recorded != sidecar_payload(digest_bytes(loaded.bytes))) {
+    loaded.bytes = load_checkpoint_file(path_for(generation));
+    CheckpointImage image = parse_image(loaded.bytes, path_for(generation));
+    loaded.chain = std::move(image.chain);
+    if (recorded.has_value() && *recorded != sidecar_payload(image.digest)) {
       ES_LOG_WARN("checkpoint generation "
                   << generation
                   << " sidecar does not match the file; skipping");

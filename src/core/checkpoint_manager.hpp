@@ -7,18 +7,18 @@
 // generation that meets the requested trust level — the job never loses
 // more than one checkpoint interval to corruption.
 //
+// A generation is a checkpoint image verbatim (core/checkpoint_io.hpp).
 // One save, one bless, one loader:
-//  - save() rotates and writes generation 0 UNBLESSED, recording the
-//    payload's per-tensor digest chain in the v2 frame.
-//  - bless_newest() re-reads generation 0, revalidates its framing and
-//    digest chain, and writes a `<path>.ok` sidecar recording the payload
-//    digest.  The caller (FaultSupervisor) blesses only when the engine's
+//  - save() rotates and writes generation 0 UNBLESSED.
+//  - bless_newest() re-reads and parses generation 0 (chain links + the
+//    image's trailing digest) and writes a `<path>.ok` sidecar recording
+//    that trailer.  The caller (FaultSupervisor) blesses only when the engine's
 //    re-execution witness certified the checkpointed step: silent data
 //    corruption can make a checkpoint perfectly well-formed on disk yet
 //    record poisoned parameters.
 //  - load_latest(Trust) returns the newest generation that is kIntact (the
-//    frame parses and its digests verify) or kBlessed (intact AND carrying
-//    a sidecar that matches the payload).  Crash recovery reads kIntact;
+//    image parses and its digests verify) or kBlessed (intact AND carrying
+//    a sidecar that matches the image's trailer).  Crash recovery reads kIntact;
 //    SDC recovery reads kBlessed.
 //
 // Every call carries a control-plane fencing epoch (fault/controller.hpp):
@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,14 +41,14 @@ namespace easyscale::core {
 
 /// How much a restore must trust the generation it reads.
 enum class Trust {
-  kIntact,   // frame parses, payload digest and chain links verify
-  kBlessed,  // intact, with a `.ok` sidecar matching the payload digest
+  kIntact,   // the image parses, its trailer and chain links verify
+  kBlessed,  // intact, with a `.ok` sidecar matching the image's trailer
 };
 
 /// One generation read back by load_latest.
 struct LoadedCheckpoint {
-  std::vector<std::uint8_t> bytes;
-  DigestChain chain;  // the chain recorded with the payload (may be empty)
+  std::vector<std::uint8_t> bytes;  // the image
+  DigestChain chain;                // the image's per-tensor chain
   int generation = 0;
 };
 
@@ -60,12 +61,11 @@ class CheckpointManager {
   [[nodiscard]] std::int64_t fence_epoch() const { return fence_epoch_; }
 
   /// Fence-check, raise the fence, rotate older generations down (sidecars
-  /// ride along), and persist a new UNBLESSED generation 0 with `chain`.
-  void save(const std::vector<std::uint8_t>& bytes,
-            const DigestChain& chain = {}, std::int64_t fence = 0);
+  /// ride along), and persist `image` as a new UNBLESSED generation 0.
+  void save(std::span<const std::uint8_t> image, std::int64_t fence = 0);
 
-  /// Fence-check, re-read generation 0, revalidate its framing and digest
-  /// chain, and on success write the `.ok` sidecar.  Returns whether the
+  /// Fence-check, re-read and parse generation 0, and on success write the
+  /// `.ok` sidecar holding the image's trailer.  Returns whether the
   /// generation is now blessed (a torn file stays unblessed).
   bool bless_newest(std::int64_t fence = 0);
 
@@ -74,7 +74,7 @@ class CheckpointManager {
   [[nodiscard]] std::optional<LoadedCheckpoint> load_latest(
       Trust trust, std::int64_t fence = 0) const;
 
-  /// Whether generation `g` carries a sidecar matching its payload.
+  /// Whether generation `g` carries a sidecar matching its trailer.
   [[nodiscard]] bool is_blessed(int generation) const;
 
   /// Number of generations currently on disk (valid or not).

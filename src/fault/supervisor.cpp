@@ -8,7 +8,6 @@
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/serialize.hpp"
 
 namespace easyscale::fault {
 
@@ -208,20 +207,16 @@ void FaultSupervisor::save_checkpoint() {
   // Under a control plane the blessing is a decision FIRST; the write then
   // carries the committing leader's fencing epoch (0 without a control
   // plane) so a deposed leader's save is rejected at the store.  Every
-  // generation records the parameter digest chain, but only sdc_defense
-  // blesses, and only when the state it captures is witness-certified: the
-  // anchor (step 0) or a step the re-execution witness just cleared.  A
-  // generation written while an undetected corruption was live stays
-  // unblessed and is skipped by the SDC walk-back.
+  // generation is the engine's image, parameter digest chain included, but
+  // only sdc_defense blesses, and only when the state it captures is
+  // witness-certified: the anchor (step 0) or a step the re-execution
+  // witness just cleared.  A generation written while an undetected
+  // corruption was live stays unblessed and is skipped by the SDC
+  // walk-back.
   const auto bless =
       decide(DecisionKind::kBlessCheckpoint, config_.sdc_defense ? 1 : 0);
   const std::int64_t fence = bless.has_value() ? bless->epoch : 0;
-  // The image opens with the parameter digest chain it was built with
-  // (Trainer::checkpoint_bytes), so the generation's chain is read back
-  // from its head instead of hashing every parameter a second time.
-  const std::vector<std::uint8_t> image = engine_->checkpoint();
-  ByteReader head(image);
-  checkpoints_->save(image, DigestChain::load(head), fence);
+  checkpoints_->save(engine_->checkpoint(), fence);
   if (config_.sdc_defense &&
       engine_->trainer().last_clean_witness_step() == engine_->global_step() &&
       checkpoints_->bless_newest(fence)) {

@@ -820,71 +820,26 @@ DigestChain Trainer::params_digest_chain() const {
   return chain;
 }
 
-Trainer::Image Trainer::build_checkpoint_image() {
-  Image image;
-  ByteWriter w;
-  save_state(w);
-  image.payload = w.take();
-  // Per-tensor chain over the canonical parameters (like verified
-  // checkpoints) + the v3 shard frame with the per-chunk chain.
-  image.chain = params_digest_chain();
-  image.meta.world_size = static_cast<std::int32_t>(config_.world_size);
-  image.meta.shard_degree = plan_.shard_degree;
-  image.meta.total_numel = plan_.total_numel;
-  for (const auto& c : plan_.chunks) {
-    image.meta.chunk_begin.push_back(c.begin);
-    image.meta.chunk_end.push_back(c.end);
-  }
-  image.meta.chunk_chain =
-      chunk_chain_of(plan_, workers_[0].workload->params());
-  return image;
-}
-
-void Trainer::save_checkpoint(const std::string& path) {
-  const Image image = build_checkpoint_image();
-  core::save_checkpoint_file(path, image.payload, image.chain, &image.meta);
-}
-
 std::vector<std::uint8_t> Trainer::checkpoint_bytes() {
-  const Image image = build_checkpoint_image();
-  ByteWriter w;
-  image.chain.save(w);
-  image.meta.save(w);
-  w.write_vector(image.payload);
-  // Whole-image digest trailer: the chunk chain only attests parameters,
-  // so flips inside optimizer/scheduler/context sections need this to be
-  // rejected at restore time.
-  w.write<std::uint64_t>(digest_bytes(w.bytes()));
-  return w.take();
+  // Per-tensor chain over the canonical parameters + the shard frame with
+  // the per-chunk chain; save_state writes the payload in place.
+  core::ShardFrameMeta shard;
+  shard.world_size = static_cast<std::int32_t>(config_.world_size);
+  shard.shard_degree = plan_.shard_degree;
+  shard.total_numel = plan_.total_numel;
+  for (const auto& c : plan_.chunks) {
+    shard.chunk_begin.push_back(c.begin);
+    shard.chunk_end.push_back(c.end);
+  }
+  shard.chunk_chain = chunk_chain_of(plan_, workers_[0].workload->params());
+  return core::serialize_image(params_digest_chain(), shard,
+                               [this](ByteWriter& w) { save_state(w); });
 }
 
-void Trainer::restore_checkpoint(const std::string& path) {
-  DigestChain chain;
-  std::optional<core::ShardFrameMeta> meta;
-  const std::vector<std::uint8_t> bytes =
-      core::load_checkpoint_file(path, &chain, &meta);
-  ES_CHECK(meta.has_value(),
-           "checkpoint " << path << " has no shard frame (pre-v3); "
-                         << "parallel::Trainer needs a v3 checkpoint");
-  apply_checkpoint_image(bytes, *meta, path);
-}
-
-void Trainer::restore_checkpoint_bytes(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const DigestChain chain = DigestChain::load(r);  // verifies every link
-  const core::ShardFrameMeta meta = core::ShardFrameMeta::load(r);
-  const auto payload = r.read_vector<std::uint8_t>();
-  const auto image_digest = r.read<std::uint64_t>();
-  r.require_exhausted("trainer snapshot image");
-  ES_CHECK(digest_bytes(bytes.first(bytes.size() - sizeof(std::uint64_t))) ==
-               image_digest,
-           "trainer snapshot image digest mismatch (torn snapshot)");
-  apply_checkpoint_image(payload, meta, "peer snapshot");
-}
-
-void Trainer::apply_checkpoint_image(std::span<const std::uint8_t> payload,
-                                     const core::ShardFrameMeta& meta,
-                                     const std::string& what) {
+void Trainer::restore_checkpoint_bytes(std::span<const std::uint8_t> bytes,
+                                       const std::string& what) {
+  const core::CheckpointImage image = core::parse_image(bytes, what);
+  const core::ShardFrameMeta& meta = image.shard;
   ES_CHECK(meta.world_size == config_.world_size,
            "checkpoint world_size " << meta.world_size
                                     << " != trainer world_size "
@@ -901,7 +856,7 @@ void Trainer::apply_checkpoint_image(std::span<const std::uint8_t> payload,
                                                  "the plan's ("
                                               << plan_.total_numel << ", "
                                               << what << ")");
-  ByteReader r(payload);
+  ByteReader r(image.payload);
   load_state(r);
   r.require_exhausted("parallel trainer checkpoint payload");
   // Attest the restore against the degree-independent chunk chain: the

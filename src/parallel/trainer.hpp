@@ -23,15 +23,16 @@
 // One checkpoint image: a canonical payload (parameters, gathered optimizer
 // state, schedule, each rank's ESTContext and pipeline, the async loader's
 // pending items and, unless `checkpoint_layout` is off, the bucket layout)
-// under a per-tensor digest chain and the shard frame.  Save at any packing
-// and shard degree, restore at any other over the same virtual world.
+// under a per-tensor digest chain and the shard frame, closed by a
+// whole-image digest (core/checkpoint_io.hpp).  Save at any packing and
+// shard degree, restore at any other over the same virtual world.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/checkpoint_io.hpp"
+#include "common/digest.hpp"
 #include "core/est_context.hpp"
 #include "core/integrity.hpp"
 #include "data/loader.hpp"
@@ -200,17 +201,16 @@ class Trainer {
 
   // --- The checkpoint image ---
 
-  /// As a v3 file (the shard frame carries the plan layout and the
-  /// degree-independent per-chunk digest chain).
-  void save_checkpoint(const std::string& path);
-  /// Restore an image saved by any trainer with the same workload and
-  /// world_size, at ANY packing and shard degree; verifies the per-chunk
-  /// chain against the restored parameters.
-  void restore_checkpoint(const std::string& path);
-  /// In memory, under a whole-image digest (the peer-checkpoint pipeline's
-  /// snapshot unit and the engine's on-demand checkpoint).
+  /// The image (core/checkpoint_io.hpp): the engine's on-demand
+  /// checkpoint, a store generation, a checkpoint file and the peer
+  /// pipeline's snapshot unit.  The shard frame carries the plan layout and
+  /// the degree-independent per-chunk digest chain.
   [[nodiscard]] std::vector<std::uint8_t> checkpoint_bytes();
-  void restore_checkpoint_bytes(std::span<const std::uint8_t> bytes);
+  /// Restore an image taken by any trainer with the same workload and
+  /// world_size, at ANY packing and shard degree; verifies the per-chunk
+  /// chain against the restored parameters.  `what` labels errors.
+  void restore_checkpoint_bytes(std::span<const std::uint8_t> bytes,
+                                const std::string& what = "checkpoint image");
 
   // --- Failure-aware comm surface (resilient_comm = true only) ---
 
@@ -324,18 +324,6 @@ class Trainer {
   /// snapshot configure_workers carries across the rebuild.
   void save_state(ByteWriter& w);
   void load_state(ByteReader& r);
-  /// The image's payload, per-tensor chain and shard frame.
-  struct Image {
-    std::vector<std::uint8_t> payload;
-    DigestChain chain;
-    core::ShardFrameMeta meta;
-  };
-  [[nodiscard]] Image build_checkpoint_image();
-  /// Apply a verified payload + shard frame; `what` labels errors.
-  void apply_checkpoint_image(std::span<const std::uint8_t> payload,
-                              const core::ShardFrameMeta& meta,
-                              const std::string& what);
-
   TrainerConfig config_;
   const data::Dataset* train_;
   std::vector<core::ESTContext> contexts_;         // one per rank

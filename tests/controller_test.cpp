@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "comm/lease.hpp"
+#include "core/checkpoint_io.hpp"
 #include "core/checkpoint_manager.hpp"
 #include "core/engine.hpp"
 #include "common/error.hpp"
@@ -236,20 +237,21 @@ TEST(ControllerFence, CheckpointManagerRejectsDeposedWriters) {
   core::CheckpointManager mgr(
       std::string(::testing::TempDir()) + "/ctrl_fence", 2);
   mgr.clear();
-  const std::vector<std::uint8_t> bytes = {1, 2, 3, 4};
-  mgr.save(bytes, {}, /*fence=*/2);
+  const auto bytes = core::serialize_image(
+      {}, {}, [](ByteWriter& w) { w.write<std::uint32_t>(0x04030201u); });
+  mgr.save(bytes, /*fence=*/2);
   EXPECT_EQ(mgr.fence_epoch(), 2);
   ASSERT_TRUE(mgr.bless_newest(2));
   // A deposed leader (epoch 1) can neither write, bless nor drive a
   // restore at either trust level.
-  EXPECT_THROW(mgr.save(bytes, {}, 1), Error);
+  EXPECT_THROW(mgr.save(bytes, 1), Error);
   EXPECT_THROW((void)mgr.bless_newest(1), Error);
   EXPECT_THROW((void)mgr.load_latest(core::Trust::kIntact, 1), Error);
   EXPECT_THROW((void)mgr.load_latest(core::Trust::kBlessed, 1), Error);
   // The current epoch passes every one.
   EXPECT_TRUE(mgr.load_latest(core::Trust::kIntact, 2).has_value());
   EXPECT_TRUE(mgr.load_latest(core::Trust::kBlessed, 2).has_value());
-  mgr.save(bytes, {}, 3);
+  mgr.save(bytes, 3);
   EXPECT_EQ(mgr.fence_epoch(), 3);
   mgr.clear();
 }

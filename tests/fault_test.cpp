@@ -120,10 +120,15 @@ TEST(FaultInjector, TearBytesIsDeterministicAndDamaging) {
 
 TEST(FaultInjector, TearFileInvalidatesFramedCheckpoint) {
   const auto path = temp_path("tear_me.ckpt");
-  core::save_checkpoint_file(path, std::vector<std::uint8_t>(256, 3));
-  EXPECT_NO_THROW(core::load_checkpoint_file(path));
+  core::save_checkpoint_file(
+      path, core::serialize_image({}, {}, [](ByteWriter& w) {
+        for (int i = 0; i < 256; ++i) w.write<std::uint8_t>(3);
+      }));
+  EXPECT_NO_THROW((void)core::parse_image(core::load_checkpoint_file(path),
+                                          path));
   ASSERT_TRUE(FaultInjector::tear_file(path, 41));
-  EXPECT_THROW(core::load_checkpoint_file(path), Error);
+  EXPECT_THROW(
+      (void)core::parse_image(core::load_checkpoint_file(path), path), Error);
   std::remove(path.c_str());
   EXPECT_FALSE(FaultInjector::tear_file(path, 41));  // missing: no-op
 }
@@ -251,45 +256,37 @@ TEST(FaultSupervisor, TornNewestGenerationFallsBackOneInterval) {
   mgr.clear();
 }
 
-// The supervised save records the chain it reads back from the image's
-// head; the generation it writes must be byte-identical to a save that
-// hashes the parameters afresh.
+// A supervised save writes the engine's image verbatim: generation 0 is the
+// bytes a fresh checkpoint() takes, its chain is the freshly hashed
+// parameter chain, and the blessing sidecar is the image's own trailer.
 TEST(FaultSupervisor, SupervisedSaveMatchesFreshlyHashedChainFile) {
   auto& wd = shared_data();
   EasyScaleEngine engine(small_config(), *wd.train, wd.augment);
   CheckpointManager mgr(temp_path("sup_save"), 3);
-  CheckpointManager ref(temp_path("ref_save"), 3);
   mgr.clear();
-  ref.clear();
   SupervisorConfig cfg;
   cfg.checkpoint_every = 2;
+  cfg.sdc_defense = true;  // every generation is witness-certified, blessed
   FaultSupervisor sup(engine, mgr, FaultInjector(), cfg);
   const auto stats = sup.run_to(4, 2);  // generations at steps 0, 2 and 4
   ASSERT_FALSE(stats.failed);
   ASSERT_EQ(engine.global_step(), 4);
-  ref.save(engine.checkpoint(), engine.trainer().params_digest_chain());
-  const auto read_file = [](const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::vector<std::uint8_t> bytes;
-    if (f == nullptr) return bytes;
-    for (int ch = std::fgetc(f); ch != EOF; ch = std::fgetc(f)) {
-      bytes.push_back(static_cast<std::uint8_t>(ch));
-    }
-    std::fclose(f);
-    return bytes;
-  };
-  const auto got = read_file(mgr.path_for(0));
-  ASSERT_FALSE(got.empty());
-  EXPECT_EQ(got, read_file(ref.path_for(0)));
-  // A v2 file: the per-tensor chain and no shard frame.
-  DigestChain chain;
-  std::optional<core::ShardFrameMeta> frame;
-  (void)core::load_checkpoint_file(mgr.path_for(0), &chain, &frame);
-  EXPECT_EQ(chain, engine.trainer().params_digest_chain());
-  EXPECT_FALSE(frame.has_value());
+  const auto image = engine.checkpoint();
+  const auto got = core::load_checkpoint_file(mgr.path_for(0));
+  EXPECT_EQ(got, image);
+  const core::CheckpointImage parsed = core::parse_image(got, "generation 0");
+  EXPECT_EQ(parsed.chain, engine.trainer().params_digest_chain());
+  ASSERT_TRUE(mgr.is_blessed(0));
+  std::FILE* f = std::fopen((mgr.path_for(0) + ".ok").c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char sidecar[32] = {};
+  const std::size_t n = std::fread(sidecar, 1, sizeof(sidecar), f);
+  std::fclose(f);
+  char trailer[17];
+  std::snprintf(trailer, sizeof(trailer), "%016llx",
+                static_cast<unsigned long long>(parsed.digest));
+  EXPECT_EQ(std::string(sidecar, n), std::string(trailer));
   mgr.clear();
-  ref.clear();
 }
 
 TEST(FaultSupervisor, ElasticSurvivesWhereGangRestartFails) {

@@ -285,7 +285,7 @@ TEST(CheckpointManagerVerify, SidecarLifecycle) {
 
   CheckpointManager mgr(temp_path("verify_lifecycle"), 3);
   mgr.clear();
-  mgr.save(bytes, chain);
+  mgr.save(bytes);
   // A fresh generation is intact but UNBLESSED until re-read and checked.
   EXPECT_TRUE(mgr.load_latest(Trust::kIntact).has_value());
   EXPECT_FALSE(mgr.is_blessed(0));
@@ -296,7 +296,7 @@ TEST(CheckpointManagerVerify, SidecarLifecycle) {
   const auto verified = mgr.load_latest(Trust::kBlessed);
   ASSERT_TRUE(verified.has_value());
   EXPECT_EQ(verified->bytes, bytes);
-  EXPECT_EQ(verified->chain, chain);
+  EXPECT_EQ(verified->chain, chain);  // the image's own chain
   mgr.clear();
 }
 
@@ -306,15 +306,14 @@ TEST(CheckpointManagerVerify, UnverifiedNewestIsSkipped) {
   engine.configure_workers(std::vector<WorkerSpec>(2));
   engine.run_steps(2);
   const auto old_bytes = engine.checkpoint();
-  const auto old_chain = engine.trainer().params_digest_chain();
 
   CheckpointManager mgr(temp_path("verify_skip"), 3);
   mgr.clear();
-  mgr.save(old_bytes, old_chain);
+  mgr.save(old_bytes);
   EXPECT_TRUE(mgr.bless_newest());
 
   engine.run_steps(2);
-  mgr.save(engine.checkpoint(), engine.trainer().params_digest_chain());
+  mgr.save(engine.checkpoint());
   // The sidecar rotated along with its generation: gen 0 (newest) is
   // unblessed, gen 1 keeps its blessing.
   EXPECT_FALSE(mgr.is_blessed(0));
@@ -335,7 +334,7 @@ TEST(CheckpointManagerVerify, TamperedGenerationLosesVerification) {
 
   CheckpointManager mgr(temp_path("verify_tamper"), 3);
   mgr.clear();
-  mgr.save(engine.checkpoint(), engine.trainer().params_digest_chain());
+  mgr.save(engine.checkpoint());
   EXPECT_TRUE(mgr.bless_newest());
   EXPECT_TRUE(mgr.is_blessed(0));
 

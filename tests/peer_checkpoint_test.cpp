@@ -13,6 +13,7 @@
 
 #include "comm/transport.hpp"
 #include "common/error.hpp"
+#include "core/checkpoint_io.hpp"
 #include "core/checkpoint_manager.hpp"
 #include "fault/injector.hpp"
 #include "fault/peer_checkpoint.hpp"
@@ -308,6 +309,13 @@ TEST(PeerCheckpointService, ExcludedRanksHoldNothingAndServeNothing) {
 // generations, saved unblessed (phase 1) and blessed by bless_newest (phase
 // 2).  A kBlessed restore sees only phase-2 generations.
 
+/// A checkpoint image around pattern_bytes: a generation is an image.
+std::vector<std::uint8_t> pattern_image(std::size_t n, std::uint8_t salt) {
+  return core::serialize_image({}, {}, [&](ByteWriter& w) {
+    for (const std::uint8_t b : pattern_bytes(n, salt)) w.write(b);
+  });
+}
+
 core::CheckpointManager fresh_manager(const char* name) {
   core::CheckpointManager mgr(std::string(::testing::TempDir()) + "/" + name,
                               3);
@@ -317,7 +325,7 @@ core::CheckpointManager fresh_manager(const char* name) {
 
 TEST(PeerCheckpointEpochDisk, TwoPhaseBlessRoundTrip) {
   auto mgr = fresh_manager("epoch_roundtrip");
-  const auto bytes = pattern_bytes(256, 0x10);
+  const auto bytes = pattern_image(256, 0x10);
   mgr.save(bytes);
   EXPECT_FALSE(mgr.is_blessed(0)) << "phase 1 must not bless";
   EXPECT_FALSE(mgr.load_latest(core::Trust::kBlessed).has_value());
@@ -332,9 +340,9 @@ TEST(PeerCheckpointEpochDisk, TwoPhaseBlessRoundTrip) {
 
 TEST(PeerCheckpointEpochDisk, TornEpochFileIsSkippedAndSurvivorsLoad) {
   auto mgr = fresh_manager("epoch_torn");
-  mgr.save(pattern_bytes(256, 0x21));
+  mgr.save(pattern_image(256, 0x21));
   ASSERT_TRUE(mgr.bless_newest());
-  mgr.save(pattern_bytes(256, 0x22));
+  mgr.save(pattern_image(256, 0x22));
   ASSERT_TRUE(mgr.bless_newest());
   // The torn-write sweep on a survivor: mangle the NEWEST blessed
   // generation at a seeded offset; the walk-back must land on the older
@@ -343,30 +351,30 @@ TEST(PeerCheckpointEpochDisk, TornEpochFileIsSkippedAndSurvivorsLoad) {
   const auto loaded = mgr.load_latest(core::Trust::kBlessed);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->generation, 1);
-  EXPECT_EQ(loaded->bytes, pattern_bytes(256, 0x21));
+  EXPECT_EQ(loaded->bytes, pattern_image(256, 0x21));
   mgr.clear();
 }
 
 TEST(PeerCheckpointEpochDisk, CrashBetweenPhasesLeavesEpochInvisible) {
   auto mgr = fresh_manager("epoch_crash");
-  mgr.save(pattern_bytes(64, 0x31));
+  mgr.save(pattern_image(64, 0x31));
   ASSERT_TRUE(mgr.bless_newest());
   // Phase 1 of the next generation lands, then the process dies before
   // the bless.
-  mgr.save(pattern_bytes(64, 0x32));
+  mgr.save(pattern_image(64, 0x32));
   const auto loaded = mgr.load_latest(core::Trust::kBlessed);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->generation, 1) << "unblessed generation must be invisible";
-  EXPECT_EQ(loaded->bytes, pattern_bytes(64, 0x31));
+  EXPECT_EQ(loaded->bytes, pattern_image(64, 0x31));
   mgr.clear();
 }
 
 TEST(PeerCheckpointEpochDisk, StaleSidecarCannotBlessNewBytes) {
   auto mgr = fresh_manager("epoch_stale");
-  mgr.save(pattern_bytes(64, 0x41));
+  mgr.save(pattern_image(64, 0x41));
   ASSERT_TRUE(mgr.bless_newest());
   // The same step is saved again with different bytes (a rollback replay).
-  mgr.save(pattern_bytes(64, 0x42));
+  mgr.save(pattern_image(64, 0x42));
   EXPECT_FALSE(mgr.is_blessed(0))
       << "save must not let the previous generation's sidecar bless it";
   EXPECT_TRUE(mgr.is_blessed(1)) << "the blessing rotates with its file";

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "core/checkpoint_io.hpp"
 #include "core/checkpoint_manager.hpp"
 #include "core/engine.hpp"
 #include "fault/injector.hpp"
@@ -355,11 +356,11 @@ TEST(Recovery, TrainerImageKeepsBatchNormBuffers) {
   parallel::Trainer live(cfg, *wd.train, wd.augment);
   live.run_steps(3);
   const auto path = temp_prefix("bn_buffers.ckpt");
-  live.save_checkpoint(path);
+  core::save_checkpoint_file(path, live.checkpoint_bytes());
   parallel::Trainer from_bytes(cfg, *wd.train, wd.augment);
   from_bytes.restore_checkpoint_bytes(live.checkpoint_bytes());
   parallel::Trainer from_file(cfg, *wd.train, wd.augment);
-  from_file.restore_checkpoint(path);
+  from_file.restore_checkpoint_bytes(core::load_checkpoint_file(path), path);
   std::remove(path.c_str());
   for (std::int64_t rank = 0; rank < cfg.world_size; ++rank) {
     const std::uint64_t want = buffers_digest(live, rank);

@@ -1,5 +1,5 @@
-// v3 (shard-aware) checkpoint frames: cross-degree restores, the
-// per-chunk digest chain, and torn-write detection at every byte offset.
+// The checkpoint image's shard frame: cross-degree restores, the per-chunk
+// digest chain, and torn-write detection at every byte offset.
 //
 // The load-bearing property: chunk bounds are a pure function of the
 // model, NOT of shard_degree, so a checkpoint saved at degree N restores
@@ -84,35 +84,28 @@ TEST(ShardCheckpoint, SaveAtDegreeFourRestoresBitwiseAtEveryDegree) {
   ref->run_steps(6);
   const auto ref_digest = ref->params_digest();
 
-  // Saver: degree 4, 3 steps, checkpoint.
+  // Saver: degree 4, 3 steps, checkpoint file.
   const auto path = temp_path("deg4.ckpt");
   auto saver = make_trainer(wd, 4);
   saver->run_steps(3);
-  saver->save_checkpoint(path);
+  core::save_checkpoint_file(path, saver->checkpoint_bytes());
 
-  DigestChain chain;
-  std::optional<ShardFrameMeta> saved_meta;
-  (void)core::load_checkpoint_file(path, &chain, &saved_meta);
-  ASSERT_TRUE(saved_meta.has_value());
-  EXPECT_EQ(saved_meta->shard_degree, 4);
-  EXPECT_EQ(saved_meta->world_size, 8);
+  const auto saved = core::load_checkpoint_file(path);
+  const ShardFrameMeta saved_meta = core::parse_image(saved, path).shard;
+  EXPECT_EQ(saved_meta.shard_degree, 4);
+  EXPECT_EQ(saved_meta.world_size, 8);
 
   for (const int degree : {1, 2, 4, 8}) {
     SCOPED_TRACE("restore degree " + std::to_string(degree));
     auto restored = make_trainer(wd, degree);
-    restored->restore_checkpoint(path);
+    restored->restore_checkpoint_bytes(core::load_checkpoint_file(path), path);
     EXPECT_EQ(restored->global_step(), 3);
-    // The restored trainer's own checkpoint carries the SAME chunk chain:
-    // the partition is degree-independent, so the canonical bytes are too.
-    const auto repath = temp_path("restored.ckpt");
-    restored->save_checkpoint(repath);
-    std::optional<ShardFrameMeta> remeta;
-    DigestChain rechain;
-    (void)core::load_checkpoint_file(repath, &rechain, &remeta);
-    ASSERT_TRUE(remeta.has_value());
-    EXPECT_EQ(remeta->shard_degree, degree);
-    EXPECT_TRUE(remeta->chunk_chain == saved_meta->chunk_chain);
-    std::remove(repath.c_str());
+    // The restored trainer's own image carries the SAME chunk chain: the
+    // partition is degree-independent, so the canonical bytes are too.
+    const auto reimage = restored->checkpoint_bytes();
+    const ShardFrameMeta remeta = core::parse_image(reimage, "re-image").shard;
+    EXPECT_EQ(remeta.shard_degree, degree);
+    EXPECT_TRUE(remeta.chunk_chain == saved_meta.chunk_chain);
 
     restored->run_steps(3);
     EXPECT_EQ(restored->params_digest(), ref_digest)
@@ -123,31 +116,18 @@ TEST(ShardCheckpoint, SaveAtDegreeFourRestoresBitwiseAtEveryDegree) {
 
 TEST(ShardCheckpoint, RestoreRejectsWorldSizeMismatch) {
   auto wd = models::make_dataset_for("ResNet18", kTrainSize, 32, kSeed);
-  const auto path = temp_path("world8.ckpt");
   auto saver = make_trainer(wd, 2, /*world=*/8);
   saver->run_steps(1);
-  saver->save_checkpoint(path);
+  const auto image = saver->checkpoint_bytes();
   auto other = make_trainer(wd, 2, /*world=*/4);
-  EXPECT_THROW(other->restore_checkpoint(path), Error);
-  std::remove(path.c_str());
+  EXPECT_THROW(other->restore_checkpoint_bytes(image), Error);
 }
 
-TEST(ShardCheckpoint, RestoreRejectsPreShardFrames) {
-  // A v2 file (no shard frame) cannot answer a planner restore: the
-  // trainer needs the chunk chain to attest the canonical bytes.
-  auto wd = models::make_dataset_for("ResNet18", kTrainSize, 32, kSeed);
-  const auto path = temp_path("v2only.ckpt");
-  core::save_checkpoint_file(path, {1, 2, 3}, DigestChain());
-  auto t = make_trainer(wd, 2);
-  EXPECT_THROW(t->restore_checkpoint(path), Error);
-  std::remove(path.c_str());
-}
-
-/// Crash-point sweep over the v3 frame: kill the writer after exactly k
-/// bytes, for EVERY k — header, tensor chain, shard frame, chunk-bound
-/// arrays, payload.  A torn v3 file must never load.
+/// Crash-point sweep over the image: kill the writer after exactly k
+/// bytes, for EVERY k — tensor chain, shard frame, chunk-bound arrays,
+/// payload, trailer.  A torn image file must never parse.
 TEST(ShardCheckpoint, WriterKilledAtEveryByteOffsetIsDetected) {
-  const auto path = temp_path("torn_v3.ckpt");
+  const auto path = temp_path("torn_image.ckpt");
   DigestChain chain;
   chain.push(0, 0xABCD);
   chain.push(1, 0xEF01);
@@ -159,32 +139,38 @@ TEST(ShardCheckpoint, WriterKilledAtEveryByteOffsetIsDetected) {
   meta.chunk_end = {16, 32, 48, 64};
   for (std::uint64_t c = 0; c < 4; ++c) meta.chunk_chain.push(c, 0x100 + c);
   const std::vector<std::uint8_t> payload(57, 0x5A);
-  core::save_checkpoint_file(path, payload, chain, &meta);
+  const auto image = core::serialize_image(chain, meta, [&](ByteWriter& w) {
+    for (const std::uint8_t b : payload) w.write(b);
+  });
+  core::save_checkpoint_file(path, image);
 
   std::ifstream in(path, std::ios::binary);
   const std::vector<char> full((std::istreambuf_iterator<char>(in)),
                                std::istreambuf_iterator<char>());
   in.close();
-  ASSERT_GT(full.size(), payload.size());
+  ASSERT_EQ(full.size(), image.size());
 
   for (std::size_t k = 0; k < full.size(); ++k) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(full.data(), static_cast<std::streamsize>(k));
     }
-    EXPECT_THROW((void)core::load_checkpoint_file(path), Error)
-        << "torn v3 frame accepted at crash point " << k;
+    EXPECT_THROW((void)core::parse_image(core::load_checkpoint_file(path), path),
+                 Error)
+        << "torn image accepted at crash point " << k;
   }
   // The complete file round-trips with frame intact.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(full.data(), static_cast<std::streamsize>(full.size()));
   }
-  DigestChain chain2;
-  std::optional<ShardFrameMeta> meta2;
-  EXPECT_EQ(core::load_checkpoint_file(path, &chain2, &meta2), payload);
-  ASSERT_TRUE(meta2.has_value());
-  EXPECT_EQ(*meta2, meta);
+  const auto loaded = core::load_checkpoint_file(path);
+  const core::CheckpointImage parsed = core::parse_image(loaded, path);
+  EXPECT_EQ(std::vector<std::uint8_t>(parsed.payload.begin(),
+                                      parsed.payload.end()),
+            payload);
+  EXPECT_EQ(parsed.chain, chain);
+  EXPECT_EQ(parsed.shard, meta);
   std::remove(path.c_str());
 }
 
