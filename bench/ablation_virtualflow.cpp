@@ -64,7 +64,7 @@ int main() {
         static_cast<std::size_t>(world)));
     e.run_steps(kSteps);
     const auto acc =
-        models::evaluate(e.trainer().model(), *wd.test, 32, 10).overall;
+        models::evaluate(e.model(), *wd.test, 32, 10).overall;
     std::printf("%-24s %10lld %12s %9.1f%% (drift %.2f%%)\n", "EasyScale",
                 static_cast<long long>(world),
                 e.params_digest() == reference.params_digest() ? "yes" : "NO",

@@ -1,6 +1,7 @@
 // Fault recovery goodput (§2.1 / §5.3): the same NeuMF job supervised
 // through Philox-sampled fault schedules of increasing intensity, under
-// EasyScale's elastic scale-in and under the gang-restart baseline.
+// EasyScale's elastic scale-in and under the gang-restart baseline, and as
+// a ZeRO-1 trainer (sharded optimizer state) under gang restart.
 //
 // For each failure rate the run executes REAL training (checkpoint,
 // rollback, EST remap), so the elastic column also certifies bitwise
@@ -13,7 +14,8 @@
 //   fault_recovery [--check-baseline <path>]...
 //                                      additionally gate every row the run
 //                                      produces (supervised elastic/gang/
-//                                      comm/SDC rows and recovery rows)
+//                                      comm/ZeRO-1/SDC rows and recovery
+//                                      rows)
 //                                      against checked-in baselines; may be
 //                                      repeated, the files are searched
 //                                      together
@@ -63,11 +65,27 @@ struct Row {
   bool bitwise_ok = false;
 };
 
+/// Supervise `trainer` from 4 workers to the plan's horizon under its
+/// seeded faults; the row is exact when the run survives on `clean`.
+Row supervise(parallel::Trainer& trainer, double fault_rate,
+              const fault::FaultPlanConfig& pcfg,
+              const fault::SupervisorConfig& scfg, std::uint64_t clean,
+              int keep = 3) {
+  core::CheckpointManager mgr("/tmp/es_bench_fault_recovery", keep);
+  mgr.clear();
+  fault::FaultSupervisor sup(trainer, mgr,
+                             fault::FaultInjector::from_config(pcfg), scfg);
+  Row row;
+  row.fault_rate = fault_rate;
+  row.stats = sup.run_to(pcfg.horizon_steps, 4);
+  row.bitwise_ok = !row.stats.failed && trainer.params_digest() == clean;
+  mgr.clear();
+  return row;
+}
+
 Row run_policy(models::WorkloadData& wd, fault::RecoveryPolicy policy,
                double fault_rate, std::int64_t steps, std::uint64_t clean) {
   core::EasyScaleEngine engine(job_config(), *wd.train, wd.augment);
-  core::CheckpointManager mgr("/tmp/es_bench_fault_recovery", 3);
-  mgr.clear();
   fault::FaultPlanConfig pcfg;
   pcfg.seed = 0xFA017;
   pcfg.horizon_steps = steps;
@@ -78,14 +96,7 @@ Row run_policy(models::WorkloadData& wd, fault::RecoveryPolicy policy,
   fault::SupervisorConfig scfg;
   scfg.policy = policy;
   scfg.checkpoint_every = 4;
-  fault::FaultSupervisor sup(engine, mgr,
-                             fault::FaultInjector::from_config(pcfg), scfg);
-  Row row;
-  row.fault_rate = fault_rate;
-  row.stats = sup.run_to(steps, 4);
-  row.bitwise_ok = !row.stats.failed && engine.params_digest() == clean;
-  mgr.clear();
-  return row;
+  return supervise(engine, fault_rate, pcfg, scfg, clean);
 }
 
 void print_row(const char* policy, const Row& r) {
@@ -465,8 +476,6 @@ int main(int argc, char** argv) {
     auto ecfg = job_config();
     ecfg.resilient_comm = policy == fault::RecoveryPolicy::kElasticScaleIn;
     core::EasyScaleEngine engine(ecfg, *wd.train, wd.augment);
-    core::CheckpointManager mgr("/tmp/es_bench_fault_recovery", 3);
-    mgr.clear();
     fault::FaultPlanConfig pcfg;
     pcfg.seed = 0xFA017;
     pcfg.horizon_steps = kSteps;
@@ -476,14 +485,7 @@ int main(int argc, char** argv) {
     fault::SupervisorConfig scfg;
     scfg.policy = policy;
     scfg.checkpoint_every = 4;
-    fault::FaultSupervisor sup(engine, mgr,
-                               fault::FaultInjector::from_config(pcfg), scfg);
-    Row row;
-    row.fault_rate = rate;
-    row.stats = sup.run_to(kSteps, 4);
-    row.bitwise_ok = !row.stats.failed && engine.params_digest() == clean;
-    mgr.clear();
-    return row;
+    return supervise(engine, rate, pcfg, scfg, clean);
   };
   for (const double rate : {0.05, 0.1, 0.2}) {
     for (const auto policy : {fault::RecoveryPolicy::kElasticScaleIn,
@@ -505,6 +507,39 @@ int main(int argc, char** argv) {
                           r));
     }
   }
+  // --- ZeRO-1 under the supervisor: the same job with its optimizer state
+  // sharded four ways, restarted through crashes, comm rank deaths and torn
+  // generations from disk, then again with peer-replicated snapshots that
+  // also lose replicas.  A sharded plan needs one rank per worker, so only
+  // the gang policy applies; every surviving run must end on the unsharded
+  // fault-free digest.
+  std::printf("\nZeRO-1 (shard_degree 4) under gang restart; peer = with "
+              "peer-replicated snapshots\n");
+  std::printf("%8s %8s %6s %6s %6s %6s %9s %10s %8s\n", "policy", "rate",
+              "faults", "recov", "scl_in", "lost", "goodput", "steps/s",
+              "result");
+  for (const int peers : {0, 1}) {
+    for (const double rate : {0.05, 0.1, 0.2}) {
+      parallel::TrainerConfig tcfg = core::trainer_config(job_config());
+      tcfg.shard_degree = 4;
+      parallel::Trainer trainer(tcfg, *wd.train, wd.augment,
+                                std::vector<parallel::WorkerSpec>(4));
+      fault::FaultPlanConfig pcfg;
+      pcfg.seed = 0x2E401;
+      pcfg.horizon_steps = kSteps;
+      pcfg.crash_rate = rate * 0.5;
+      pcfg.torn_checkpoint_rate = rate * 0.2;
+      pcfg.rank_death_rate = rate * 0.3;
+      pcfg.peer_replica_loss_rate = peers * rate * 0.5;
+      fault::SupervisorConfig scfg;
+      scfg.policy = fault::RecoveryPolicy::kGangRestart;
+      scfg.checkpoint_every = 4;
+      scfg.peer_replicas = peers;
+      const Row r = supervise(trainer, rate, pcfg, scfg, clean);
+      print_row(peers > 0 ? "peer" : "gang", r);
+      gate.check(row_line("zero1", peers > 0 ? "gang-peer" : "gang", r));
+    }
+  }
   }  // !sdc_only
 
   // --- Silent-data-corruption schedule: sticky corrupt devices vs the
@@ -520,8 +555,6 @@ int main(int argc, char** argv) {
               "goodput", "result");
   auto run_sdc = [&](bool defended, std::int64_t witness_every, double rate) {
     core::EasyScaleEngine engine(job_config(), *wd.train, wd.augment);
-    core::CheckpointManager mgr("/tmp/es_bench_fault_recovery", 4);
-    mgr.clear();
     fault::FaultPlanConfig pcfg;
     pcfg.seed = 0x5DC17;
     pcfg.horizon_steps = kSteps;
@@ -532,14 +565,7 @@ int main(int argc, char** argv) {
     scfg.checkpoint_every = 4;
     scfg.sdc_defense = defended;
     scfg.witness_every = witness_every;
-    fault::FaultSupervisor sup(engine, mgr,
-                               fault::FaultInjector::from_config(pcfg), scfg);
-    Row row;
-    row.fault_rate = rate;
-    row.stats = sup.run_to(kSteps, 4);
-    row.bitwise_ok = !row.stats.failed && engine.params_digest() == clean;
-    mgr.clear();
-    return row;
+    return supervise(engine, rate, pcfg, scfg, clean, /*keep=*/4);
   };
   for (const double rate : {0.02, 0.05, 0.1}) {
     for (const std::int64_t every : {std::int64_t{1}, std::int64_t{2}}) {

@@ -88,7 +88,7 @@ Curve run_easyscale(std::int64_t physical, const data::Dataset& train,
   return eval_loop(
       "EasyScale-" + std::to_string(physical) + "GPU",
       [&] { e.run_epochs(1); },
-      [&]() -> models::Workload& { return e.trainer().model(); }, test);
+      [&]() -> models::Workload& { return e.model(); }, test);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ Row run_easyscale(std::int64_t physical, const models::WorkloadData& wd) {
       static_cast<std::size_t>(physical), core::WorkerSpec{}));
   e.run_epochs(kEpochs);
   return {std::to_string(physical) + "GPU",
-          models::evaluate(e.trainer().model(), *wd.test, 32, 10)};
+          models::evaluate(e.model(), *wd.test, 32, 10)};
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <ctime>
 #include <memory>
@@ -470,25 +471,26 @@ std::vector<SimdMeasurement> measure_simd_kernels() {
   }
 
   {
-    // Bert-mini's feed-forward GELU backward ([4 * 16, 64]) from a cached
-    // forward: the gelu_bwd body against the scalar loop.
-    const tensor::Shape shape{4 * 16, 64};
-    auto gelu = std::make_shared<nn::GELU>();
-    auto x = std::make_shared<tensor::Tensor>(shape);
-    auto gy = std::make_shared<tensor::Tensor>(shape);
+    // Bert-mini's feed-forward GELU backward ([4 * 16, 64]) over
+    // preallocated buffers: the gelu_bwd body against the scalar loop.
+    // GELU::backward would also allocate its output on every call, and the
+    // allocator's time is no part of either body.
+    const std::int64_t n = 4 * 16 * 64;
     rng::Philox gen(9);
-    rng::fill_normal(gen, x->data(), 0.0f, 1.0f);
-    rng::fill_normal(gen, gy->data(), 0.0f, 1.0f);
-    kernels::ExecContext fwd_ctx;
-    autograd::StepContext fwd_step;
-    fwd_step.exec = &fwd_ctx;
-    (void)gelu->forward(fwd_step, *x);
-    sweep("gelu_bwd", 12.0 * static_cast<double>(shape.numel()),
+    auto x = std::make_shared<std::vector<float>>(static_cast<std::size_t>(n));
+    auto t = std::make_shared<std::vector<float>>(x->size());
+    auto gy = std::make_shared<std::vector<float>>(x->size());
+    auto gx = std::make_shared<std::vector<float>>(x->size());
+    rng::fill_normal(gen, *x, 0.0f, 1.0f);
+    rng::fill_normal(gen, *gy, 0.0f, 1.0f);
+    std::transform(x->begin(), x->end(), t->begin(), [](float v) {
+      return std::tanh(kernels::kGeluC * (v + kernels::kGeluA * v * v * v));
+    });
+    sweep("gelu_bwd", 12.0 * static_cast<double>(n),
           [=](const kernels::ExecContext& ctx) {
-            autograd::StepContext step;
-            step.exec = &ctx;
-            const tensor::Tensor gx = gelu->backward(step, *gy);
-            benchmark::DoNotOptimize(gx.raw());
+            nn::gelu_backward_body(ctx.simd_ops(), x->data(), t->data(),
+                                   gy->data(), gx->data(), n);
+            benchmark::DoNotOptimize(gx->data());
           });
   }
 

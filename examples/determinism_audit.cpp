@@ -74,7 +74,7 @@ easyscale::DigestChain audit_chain(bool overlap) {
   core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<core::WorkerSpec>(2));
   engine.run_steps(4);
-  return engine.trainer().params_digest_chain();
+  return engine.params_digest_chain();
 }
 
 /// The reference job as the trainer's identity packing (world 4 = the 4
@@ -189,7 +189,7 @@ easyscale::DigestChain controller_chain(bool stormy, std::int64_t workers,
   *content_tail = sup.control_plane()->log().content_tail();
   *failovers = stats.controller_failovers;
   mgr.clear();
-  return engine.trainer().params_digest_chain();
+  return engine.params_digest_chain();
 }
 
 void write_chain(std::ostream& os, const easyscale::DigestChain& chain) {

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   engine.configure_workers(std::vector<core::WorkerSpec>(args.schedule[0]));
   if (!args.resume.empty()) {
     // Errors name the file: a torn or foreign file never restores.
-    engine.trainer().restore_checkpoint_bytes(
+    engine.restore_checkpoint_bytes(
         core::load_checkpoint_file(args.resume), args.resume);
     std::printf("resumed from %s at global step %lld\n", args.resume.c_str(),
                 static_cast<long long>(engine.global_step()));
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
                 workers, static_cast<double>(loss));
   }
   const auto report =
-      models::evaluate(engine.trainer().model(), *wd.test, 32, 10);
+      models::evaluate(engine.model(), *wd.test, 32, 10);
   std::printf("validation accuracy: %.1f%%\n", 100.0 * report.overall);
   std::printf("params digest: %016llx\n",
               static_cast<unsigned long long>(engine.params_digest()));

@@ -46,7 +46,7 @@ int main() {
                               wd.augment);
   reference.run_epochs(5);
 
-  const auto acc = models::evaluate(engine.trainer().model(), *wd.test, 32, 10);
+  const auto acc = models::evaluate(engine.model(), *wd.test, 32, 10);
   std::printf("\nvalidation accuracy after 5 epochs: %.1f%%\n",
               100.0 * acc.overall);
   std::printf("EasyScale params digest: %016llx\n",

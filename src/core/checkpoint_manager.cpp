@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "core/checkpoint_io.hpp"
 
 namespace easyscale::core {
 
@@ -47,6 +46,12 @@ std::optional<std::string> read_sidecar(const std::string& path) {
   return std::string(buf, n);
 }
 }  // namespace
+
+LoadedCheckpoint::LoadedCheckpoint(std::vector<std::uint8_t> image_bytes,
+                                   const std::string& what, int gen)
+    : bytes(std::move(image_bytes)),
+      image(parse_image(bytes, what)),
+      generation(gen) {}
 
 CheckpointManager::CheckpointManager(std::string prefix, int keep)
     : prefix_(std::move(prefix)), keep_(keep) {
@@ -125,12 +130,10 @@ std::optional<LoadedCheckpoint> CheckpointManager::read_generation(
     if (!recorded.has_value()) return std::nullopt;  // never blessed
   }
   try {
-    LoadedCheckpoint loaded;
-    loaded.generation = generation;
-    loaded.bytes = load_checkpoint_file(path_for(generation));
-    CheckpointImage image = parse_image(loaded.bytes, path_for(generation));
-    loaded.chain = std::move(image.chain);
-    if (recorded.has_value() && *recorded != sidecar_payload(image.digest)) {
+    const std::string path = path_for(generation);
+    LoadedCheckpoint loaded(load_checkpoint_file(path), path, generation);
+    if (recorded.has_value() &&
+        *recorded != sidecar_payload(loaded.image.digest)) {
       ES_LOG_WARN("checkpoint generation "
                   << generation
                   << " sidecar does not match the file; skipping");

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "core/checkpoint_io.hpp"
 
 namespace easyscale::core {
 
@@ -45,10 +46,18 @@ enum class Trust {
   kBlessed,  // intact, with a `.ok` sidecar matching the image's trailer
 };
 
-/// One generation read back by load_latest.
+/// One image parsed once: a generation read back by load_latest, or a peer
+/// snapshot.  `image.payload` views `bytes`, so the declared moves (a moved
+/// vector keeps its buffer) make the type move-only.
 struct LoadedCheckpoint {
+  /// parse_image(`bytes`); throws an Error starting with `what`.
+  LoadedCheckpoint(std::vector<std::uint8_t> bytes, const std::string& what,
+                   int generation = 0);
+  LoadedCheckpoint(LoadedCheckpoint&&) = default;
+  LoadedCheckpoint& operator=(LoadedCheckpoint&&) = default;
+
   std::vector<std::uint8_t> bytes;  // the image
-  DigestChain chain;                // the image's per-tensor chain
+  CheckpointImage image;            // parsed from `bytes`
   int generation = 0;
 };
 

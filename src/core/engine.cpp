@@ -1,7 +1,5 @@
 #include "core/engine.hpp"
 
-#include "common/log.hpp"
-
 namespace easyscale::core {
 
 parallel::TrainerConfig trainer_config(const EasyScaleConfig& c) {
@@ -27,51 +25,6 @@ parallel::TrainerConfig trainer_config(const EasyScaleConfig& c) {
   // D1 records the gradient-bucket mapping; D0 deliberately loses it.
   t.checkpoint_layout = c.determinism.level == DeterminismLevel::kD1;
   return t;
-}
-
-EasyScaleEngine::EasyScaleEngine(EasyScaleConfig config,
-                                 const data::Dataset& train,
-                                 data::AugmentConfig augment)
-    : config_(std::move(config)), train_(&train), augment_(augment) {
-  ES_CHECK(config_.num_ests > 0, "need at least one EST");
-}
-
-EasyScaleEngine::~EasyScaleEngine() = default;
-
-parallel::Trainer& EasyScaleEngine::trainer() {
-  ES_CHECK(trainer_ != nullptr, "configure_workers before use");
-  return *trainer_;
-}
-
-const parallel::Trainer& EasyScaleEngine::trainer() const {
-  ES_CHECK(trainer_ != nullptr, "configure_workers before use");
-  return *trainer_;
-}
-
-std::vector<std::uint8_t> EasyScaleEngine::checkpoint() const {
-  // Taking the image gathers the optimizer state onto worker 0, which
-  // changes no value the engine trains with.
-  ES_CHECK(trainer_ != nullptr, "configure_workers before use");
-  return trainer_->checkpoint_bytes();
-}
-
-void EasyScaleEngine::configure_workers(
-    const std::vector<WorkerSpec>& workers,
-    std::optional<std::vector<std::vector<std::int64_t>>> assignment) {
-  if (trainer_ == nullptr) {
-    trainer_ = std::make_unique<parallel::Trainer>(
-        trainer_config(config_), *train_, augment_, workers,
-        std::move(assignment));
-  } else {
-    trainer_->configure_workers(workers, std::move(assignment));
-  }
-  ES_LOG_INFO("EasyScale reconfigured onto " << workers.size()
-                                             << " worker(s)");
-}
-
-void EasyScaleEngine::set_witness_every(std::int64_t every) {
-  config_.witness.witness_every = every;
-  if (trainer_ != nullptr) trainer_->set_witness_every(every);
 }
 
 }  // namespace easyscale::core

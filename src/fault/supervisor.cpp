@@ -19,11 +19,11 @@ int resolve_peer_replicas(int config_replicas) {
   return static_cast<int>(v.value_or(0));
 }
 
-FaultSupervisor::FaultSupervisor(core::EasyScaleEngine& engine,
+FaultSupervisor::FaultSupervisor(parallel::Trainer& trainer,
                                  core::CheckpointManager& checkpoints,
                                  FaultInjector injector,
                                  SupervisorConfig config)
-    : engine_(&engine),
+    : trainer_(&trainer),
       checkpoints_(&checkpoints),
       injector_(std::move(injector)),
       config_(std::move(config)) {
@@ -60,7 +60,7 @@ std::optional<DecisionRecord> FaultSupervisor::decide(DecisionKind kind,
   // identical across failover histories.
   const double before = control_->stats().virtual_time_s;
   DecisionRecord rec =
-      control_->propose(kind, engine_->global_step(), arg0, arg1, arg2);
+      control_->propose(kind, trainer_->global_step(), arg0, arg1, arg2);
   const double spent = control_->stats().virtual_time_s - before;
   stats_.controller_wall_s += spent;
   stats_.total_wall_s += spent;
@@ -74,22 +74,22 @@ std::optional<DecisionRecord> FaultSupervisor::decide(DecisionKind kind,
 void FaultSupervisor::rearm_hooks() {
   // configure_workers rebuilds every Worker (fresh ExecContexts), so hooks
   // must be re-installed after EVERY reconfiguration.  Idempotent.
-  for (std::int64_t s = 0; s < engine_->num_workers(); ++s) {
+  for (std::int64_t s = 0; s < trainer_->num_workers(); ++s) {
     kernels::PostOpHook* hook = nullptr;
     const std::int64_t dev = device_of_slot_[static_cast<std::size_t>(s)];
     if (condemned_.count(dev) == 0) {
       const auto it = corrupt_.find(dev);
       if (it != corrupt_.end()) hook = it->second.corruptor.get();
     }
-    engine_->set_post_op_hook(s, hook);
+    trainer_->set_post_op_hook(s, hook);
   }
 }
 
 void FaultSupervisor::reshape_workers() {
   ES_CHECK(static_cast<std::int64_t>(device_of_slot_.size()) == workers_,
            "worker-slot/device bookkeeping out of sync");
-  engine_->configure_workers(
-      std::vector<core::WorkerSpec>(static_cast<std::size_t>(workers_)));
+  trainer_->configure_workers(
+      std::vector<parallel::WorkerSpec>(static_cast<std::size_t>(workers_)));
   rearm_hooks();
 }
 
@@ -139,7 +139,7 @@ void FaultSupervisor::take_peer_snapshot() {
   // Under sdc_defense a peer epoch must be as trustworthy as a blessed disk
   // generation: only witness-certified states enter the stores.
   if (config_.sdc_defense &&
-      engine_->trainer().last_clean_witness_step() != engine_->global_step()) {
+      trainer_->last_clean_witness_step() != trainer_->global_step()) {
     return;
   }
   // Two-phase epoch commit.  Copy-on-snapshot staging is the only
@@ -149,9 +149,9 @@ void FaultSupervisor::take_peer_snapshot() {
   // commit, so a leader that dies in between leaves an unblessed epoch the
   // next leader's replayed log knows nothing about (exactly like a torn
   // disk write).
-  peer_->stage(engine_->global_step(), engine_->checkpoint());
+  peer_->stage(trainer_->global_step(), trainer_->checkpoint_bytes());
   if (peer_->replicate_staged(peer_excluded())) {
-    decide(DecisionKind::kBlessPeerEpoch, engine_->global_step());
+    decide(DecisionKind::kBlessPeerEpoch, trainer_->global_step());
     peer_->commit_prepared();
     ++stats_.peer_snapshots;
   } else {
@@ -177,17 +177,17 @@ void FaultSupervisor::arm_sdc(const FaultEvent& event) {
   prof.mantissa_bit = config_.sdc_mantissa_bit;
   CorruptDevice cd;
   cd.corruptor = std::make_unique<SdcCorruptor>(prof);
-  cd.since_step = engine_->global_step();
+  cd.since_step = trainer_->global_step();
   corrupt_.emplace(device, std::move(cd));
   ES_LOG_WARN("device " << device << " (slot " << slot
                         << ") turns silently corrupt at step "
-                        << engine_->global_step() << " ("
+                        << trainer_->global_step() << " ("
                         << to_string(event.kind) << ")");
   rearm_hooks();
 }
 
 void FaultSupervisor::charge_witness_wall() {
-  const std::int64_t replays = engine_->trainer().witness_stats().replays;
+  const std::int64_t replays = trainer_->witness_stats().replays;
   const double wall = static_cast<double>(replays - last_witness_replays_) *
                       config_.est_step_s;
   last_witness_replays_ = replays;
@@ -198,7 +198,7 @@ void FaultSupervisor::charge_witness_wall() {
 }
 
 double FaultSupervisor::step_cost() const {
-  const std::int64_t ests = engine_->num_ests();
+  const std::int64_t ests = trainer_->world_size();
   const std::int64_t per_worker = (ests + workers_ - 1) / workers_;
   return config_.est_step_s * static_cast<double>(per_worker);
 }
@@ -207,7 +207,7 @@ void FaultSupervisor::save_checkpoint() {
   // Under a control plane the blessing is a decision FIRST; the write then
   // carries the committing leader's fencing epoch (0 without a control
   // plane) so a deposed leader's save is rejected at the store.  Every
-  // generation is the engine's image, parameter digest chain included, but
+  // generation is the trainer's image, parameter digest chain included, but
   // only sdc_defense blesses, and only when the state it captures is
   // witness-certified: the anchor (step 0) or a step the re-execution
   // witness just cleared.  A generation written while an undetected
@@ -216,9 +216,9 @@ void FaultSupervisor::save_checkpoint() {
   const auto bless =
       decide(DecisionKind::kBlessCheckpoint, config_.sdc_defense ? 1 : 0);
   const std::int64_t fence = bless.has_value() ? bless->epoch : 0;
-  checkpoints_->save(engine_->checkpoint(), fence);
+  checkpoints_->save(trainer_->checkpoint_bytes(), fence);
   if (config_.sdc_defense &&
-      engine_->trainer().last_clean_witness_step() == engine_->global_step() &&
+      trainer_->last_clean_witness_step() == trainer_->global_step() &&
       checkpoints_->bless_newest(fence)) {
     ++stats_.verified_checkpoints;
   }
@@ -243,7 +243,7 @@ bool FaultSupervisor::restore_latest(
     stats_.recovery_wall_s += fetch_s;
     stats_.total_wall_s += fetch_s;
     if (rec.has_value()) {
-      state.emplace().bytes = std::move(rec->snapshot);
+      state.emplace(std::move(rec->snapshot), "peer snapshot");
       ++stats_.peer_recoveries;
     }
   }
@@ -262,14 +262,14 @@ bool FaultSupervisor::restore_latest(
   // 1 = disk walk-back) is itself a committed decision.
   decide(DecisionKind::kRecoveryPoint, from_peer ? 0 : 1, before);
   reconfigure();
-  engine_->restore(state->bytes);
+  trainer_->restore_checkpoint(state->image);
   // A disk generation read under kBlessed must restore exactly the
   // parameters its stored chain attests.
   ES_CHECK(from_peer || trust != core::Trust::kBlessed ||
-               engine_->trainer().params_digest_chain() == state->chain,
+               trainer_->params_digest_chain() == state->image.chain,
            "restored parameters disagree with the blessed digest chain");
   const std::int64_t lost =
-      std::max<std::int64_t>(0, before - engine_->global_step());
+      std::max<std::int64_t>(0, before - trainer_->global_step());
   stats_.lost_steps += lost;
   stats_.lost_wall_s += static_cast<double>(lost) * cost_before;
   return true;
@@ -295,7 +295,7 @@ void FaultSupervisor::charge_backoff(int consecutive_faults,
 
 bool FaultSupervisor::recover(bool shrink_one, int consecutive_faults) {
   ++stats_.recoveries;
-  const std::int64_t before = engine_->global_step();
+  const std::int64_t before = trainer_->global_step();
   const double cost_before = step_cost();
   const bool shrinking = config_.policy == RecoveryPolicy::kElasticScaleIn &&
                          shrink_one && workers_ > 1;
@@ -333,7 +333,7 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
                                        int consecutive_faults) {
   ++stats_.recoveries;
   ++stats_.sdc_detections;
-  const std::int64_t before = engine_->global_step();
+  const std::int64_t before = trainer_->global_step();
   const double cost_before = step_cost();
   const std::int64_t slot = e.worker();
   const std::int64_t device = device_of_slot_[static_cast<std::size_t>(slot)];
@@ -349,7 +349,7 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
   // frames it stored for OTHER ranks (its DRAM integrity is in question).
   peer_mark_device_dead(device);
   if (ledger_ != nullptr) {
-    const auto specs = engine_->current_worker_specs();
+    const auto specs = trainer_->current_worker_specs();
     ledger_->record(stats_.total_wall_s,
                     static_cast<int>(specs[static_cast<std::size_t>(slot)].device));
   }
@@ -368,7 +368,7 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
   if (quarantine_) remapped = quarantine_(slot);
   if (remapped) {
     drop_slot(slot);
-    workers_ = engine_->num_workers();
+    workers_ = trainer_->num_workers();
     rearm_hooks();
   } else if (config_.policy == RecoveryPolicy::kElasticScaleIn &&
              workers_ > 1) {
@@ -402,7 +402,14 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
 GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
                                      std::int64_t initial_workers) {
   ES_CHECK(initial_workers >= 1, "need at least one worker");
-  ES_CHECK(initial_workers <= engine_->num_ests(), "more workers than ESTs");
+  ES_CHECK(initial_workers <= trainer_->world_size(), "more workers than ESTs");
+  // A scale-in packs several ranks onto one worker, which a sharded plan
+  // forbids: fail here, not at the first shrink in the middle of recovery.
+  ES_CHECK(config_.policy != RecoveryPolicy::kElasticScaleIn ||
+               trainer_->shard_degree() == 1,
+           "shard_degree " << trainer_->shard_degree()
+                           << " cannot run under RecoveryPolicy "
+                              "kElasticScaleIn (a scale-in packs ranks)");
   stats_ = GoodputStats{};
   workers_ = initial_workers;
   initial_workers_ = initial_workers;
@@ -415,7 +422,7 @@ GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
   condemned_.clear();
   last_witness_replays_ = 0;
   if (config_.sdc_defense) {
-    engine_->set_witness_every(config_.witness_every);
+    trainer_->set_witness_every(config_.witness_every);
   }
   // Peer pipeline: one service rank per INITIAL device, over a dedicated
   // storage fabric.  A single-worker job has nobody to replicate to.
@@ -460,8 +467,8 @@ GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
     stats_.controller_unavailable = true;
     stats_.failed = true;
   }
-  stats_.steps_completed = engine_->global_step();
-  stats_.witness_replays = engine_->trainer().witness_stats().replays;
+  stats_.steps_completed = trainer_->global_step();
+  stats_.witness_replays = trainer_->witness_stats().replays;
   if (peer_) {
     stats_.peer_background_s = peer_->stats().replicate_virtual_s;
   }
@@ -474,8 +481,8 @@ GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
 void FaultSupervisor::run_loop(std::int64_t target_step) {
   int consecutive_faults = 0;
   std::int64_t clean_steps = 0;
-  while (engine_->global_step() < target_step) {
-    const auto due = injector_.take_due(engine_->global_step());
+  while (trainer_->global_step() < target_step) {
+    const auto due = injector_.take_due(trainer_->global_step());
     bool fatal = false;        // roll back to the last valid checkpoint
     bool lose_worker = false;  // a physical worker is gone for good
     double slowdown = 1.0;
@@ -538,7 +545,7 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
           if (config_.policy == RecoveryPolicy::kGangRestart) {
             fatal = true;
             ++consecutive_faults;
-          } else if (engine_->resilient_comm_enabled() && workers_ > 1) {
+          } else if (trainer_->resilient_comm_enabled() && workers_ > 1) {
             comm::CommFaultEvent ce;
             ce.kind = event.kind == FaultKind::kCommChunkDrop
                           ? comm::LinkFaultKind::kDropChunk
@@ -546,7 +553,7 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
             ce.rank = static_cast<int>(event.worker % workers_);
             ce.stall_s = event.stall_s;
             ce.payload_seed = event.payload_seed;
-            engine_->trainer().inject_comm_fault(ce);
+            trainer_->inject_comm_fault(ce);
           } else {
             // No failure-aware fabric: the sync layer still retransmits,
             // costing one detection window of wall time.
@@ -562,11 +569,11 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
           // gang job — it degenerates to a worker crash.
           ++stats_.comm_faults;
           if (config_.policy == RecoveryPolicy::kElasticScaleIn &&
-              engine_->resilient_comm_enabled() && workers_ > 1) {
+              trainer_->resilient_comm_enabled() && workers_ > 1) {
             comm::CommFaultEvent ce;
             ce.kind = comm::LinkFaultKind::kRankDeath;
             ce.rank = static_cast<int>(event.worker % workers_);
-            engine_->trainer().inject_comm_fault(ce);
+            trainer_->inject_comm_fault(ce);
           } else {
             fatal = true;
             lose_worker = true;
@@ -633,7 +640,7 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
 
     const double cost = step_cost() * slowdown;
     try {
-      engine_->run_steps(1);
+      trainer_->run_steps(1);
     } catch (const comm::RankDeathError& e) {
       // Condemned mid-collective: the in-flight all-reduce was aborted,
       // nothing was published.  Charge the detection window and roll back
@@ -665,9 +672,9 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
       continue;
     }
     charge_witness_wall();
-    if (engine_->resilient_comm_enabled() &&
-        engine_->last_comm_report().has_value()) {
-      const auto& rep = *engine_->last_comm_report();
+    if (trainer_->resilient_comm_enabled() &&
+        trainer_->last_comm_report().has_value()) {
+      const auto& rep = *trainer_->last_comm_report();
       stats_.comm_retries += rep.attempts - 1;
       stats_.capped_backoffs += rep.capped_backoffs;
       stats_.comm_wall_s += rep.virtual_time_s;
@@ -677,11 +684,11 @@ void FaultSupervisor::run_loop(std::int64_t target_step) {
     stats_.step_wall_s += cost;
     stats_.total_wall_s += cost;
     consecutive_faults = 0;
-    if (engine_->global_step() % config_.checkpoint_every == 0) {
+    if (trainer_->global_step() % config_.checkpoint_every == 0) {
       save_checkpoint();
     }
     if (peer_ &&
-        engine_->global_step() % config_.peer_snapshot_every == 0) {
+        trainer_->global_step() % config_.peer_snapshot_every == 0) {
       take_peer_snapshot();
     }
     // Re-grow toward the designed worker count after a quiet period (the

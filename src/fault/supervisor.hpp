@@ -1,5 +1,6 @@
-// Recovery orchestrator (§2.1 / §5.3): drives an EasyScaleEngine through a
-// fault schedule and keeps the training bitwise on-track.
+// Recovery orchestrator (§2.1 / §5.3): drives any parallel::Trainer (an
+// EasyScale engine, a plain DDP job or a ZeRO-1 job) through a fault
+// schedule and keeps the training bitwise on-track.
 //
 // The supervisor owns the checkpoint cadence (periodic saves plus an
 // on-demand save inside every revocation grace period), catches injected
@@ -31,12 +32,12 @@
 #include "comm/transport.hpp"
 #include "core/checkpoint_manager.hpp"
 #include "fault/quarantine_feed.hpp"
-#include "core/engine.hpp"
 #include "core/integrity.hpp"
 #include "fault/controller.hpp"
 #include "fault/injector.hpp"
 #include "fault/integrity.hpp"
 #include "fault/peer_checkpoint.hpp"
+#include "parallel/trainer.hpp"
 
 namespace easyscale::fault {
 
@@ -70,14 +71,14 @@ struct SupervisorConfig {
   double comm_detect_s = 1.0;
 
   // --- Silent-data-corruption defense ---
-  /// Arm the full defense stack: the engine's re-execution witness,
+  /// Arm the full defense stack: the trainer's re-execution witness,
   /// blessing of witness-certified checkpoints, and — on detection —
   /// device condemnation, quarantine, and a walk-back to the last BLESSED
   /// checkpoint.  SDC fault events corrupt kernels regardless of this flag
   /// (the undefended baseline suffers them silently); the flag only
   /// controls whether anybody is watching.
   bool sdc_defense = false;
-  /// Witness cadence forwarded to the engine when sdc_defense is on.  The
+  /// Witness cadence forwarded to the trainer when sdc_defense is on.  The
   /// checkpoint interval must be a multiple of this so periodic saves land
   /// on witness-certified steps.
   std::int64_t witness_every = 1;
@@ -133,7 +134,7 @@ struct SupervisorConfig {
 
 /// Goodput accounting over one supervised run (the §2.1 comparison data).
 struct GoodputStats {
-  std::int64_t steps_completed = 0;  // engine's final global step
+  std::int64_t steps_completed = 0;  // trainer's final global step
   std::int64_t steps_executed = 0;   // including replayed steps
   std::int64_t lost_steps = 0;       // rolled back by recoveries
   std::int64_t recoveries = 0;
@@ -191,14 +192,14 @@ struct GoodputStats {
 /// against sched/ (es_cluster layers above es_train), so the scheduler
 /// registers a callback: given the condemned worker slot, vacate it and
 /// remap its ESTs (sched::IntraJobScheduler::quarantine_worker).  Return
-/// true when the engine was reconfigured; false falls back to the
+/// true when the trainer was reconfigured; false falls back to the
 /// supervisor's direct shrink/replace path.
 using QuarantineFn = std::function<bool(std::int64_t worker_slot)>;
 
 class FaultSupervisor {
  public:
-  /// Neither the engine nor the checkpoint manager is owned.
-  FaultSupervisor(core::EasyScaleEngine& engine,
+  /// Neither the trainer nor the checkpoint manager is owned.
+  FaultSupervisor(parallel::Trainer& trainer,
                   core::CheckpointManager& checkpoints, FaultInjector injector,
                   SupervisorConfig config);
 
@@ -211,7 +212,7 @@ class FaultSupervisor {
   /// condemned hardware out of every future allocation.
   void set_quarantine_ledger(QuarantineLedger* ledger) { ledger_ = ledger; }
 
-  /// Configure `initial_workers`, then drive the engine to `target_step`
+  /// Configure `initial_workers`, then drive the trainer to `target_step`
   /// global steps under the fault schedule.  Returns the goodput stats;
   /// `stats().failed` is true when recovery was exhausted (gang restart
   /// only, or when every checkpoint generation on disk is torn).
@@ -267,7 +268,7 @@ class FaultSupervisor {
   /// committed peer epoch with an intact quorum, else the newest disk
   /// generation meeting `trust` (read under the control plane's fence).
   /// Once a state is found it commits the recovery point, runs
-  /// `reconfigure` (the caller's membership change), restores the engine —
+  /// `reconfigure` (the caller's membership change), restores the trainer —
   /// checking a blessed generation against its stored digest chain — and
   /// charges the steps rolled back since `before`.  Returns false (job lost)
   /// when nothing survives.
@@ -294,7 +295,7 @@ class FaultSupervisor {
   void reshape_workers();
   /// Remove `slot`'s device from the slot map (shrink bookkeeping).
   void drop_slot(std::int64_t slot);
-  /// Fold the engine's witness-replay delta into the wall-clock model.
+  /// Fold the trainer's witness-replay delta into the wall-clock model.
   void charge_witness_wall();
   /// Stage + replicate + commit one peer epoch at the current step.
   void take_peer_snapshot();
@@ -306,7 +307,7 @@ class FaultSupervisor {
   /// A device (and its replica store) left the job for good.
   void peer_mark_device_dead(std::int64_t device);
 
-  core::EasyScaleEngine* engine_;
+  parallel::Trainer* trainer_;
   core::CheckpointManager* checkpoints_;
   FaultInjector injector_;
   SupervisorConfig config_;
@@ -316,7 +317,7 @@ class FaultSupervisor {
   std::int64_t workers_ = 0;
   std::int64_t initial_workers_ = 0;
   /// Physical device identity per worker slot.  Slots are positions in the
-  /// engine's worker vector; devices are stable ids that survive remaps so
+  /// trainer's worker vector; devices are stable ids that survive remaps so
   /// stickiness and condemnation attach to hardware, not positions.
   std::vector<std::int64_t> device_of_slot_;
   std::int64_t next_device_id_ = 0;

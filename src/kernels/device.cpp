@@ -1,7 +1,5 @@
 #include "kernels/device.hpp"
 
-#include "common/error.hpp"
-
 namespace easyscale::kernels {
 
 namespace {
@@ -16,15 +14,6 @@ constexpr DeviceSpec kSpecs[kNumDeviceTypes] = {
 
 const DeviceSpec& device_spec(DeviceType type) {
   return kSpecs[static_cast<int>(type)];
-}
-
-std::string device_name(DeviceType type) { return device_spec(type).name; }
-
-DeviceType parse_device(const std::string& name) {
-  for (int i = 0; i < kNumDeviceTypes; ++i) {
-    if (name == kSpecs[i].name) return static_cast<DeviceType>(i);
-  }
-  ES_THROW("unknown device type: " << name);
 }
 
 }  // namespace easyscale::kernels

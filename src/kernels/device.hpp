@@ -28,11 +28,6 @@ struct DeviceSpec {
 
 [[nodiscard]] const DeviceSpec& device_spec(DeviceType type);
 
-[[nodiscard]] std::string device_name(DeviceType type);
-
-/// Parse "V100" / "P100" / "T4" (throws on anything else).
-[[nodiscard]] DeviceType parse_device(const std::string& name);
-
 /// GPU memory consumed by one CUDA context (framework + driver), §3.1:
 /// "around 750MB per context".
 constexpr double kCudaContextGb = 0.75;

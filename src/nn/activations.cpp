@@ -84,24 +84,26 @@ Tensor GELU::backward(StepContext& ctx, const Tensor& grad_out) {
   kernels::parallel_for(
       ctx.ex(), grad_out.numel(), kActGrain,
       [&](int /*chunk*/, std::int64_t i0, std::int64_t i1) {
-        const float* xp = cached_input_.raw();
-        const float* tp = cached_tanh_.raw();
-        const float* gp = grad_out.raw();
-        float* gin = grad_in.raw();
-        if (ops.gelu_bwd != nullptr) {
-          ops.gelu_bwd(xp + i0, tp + i0, gp + i0, gin + i0, i1 - i0);
-          return;
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float v = xp[i];
-          const float t = tp[i];
-          const float du =
-              kernels::kGeluC * (1.0f + 3.0f * kernels::kGeluA * v * v);
-          const float d = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-          gin[i] = gp[i] * d;
-        }
+        gelu_backward_body(ops, cached_input_.raw() + i0,
+                           cached_tanh_.raw() + i0, grad_out.raw() + i0,
+                           grad_in.raw() + i0, i1 - i0);
       });
   return grad_in;
+}
+
+void gelu_backward_body(const kernels::SimdOps& ops, const float* x,
+                        const float* t, const float* g, float* gin,
+                        std::int64_t n) {
+  if (ops.gelu_bwd != nullptr) {
+    ops.gelu_bwd(x, t, g, gin, n);
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    const float du = kernels::kGeluC * (1.0f + 3.0f * kernels::kGeluA * v * v);
+    const float d = 0.5f * (1.0f + t[i]) + 0.5f * v * (1.0f - t[i] * t[i]) * du;
+    gin[i] = g[i] * d;
+  }
 }
 
 Tensor Sigmoid::forward(StepContext& ctx, const Tensor& x) {

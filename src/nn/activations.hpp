@@ -15,6 +15,13 @@ class ReLU : public Layer {
   Tensor cached_input_;
 };
 
+/// GELU backward over n elements from the forward's cached t = tanh(u):
+/// `ops`' gelu_bwd body when it has one, else the scalar loop (bitwise
+/// equal; kernels::SimdOps::gelu_bwd documents the expression).
+void gelu_backward_body(const kernels::SimdOps& ops, const float* x,
+                        const float* t, const float* g, float* gin,
+                        std::int64_t n);
+
 /// tanh-approximated GELU (the approximation used by BERT).
 class GELU : public Layer {
  public:

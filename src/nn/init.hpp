@@ -11,10 +11,6 @@ namespace easyscale::nn {
 /// Kaiming-uniform for layers with `fan_in` inputs.
 void kaiming_uniform(rng::Philox& gen, tensor::Tensor& w, std::int64_t fan_in);
 
-/// Xavier-uniform with explicit fan_in/fan_out.
-void xavier_uniform(rng::Philox& gen, tensor::Tensor& w, std::int64_t fan_in,
-                    std::int64_t fan_out);
-
 /// N(0, stddev) init (embeddings).
 void normal_init(rng::Philox& gen, tensor::Tensor& w, float stddev);
 

@@ -22,7 +22,6 @@ class Linear : public Layer {
   [[nodiscard]] const char* kind() const override { return "Linear"; }
 
   [[nodiscard]] Parameter& weight() { return weight_; }
-  [[nodiscard]] Parameter& bias_param() { return bias_; }
 
  private:
   std::int64_t in_features_;

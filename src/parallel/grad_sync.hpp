@@ -1,16 +1,16 @@
-// Gradient synchronization shared by every training driver.
+// Gradient synchronization of parallel::Trainer, the one training driver.
 //
-// An EST is a virtual DDP rank time-sliced on a physical worker (§3), so
-// core::EasyScaleEngine (one participant per EST) and parallel::Trainer (one
-// per physical rank) run one sync: each participant's gradients swap out
-// into its own GradientSet and the sets meet in one bucketed collective.
-// GradSync owns the bucket layout (initial, rebuilt from participant 0's
-// ready order, contribution counts), the optional simulated fabric, the
-// overlapped pipeline (docs/PERFORMANCE.md) and the one dispatch to a
-// collective, so both drivers issue the same collectives in the same order.
+// An EST is a virtual DDP rank time-sliced on a physical worker (§3), so the
+// sync has one participant per virtual rank, whatever the packing: each
+// participant's gradients swap out into its own GradientSet and the sets
+// meet in one bucketed collective.  GradSync owns the bucket layout
+// (initial, rebuilt from participant 0's ready order, contribution counts),
+// the optional simulated fabric, the overlapped pipeline
+// (docs/PERFORMANCE.md) and the one dispatch to a collective, so every
+// packing issues the same collectives in the same order.
 //
 // A step: begin_step, then per participant attach / train_step / collect,
-// then reduce; the driver publishes and steps its optimizers; end_step.
+// then reduce; the trainer publishes and steps its optimizers; end_step.
 #pragma once
 
 #include <functional>

@@ -8,7 +8,6 @@
 #include "common/digest.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "core/checkpoint_io.hpp"
 
 namespace easyscale::parallel {
 
@@ -52,8 +51,7 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
                  const data::AugmentConfig& augment,
                  const std::vector<WorkerSpec>& workers,
                  std::optional<Assignment> assignment)
-    : config_(std::move(config)), train_(&train) {
-  ES_CHECK(config_.world_size > 0, "trainer world must be positive");
+    : Trainer(Unbuilt{}, std::move(config), train, augment) {
   std::vector<WorkerSpec> specs = workers;
   if (specs.empty()) {
     if (config_.devices.empty()) {
@@ -65,6 +63,13 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
              "device list does not match world size");
     for (const auto device : config_.devices) specs.push_back({device});
   }
+  configure_workers(specs, std::move(assignment));
+}
+
+Trainer::Trainer(Unbuilt, TrainerConfig config, const data::Dataset& train,
+                 const data::AugmentConfig& augment)
+    : config_(std::move(config)), train_(&train), augment_(augment) {
+  ES_CHECK(config_.world_size > 0, "trainer world must be positive");
   if (config_.logical_world > 0) {
     ES_CHECK(config_.world_size % config_.logical_world == 0,
              "world_size must be a multiple of logical_world");
@@ -78,8 +83,12 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
              "use_async_loader and logical_world > 0 are mutually exclusive: "
              "the pool keys batches by rank, and replayed ranks share one");
   }
-  Assignment packing =
-      resolve_packing(specs, std::move(assignment), config_.shard_degree);
+  // The degree the first packing is checked against; build() makes the
+  // plan.
+  plan_.shard_degree = config_.shard_degree;
+}
+
+void Trainer::build(const std::vector<WorkerSpec>& specs, Assignment packing) {
   // The data/RNG world: with voting enabled, rank r replays logical rank
   // r % logical_world.
   const std::int64_t data_world =
@@ -88,10 +97,10 @@ Trainer::Trainer(TrainerConfig config, const data::Dataset& train,
   pipelines_.reserve(contexts_.size());
   // Every rank cuts its shard from the same epoch permutation: draw it once.
   const auto order =
-      std::make_shared<data::EpochOrder>(train.size(), config_.seed, true);
+      std::make_shared<data::EpochOrder>(train_->size(), config_.seed, true);
   for (std::int64_t r = 0; r < config_.world_size; ++r) {
     const std::int64_t logical = r % data_world;
-    pipelines_.emplace_back(train, augment, data_world, logical,
+    pipelines_.emplace_back(*train_, augment_, data_world, logical,
                             config_.batch_per_worker, config_.seed, order);
     rng::StreamSet streams;
     streams.seed_all(config_.seed, static_cast<std::uint64_t>(logical));
@@ -232,6 +241,10 @@ void Trainer::configure_workers(const std::vector<WorkerSpec>& workers,
                                 std::optional<Assignment> assignment) {
   Assignment packing =
       resolve_packing(workers, std::move(assignment), plan_.shard_degree);
+  if (!sync_.has_value()) {
+    build(workers, std::move(packing));
+    return;
+  }
   // On-demand checkpoint of the running state before tearing down the old
   // worker set (the scale in/out path).
   ByteWriter snapshot;
@@ -248,7 +261,7 @@ Trainer::Worker& Trainer::host(std::int64_t rank) {
            "rank " << rank << " out of range [0, " << config_.world_size
                    << ")");
   return workers_[static_cast<std::size_t>(
-      host_of_rank_[static_cast<std::size_t>(rank)])];
+      host_of_rank_.at(static_cast<std::size_t>(rank)))];
 }
 
 models::Workload& Trainer::model(std::int64_t rank) {
@@ -305,15 +318,15 @@ void Trainer::rebuild_shard_maps() {
 void Trainer::inject_comm_fault(const comm::CommFaultEvent& event) {
   ES_CHECK(config_.resilient_comm,
            "inject_comm_fault requires resilient_comm = true");
-  sync_->inject_fault(event);
+  sync_.value().inject_fault(event);
 }
 
 const comm::TransportStats& Trainer::transport_stats() const {
-  return sync_->transport_stats();
+  return sync_.value().transport_stats();
 }
 
 std::vector<double> Trainer::comm_stall_per_worker() const {
-  return sync_->stall_per_host();
+  return sync_.value().stall_per_host();
 }
 
 void Trainer::optimize_and_publish() {
@@ -814,13 +827,14 @@ void Trainer::load_state(ByteReader& r) {
 DigestChain Trainer::params_digest_chain() const {
   DigestChain chain;
   std::uint64_t id = 0;
-  for (const auto* p : workers_[0].workload->params().all()) {
+  for (const auto* p : workers_.at(0).workload->params().all()) {
     chain.push(id++, digest_floats(p->value.data()));
   }
   return chain;
 }
 
 std::vector<std::uint8_t> Trainer::checkpoint_bytes() {
+  ES_CHECK(sync_.has_value(), "configure_workers before checkpoint_bytes");
   // Per-tensor chain over the canonical parameters + the shard frame with
   // the per-chunk chain; save_state writes the payload in place.
   core::ShardFrameMeta shard;
@@ -838,7 +852,12 @@ std::vector<std::uint8_t> Trainer::checkpoint_bytes() {
 
 void Trainer::restore_checkpoint_bytes(std::span<const std::uint8_t> bytes,
                                        const std::string& what) {
-  const core::CheckpointImage image = core::parse_image(bytes, what);
+  restore_checkpoint(core::parse_image(bytes, what), what);
+}
+
+void Trainer::restore_checkpoint(const core::CheckpointImage& image,
+                                 const std::string& what) {
+  ES_CHECK(sync_.has_value(), "configure_workers before restoring " << what);
   const core::ShardFrameMeta& meta = image.shard;
   ES_CHECK(meta.world_size == config_.world_size,
            "checkpoint world_size " << meta.world_size
@@ -869,6 +888,7 @@ void Trainer::restore_checkpoint_bytes(std::span<const std::uint8_t> bytes,
 }
 
 void Trainer::run_steps(std::int64_t n) {
+  ES_CHECK(sync_.has_value(), "configure_workers before run_steps");
   for (std::int64_t i = 0; i < n; ++i) one_step();
 }
 
@@ -882,7 +902,7 @@ void Trainer::run_epochs(std::int64_t n) {
 
 std::uint64_t Trainer::params_digest() const {
   Digest d;
-  for (const auto* p : workers_[0].workload->params().all()) {
+  for (const auto* p : workers_.at(0).workload->params().all()) {
     d.update(p->value.data());
   }
   return d.value();

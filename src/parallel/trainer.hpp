@@ -10,7 +10,9 @@
 // meet in one sync over one participant per virtual rank, so the result is
 // bitwise independent of the packing.  The default packing is the identity
 // (worker r hosts rank r on devices[r]): the PyTorch-DDP fixed-DoP baseline.
-// core::EasyScaleEngine maps its config onto this trainer.
+// The EasyScale engine (core/engine.hpp) is this trainer under EST-named
+// config.  Every consumer (fault::FaultSupervisor, sched::IntraJobScheduler
+// and sched::InterJobScheduler) drives a Trainer, ZeRO-1 jobs included.
 //
 // shard_degree > 1 adds ZeRO-1 optimizer-state sharding: a reduce-scatter
 // (same reduction bits, owned elements only), owned-chunk optimizer updates
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "common/digest.hpp"
+#include "core/checkpoint_io.hpp"
 #include "core/est_context.hpp"
 #include "core/integrity.hpp"
 #include "data/loader.hpp"
@@ -136,9 +139,11 @@ class Trainer {
           std::optional<Assignment> assignment = std::nullopt);
   ~Trainer();
 
-  /// Repack the ranks onto a new worker set: an on-demand snapshot of the
-  /// running state, a rebuild of every worker (clearing post-op hooks),
-  /// then a restore — the paper's scale in/out path.
+  /// Pack the ranks onto a worker set.  The first call builds the job (the
+  /// ranks' pipelines and contexts, the workers, the sync and the plan);
+  /// every later one repacks it: an on-demand snapshot of the running
+  /// state, a rebuild of every worker (clearing post-op hooks), then a
+  /// restore — the paper's scale in/out path.
   void configure_workers(const std::vector<WorkerSpec>& workers,
                          std::optional<Assignment> assignment = std::nullopt);
 
@@ -173,7 +178,7 @@ class Trainer {
   [[nodiscard]] std::int64_t global_step() const { return global_step_; }
   [[nodiscard]] std::int64_t world_size() const { return config_.world_size; }
   [[nodiscard]] const comm::BucketLayout& current_layout() const {
-    return sync_->layout();
+    return sync_.value().layout();
   }
 
   // --- Packing surface ---
@@ -193,6 +198,11 @@ class Trainer {
   // --- Parallelism-plan surface ---
 
   [[nodiscard]] int shard_degree() const { return plan_.shard_degree; }
+  /// Whether worker w must host exactly rank w (shard_degree > 1 or
+  /// logical_world > 0): such a trainer takes no packed assignment.
+  [[nodiscard]] bool needs_identity_packing() const {
+    return plan_.shard_degree > 1 || config_.logical_world > 0;
+  }
   /// Elastic reshard at a step boundary: re-assign chunk ownership to
   /// `new_shard_degree` (which must divide world_size), copying optimizer
   /// state chunks from their canonical owners.  The chunk bounds are fixed
@@ -201,14 +211,17 @@ class Trainer {
 
   // --- The checkpoint image ---
 
-  /// The image (core/checkpoint_io.hpp): the engine's on-demand
-  /// checkpoint, a store generation, a checkpoint file and the peer
+  /// The image (core/checkpoint_io.hpp): the on-demand checkpoint of a
+  /// scale event, a store generation, a checkpoint file and the peer
   /// pipeline's snapshot unit.  The shard frame carries the plan layout and
   /// the degree-independent per-chunk digest chain.
   [[nodiscard]] std::vector<std::uint8_t> checkpoint_bytes();
   /// Restore an image taken by any trainer with the same workload and
   /// world_size, at ANY packing and shard degree; verifies the per-chunk
   /// chain against the restored parameters.  `what` labels errors.
+  void restore_checkpoint(const core::CheckpointImage& image,
+                          const std::string& what = "checkpoint image");
+  /// core::parse_image, then restore_checkpoint.
   void restore_checkpoint_bytes(std::span<const std::uint8_t> bytes,
                                 const std::string& what = "checkpoint image");
 
@@ -223,7 +236,7 @@ class Trainer {
   /// first step, and after configure_workers resets the fabric).
   [[nodiscard]] const std::optional<comm::CollectiveReport>&
   last_comm_report() const {
-    return sync_->last_comm_report();
+    return sync_.value().last_comm_report();
   }
   /// Cumulative fabric counters (zeroed by configure_workers).
   [[nodiscard]] const comm::TransportStats& transport_stats() const;
@@ -234,7 +247,7 @@ class Trainer {
   /// the first overlapped step or with overlap_comm = false).
   [[nodiscard]] const std::optional<comm::OverlapStats>&
   last_overlap_stats() const {
-    return sync_->last_overlap_stats();
+    return sync_.value().last_overlap_stats();
   }
 
   // --- Compute-integrity surface ---
@@ -259,6 +272,13 @@ class Trainer {
   [[nodiscard]] std::int64_t last_clean_witness_step() const {
     return last_clean_witness_step_;
   }
+
+ protected:
+  struct Unbuilt {};
+  /// Holds the job without a worker set: nothing is built until the first
+  /// configure_workers, which is the one build path.
+  Trainer(Unbuilt, TrainerConfig config, const data::Dataset& train,
+          const data::AugmentConfig& augment);
 
  private:
   struct Worker {
@@ -290,6 +310,9 @@ class Trainer {
   [[nodiscard]] Assignment resolve_packing(
       const std::vector<WorkerSpec>& workers,
       std::optional<Assignment> assignment, int shard_degree) const;
+  /// The first configure_workers: the ranks, the workers, the sync and
+  /// the plan.
+  void build(const std::vector<WorkerSpec>& specs, Assignment packing);
   void build_workers(const std::vector<WorkerSpec>& specs,
                      Assignment packing);
   /// Route the sync over a fresh fabric of the current workers.
@@ -326,6 +349,7 @@ class Trainer {
   void load_state(ByteReader& r);
   TrainerConfig config_;
   const data::Dataset* train_;
+  data::AugmentConfig augment_;
   std::vector<core::ESTContext> contexts_;         // one per rank
   std::vector<data::RankDataPipeline> pipelines_;  // one per rank
   std::vector<Worker> workers_;

@@ -109,7 +109,11 @@ Plan Companion::make_plan(const GpuVector& gpus) const {
   return plan;
 }
 
-Plan Companion::compute_plan(const GpuVector& gpus) const {
+Plan Companion::spread_plan(const GpuVector& gpus) const {
+  return total(gpus) == max_p_ ? compute_plan(gpus, true) : Plan{};
+}
+
+Plan Companion::compute_plan(const GpuVector& gpus, bool one_per_gpu) const {
   Plan plan;
   plan.gpus = gpus;
   const std::int64_t n_gpus = total(gpus);
@@ -125,8 +129,9 @@ Plan Companion::compute_plan(const GpuVector& gpus) const {
   // Every GPU in the plan must host at least one EST (idle GPUs would be
   // pure waste); refuse plans with more GPUs than ESTs.
   if (n_gpus > max_p_) return Plan{};
+  if (one_per_gpu) plan.ests.assign(caps.size(), 1);
   // Greedy: place each EST on the GPU with the lowest resulting step time.
-  for (std::int64_t e = 0; e < max_p_; ++e) {
+  for (std::int64_t e = 0; !one_per_gpu && e < max_p_; ++e) {
     std::size_t best = 0;
     double best_time = 1e300;
     for (std::size_t g = 0; g < caps.size(); ++g) {

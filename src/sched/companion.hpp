@@ -120,6 +120,9 @@ class Companion {
   /// Balance maxP ESTs over the given GPUs (greedy longest-processing-time)
   /// and evaluate Eq. (1).  Returns an invalid plan when gpus is empty.
   [[nodiscard]] Plan make_plan(const GpuVector& gpus) const;
+  /// Eq. (1) for exactly one EST on each GPU (a job whose ranks cannot
+  /// share a GPU).  Invalid unless total(gpus) == maxP; never cached.
+  [[nodiscard]] Plan spread_plan(const GpuVector& gpus) const;
 
   /// Best plan under `available` GPUs.  Greedy-constructive: repeatedly add
   /// the GPU that improves estimated throughput the most.  `allow_heter`
@@ -154,8 +157,10 @@ class Companion {
   [[nodiscard]] const std::string& workload() const { return workload_; }
 
  private:
-  /// The uncached Eq. (1) evaluation behind make_plan.
-  [[nodiscard]] Plan compute_plan(const GpuVector& gpus) const;
+  /// The uncached Eq. (1) evaluation behind make_plan (greedy EST deal)
+  /// and spread_plan (one EST per GPU).
+  [[nodiscard]] Plan compute_plan(const GpuVector& gpus,
+                                  bool one_per_gpu = false) const;
 
   std::string workload_;
   std::int64_t max_p_;

@@ -7,12 +7,12 @@
 namespace easyscale::sched {
 
 void InterJobScheduler::add_job(std::string name,
-                                core::EasyScaleEngine& engine,
+                                parallel::Trainer& trainer,
                                 Companion companion, bool allow_heter) {
   ES_CHECK(find(name) == nullptr, "job name already registered: " << name);
   Job job;
   job.name = std::move(name);
-  job.intra = std::make_unique<IntraJobScheduler>(engine, std::move(companion),
+  job.intra = std::make_unique<IntraJobScheduler>(trainer, std::move(companion),
                                                   allow_heter);
   jobs_.push_back(std::move(job));
 }
@@ -82,8 +82,7 @@ int InterJobScheduler::reschedule() {
         v += it->intra->current_plan().gpus[static_cast<std::size_t>(t)];
         v = std::max<std::int64_t>(v, 0);
       }
-      const Plan p =
-          it->intra->companion().best_plan(reach, it->intra->allow_heter());
+      const Plan p = it->intra->best_plan(reach);
       if (p.valid() && !(p.gpus == it->intra->current_plan().gpus)) {
         it->intra->apply_plan(p);
       } else {

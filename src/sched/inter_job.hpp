@@ -1,5 +1,5 @@
 // Live inter-job (cluster) scheduler — the top of the §3.4 hierarchy,
-// operating on REAL running jobs (EasyScaleEngine + IntraJobScheduler
+// operating on REAL running jobs (parallel::Trainer + IntraJobScheduler
 // pairs), not simulator stubs.
 //
 // Jobs register with the cluster; each scheduling round the cluster
@@ -25,8 +25,8 @@ class InterJobScheduler {
  public:
   explicit InterJobScheduler(GpuVector capacity) : capacity_(capacity) {}
 
-  /// Register a running job.  The cluster does not own the engine.
-  void add_job(std::string name, core::EasyScaleEngine& engine,
+  /// Register a running job.  The cluster does not own the trainer.
+  void add_job(std::string name, parallel::Trainer& trainer,
                Companion companion, bool allow_heter);
 
   /// Remove a finished job, releasing its GPUs.

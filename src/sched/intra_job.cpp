@@ -1,22 +1,24 @@
 #include "sched/intra_job.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace easyscale::sched {
 
-IntraJobScheduler::IntraJobScheduler(core::EasyScaleEngine& engine,
+IntraJobScheduler::IntraJobScheduler(parallel::Trainer& trainer,
                                      Companion companion, bool allow_heter)
-    : engine_(&engine),
+    : trainer_(&trainer),
       companion_(std::move(companion)),
       allow_heter_(allow_heter) {}
 
-void IntraJobScheduler::reconfigure_engine(const Plan& plan) {
+void IntraJobScheduler::reconfigure_trainer(const Plan& plan) {
   ES_CHECK(plan.valid(), "cannot apply an invalid plan");
-  std::vector<core::WorkerSpec> specs;
+  std::vector<parallel::WorkerSpec> specs;
   for (int t = 0; t < kNumDeviceTypes; ++t) {
     for (std::int64_t i = 0; i < plan.gpus[static_cast<std::size_t>(t)];
          ++i) {
-      specs.push_back(core::WorkerSpec{static_cast<DeviceType>(t)});
+      specs.push_back(parallel::WorkerSpec{static_cast<DeviceType>(t)});
     }
   }
   // EST ranks are dealt contiguously following the plan's per-GPU counts.
@@ -28,11 +30,28 @@ void IntraJobScheduler::reconfigure_engine(const Plan& plan) {
     }
   }
   ES_CHECK(next == companion_.max_p(), "plan does not place every EST");
-  engine_->configure_workers(specs, assignment);
+  trainer_->configure_workers(specs, assignment);
+}
+
+Plan IntraJobScheduler::best_plan(const GpuVector& available) const {
+  if (!trainer_->needs_identity_packing()) {
+    return companion_.best_plan(available, allow_heter_);
+  }
+  // One EST per GPU needs max_p GPUs: the fastest available (device types
+  // are listed fastest first), all of one type unless the job is
+  // heterogeneous.
+  GpuVector gpus{};
+  std::int64_t left = companion_.max_p();
+  for (std::size_t t = 0; t < available.size() && left > 0; ++t) {
+    if (!allow_heter_ && available[t] < left) continue;
+    gpus[t] = std::min(left, available[t]);
+    left -= gpus[t];
+  }
+  return companion_.spread_plan(gpus);
 }
 
 bool IntraJobScheduler::apply_best_plan(const GpuVector& available) {
-  const Plan plan = companion_.best_plan(available, allow_heter_);
+  const Plan plan = best_plan(available);
   if (!plan.valid()) return false;
   apply_plan(plan);
   return true;
@@ -40,11 +59,13 @@ bool IntraJobScheduler::apply_best_plan(const GpuVector& available) {
 
 std::vector<Companion::Proposal> IntraJobScheduler::make_proposals(
     const GpuVector& spare, std::size_t top_k) const {
+  // One EST per GPU already spans max_p GPUs: no scale-out fits.
+  if (trainer_->needs_identity_packing()) return {};
   return companion_.proposals(current_, spare, allow_heter_, top_k);
 }
 
 void IntraJobScheduler::apply_plan(const Plan& plan) {
-  reconfigure_engine(plan);
+  reconfigure_trainer(plan);
   previous_ = current_;
   current_ = plan;
   ES_LOG_DEBUG("intra-job scheduler applied plan with "
@@ -61,7 +82,7 @@ bool IntraJobScheduler::report_throughput(double observed_mbps) {
     ES_LOG_INFO("intra-job scheduler falling back after slowdown ("
                 << observed_mbps << " < " << previous_observed_ << " mb/s)");
     const Plan back = previous_;
-    reconfigure_engine(back);
+    reconfigure_trainer(back);
     current_ = back;
     previous_ = Plan{};
     return true;
@@ -71,9 +92,9 @@ bool IntraJobScheduler::report_throughput(double observed_mbps) {
 }
 
 bool IntraJobScheduler::rebalance_stragglers(double threshold_s) {
-  const auto stalls = engine_->trainer().comm_stall_per_worker();
+  const auto stalls = trainer_->comm_stall_per_worker();
   if (stalls.size() < 2) return false;  // nothing to move between
-  auto assignment = engine_->trainer().current_assignment();
+  auto assignment = trainer_->current_assignment();
   std::size_t best = 0;
   std::size_t worst = stalls.size();  // sentinel: none above threshold
   for (std::size_t w = 0; w < stalls.size(); ++w) {
@@ -90,7 +111,7 @@ bool IntraJobScheduler::rebalance_stragglers(double threshold_s) {
   ES_LOG_INFO("rebalancing EST " << est << " off stalled worker " << worst
                                  << " (" << stalls[worst] << "s stall) onto "
                                  << best);
-  engine_->configure_workers(engine_->current_worker_specs(),
+  trainer_->configure_workers(trainer_->current_worker_specs(),
                              std::move(assignment));
   if (current_.valid() && current_.ests.size() == stalls.size()) {
     --current_.ests[worst];
@@ -100,10 +121,10 @@ bool IntraJobScheduler::rebalance_stragglers(double threshold_s) {
 }
 
 bool IntraJobScheduler::quarantine_worker(std::int64_t slot) {
-  auto specs = engine_->current_worker_specs();
-  auto assignment = engine_->trainer().current_assignment();
+  auto specs = trainer_->current_worker_specs();
+  auto assignment = trainer_->current_assignment();
   if (slot < 0 || slot >= static_cast<std::int64_t>(specs.size()) ||
-      specs.size() < 2) {
+      specs.size() < 2 || trainer_->needs_identity_packing()) {
     return false;
   }
   const auto s = static_cast<std::size_t>(slot);
@@ -123,7 +144,7 @@ bool IntraJobScheduler::quarantine_worker(std::int64_t slot) {
   ES_LOG_INFO("quarantining worker " << slot << ": " << orphans.size()
                                      << " EST(s) remapped onto "
                                      << specs.size() << " survivor(s)");
-  engine_->configure_workers(specs, std::move(assignment));
+  trainer_->configure_workers(specs, std::move(assignment));
   // The running plan no longer matches the worker set; drop it so the next
   // apply_best_plan starts from the quarantined capacity.
   previous_ = Plan{};

@@ -1,5 +1,6 @@
 // Live intra-job scheduler (§3.4, the AIMaster side): bridges the
-// companion module's plans to a running EasyScaleEngine.
+// companion module's plans to any running parallel::Trainer (an EasyScale
+// engine or a plain trainer; the plan's EST counts become its packing).
 //
 //  Role-1: apply the best configuration available (apply_best_plan);
 //  Role-2: form scale-out resource proposals for the inter-job scheduler
@@ -9,7 +10,7 @@
 //          (report_throughput).
 #pragma once
 
-#include "core/engine.hpp"
+#include "parallel/trainer.hpp"
 #include "fault/controller.hpp"
 #include "sched/companion.hpp"
 
@@ -17,18 +18,23 @@ namespace easyscale::sched {
 
 class IntraJobScheduler {
  public:
-  IntraJobScheduler(core::EasyScaleEngine& engine, Companion companion,
+  IntraJobScheduler(parallel::Trainer& trainer, Companion companion,
                     bool allow_heter);
 
-  /// Role-1: pick and apply the best plan under `available` GPUs.  Returns
-  /// false (and leaves the engine untouched) when no valid plan exists.
+  /// The companion's best plan under `available` GPUs; one EST per GPU if
+  /// the trainer needs one rank per worker.  Invalid when none fits.
+  [[nodiscard]] Plan best_plan(const GpuVector& available) const;
+
+  /// Role-1: pick and apply best_plan(available).  Returns false (and
+  /// leaves the trainer untouched) when no valid plan exists.
   bool apply_best_plan(const GpuVector& available);
 
-  /// Role-2: top-K scale-out proposals from the current plan.
+  /// Role-2: top-K scale-out proposals from the current plan (none for a
+  /// trainer that needs one rank per worker).
   [[nodiscard]] std::vector<Companion::Proposal> make_proposals(
       const GpuVector& spare, std::size_t top_k = 3) const;
 
-  /// Role-3: reconfigure the engine onto `plan` (checkpoint + rescale).
+  /// Role-3: reconfigure the trainer onto `plan` (checkpoint + rescale).
   void apply_plan(const Plan& plan);
 
   /// Report measured throughput (mini-batches/s).  If the most recent
@@ -37,24 +43,24 @@ class IntraJobScheduler {
   bool report_throughput(double observed_mbps);
 
   /// EST re-balancing on the comm straggler signal: when the worst-stalled
-  /// worker's cumulative link-stall time (engine.comm_stall_per_worker)
+  /// worker's cumulative link-stall time (Trainer::comm_stall_per_worker)
   /// exceeds `threshold_s`, move one of its ESTs to the least-stalled
   /// worker and reconfigure — the EasyScale answer to a persistently slow
   /// link (bitwise neutral, like every remap).  Returns whether a move
-  /// happened; requires the engine's resilient comm substrate.
+  /// happened; requires the trainer's resilient comm substrate.
   bool rebalance_stragglers(double threshold_s);
 
   /// SDC quarantine: vacate worker `slot` (condemned by the integrity
   /// witness), blocklist its device spec, and deal its orphaned ESTs to the
   /// least-loaded survivors — the same bitwise-neutral remap machinery the
   /// straggler path uses, so quarantining never perturbs training bits.
-  /// Returns false (engine untouched) when the slot cannot be vacated
-  /// (out of range, or it is the last worker).
+  /// Returns false (trainer untouched) when the slot cannot be vacated
+  /// (out of range, the last worker, or one rank per worker is needed).
   bool quarantine_worker(std::int64_t slot);
 
   /// Device specs removed by quarantine_worker; a blocklisted spec stands
   /// for a condemned physical device the scheduler must never hand back.
-  [[nodiscard]] const std::vector<core::WorkerSpec>& quarantine_blocklist()
+  [[nodiscard]] const std::vector<parallel::WorkerSpec>& quarantine_blocklist()
       const {
     return blocklist_;
   }
@@ -73,7 +79,7 @@ class IntraJobScheduler {
   }
 
   /// Drop the current plan (the job pauses; GPUs return to the pool).  The
-  /// engine keeps its last worker set but the cluster stops stepping it.
+  /// trainer keeps its last worker set but the cluster stops stepping it.
   void release() {
     previous_ = Plan{};
     current_ = Plan{};
@@ -84,16 +90,16 @@ class IntraJobScheduler {
   [[nodiscard]] bool allow_heter() const { return allow_heter_; }
 
  private:
-  /// Translate a plan into (worker specs, EST assignment) for the engine.
-  void reconfigure_engine(const Plan& plan);
+  /// Translate a plan into (worker specs, EST assignment) for the trainer.
+  void reconfigure_trainer(const Plan& plan);
 
-  core::EasyScaleEngine* engine_;
+  parallel::Trainer* trainer_;
   Companion companion_;
   bool allow_heter_;
   Plan current_;
   Plan previous_;
   double previous_observed_ = 0.0;
-  std::vector<core::WorkerSpec> blocklist_;
+  std::vector<parallel::WorkerSpec> blocklist_;
   std::int64_t quarantine_cursor_ = 0;  // decision-log entries consumed
 };
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <type_traits>
 
 #include "core/checkpoint_io.hpp"
 #include "core/checkpoint_manager.hpp"
@@ -296,6 +297,43 @@ TEST(CheckpointManager, EndToEndCrashRecoveryThroughRotation) {
   EXPECT_EQ(revived.global_step(), 2);
   revived.run_steps(4);
   EXPECT_EQ(revived.params_digest(), reference.params_digest());
+  mgr.clear();
+}
+
+// A disk restore parses the image once: the parsed image load_latest hands
+// back restores exactly what its raw bytes restore, and survives a move.
+TEST(CheckpointManager, LoadedImageRestoresLikeItsRawBytes) {
+  static_assert(!std::is_copy_constructible_v<LoadedCheckpoint>,
+                "a copy would leave the payload view on the old bytes");
+  auto wd = models::make_dataset_for("NeuMF", 128, 16, 42);
+  EasyScaleConfig cfg;
+  cfg.workload = "NeuMF";
+  cfg.num_ests = 4;
+  cfg.batch_per_est = 4;
+  cfg.seed = 42;
+  CheckpointManager mgr(temp_path("parsed_once"), 2);
+  mgr.clear();
+  EasyScaleEngine source(cfg, *wd.train, wd.augment);
+  source.configure_workers(std::vector<WorkerSpec>(2));
+  source.run_steps(3);
+  mgr.save(source.checkpoint());
+  auto loaded = mgr.load_latest(Trust::kIntact);
+  ASSERT_TRUE(loaded.has_value());
+  const LoadedCheckpoint moved = std::move(*loaded);
+
+  EasyScaleEngine from_image(cfg, *wd.train, wd.augment);
+  from_image.configure_workers(std::vector<WorkerSpec>(4));
+  from_image.restore_checkpoint(moved.image);
+  EasyScaleEngine from_bytes(cfg, *wd.train, wd.augment);
+  from_bytes.configure_workers(std::vector<WorkerSpec>(4));
+  from_bytes.restore(moved.bytes);
+  EXPECT_EQ(from_image.params_digest_chain(), from_bytes.params_digest_chain());
+  EXPECT_EQ(from_image.params_digest_chain(), source.params_digest_chain());
+  from_image.run_steps(1);
+  from_bytes.run_steps(1);
+  source.run_steps(1);
+  EXPECT_EQ(from_image.params_digest(), from_bytes.params_digest());
+  EXPECT_EQ(from_image.params_digest(), source.params_digest());
   mgr.clear();
 }
 

@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include <set>
 #include <string>
 
 #include "common/log.hpp"
 #include "core/engine.hpp"
+#include "fault/supervisor.hpp"
 #include "models/datasets.hpp"
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -247,9 +249,34 @@ TEST(EdgeEngine, ModelForEvalRejectsOutOfRangeEst) {
   core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
   e.configure_workers({core::WorkerSpec{}});
   for (const std::int64_t est : {-1, 2}) {
-    expect_out_of_range([&] { (void)e.trainer().model(est); }, est, 2);
+    expect_out_of_range([&] { (void)e.model(est); }, est, 2);
   }
-  EXPECT_NO_THROW((void)e.trainer().model(1));
+  EXPECT_NO_THROW((void)e.model(1));
+}
+
+// An engine is built by its first configure_workers; before that, training
+// and the checkpoint image fail with a named error instead of reading an
+// empty worker set.
+TEST(EdgeEngine, UseBeforeConfigureWorkersThrows) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
+  EXPECT_EQ(e.num_workers(), 0);
+  for (const auto& use : std::vector<std::function<void()>>{
+           [&] { e.run_steps(1); }, [&] { (void)e.checkpoint(); }}) {
+    try {
+      use();
+      FAIL() << "an unbuilt engine was used";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("configure_workers"),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  EXPECT_ANY_THROW((void)e.params_digest());
+  EXPECT_ANY_THROW((void)e.current_layout());
+  e.configure_workers(std::vector<core::WorkerSpec>(2));
+  EXPECT_NO_THROW(e.run_steps(1));
+  EXPECT_EQ(e.global_step(), 1);
 }
 
 TEST(EdgeEngine, WorkerExecRejectsOutOfRangeIndex) {
@@ -257,9 +284,9 @@ TEST(EdgeEngine, WorkerExecRejectsOutOfRangeIndex) {
   core::EasyScaleEngine e(two_est_neumf(), *wd.train, wd.augment);
   e.configure_workers(std::vector<core::WorkerSpec>(2));
   for (const std::int64_t i : {-1, 2}) {
-    expect_out_of_range([&] { (void)e.trainer().worker_exec(i); }, i, 2);
+    expect_out_of_range([&] { (void)e.worker_exec(i); }, i, 2);
   }
-  EXPECT_NO_THROW((void)e.trainer().worker_exec(1));
+  EXPECT_NO_THROW((void)e.worker_exec(1));
 }
 
 TEST(EdgeTrainer, ModelRejectsOutOfRangeRank) {
@@ -340,6 +367,31 @@ TEST(EdgeTrainer, SchedulerRejectsOutOfRangeRank) {
     expect_out_of_range([&] { (void)t.scheduler(r); }, r, 2);
   }
   EXPECT_NO_THROW((void)t.scheduler(1));
+}
+
+// A scale-in packs several ranks onto one worker, which sharding forbids,
+// so the supervisor refuses the pairing before the first step.
+TEST(EdgeTrainer, FaultSupervisorRejectsElasticScaleInWhenSharded) {
+  auto wd = models::make_dataset_for("NeuMF", 64, 16, 7);
+  auto cfg = four_rank_neumf();
+  cfg.shard_degree = 4;
+  parallel::Trainer t(cfg, *wd.train, wd.augment,
+                      std::vector<parallel::WorkerSpec>(4));
+  core::CheckpointManager mgr(
+      std::string(::testing::TempDir()) + "/edge_sharded_elastic", 2);
+  fault::SupervisorConfig scfg;
+  scfg.policy = fault::RecoveryPolicy::kElasticScaleIn;
+  fault::FaultSupervisor sup(t, mgr, fault::FaultInjector(), scfg);
+  try {
+    (void)sup.run_to(4, 4);
+    FAIL() << "elastic scale-in with shard_degree 4 was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard_degree 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("kElasticScaleIn"), std::string::npos) << what;
+  }
+  EXPECT_EQ(t.global_step(), 0);
+  EXPECT_EQ(mgr.generations_on_disk(), 0);
 }
 
 TEST(EdgeLog, LevelsFilter) {

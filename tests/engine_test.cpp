@@ -190,10 +190,10 @@ TEST(Engine, ModelForEvalLoadsRequestedESTContext) {
   e.run_steps(3);
   // Different ESTs saw different batches, so their BN running buffers
   // differ; model_for_eval must reflect the chosen context.
-  auto& m0 = e.trainer().model(0);
+  auto& m0 = e.model(0);
   Digest d0;
   for (auto* b : m0.buffers()) d0.update(b->data());
-  auto& m3 = e.trainer().model(3);
+  auto& m3 = e.model(3);
   Digest d3;
   for (auto* b : m3.buffers()) d3.update(b->data());
   EXPECT_NE(d0.value(), d3.value());
@@ -287,7 +287,7 @@ TEST(Engine, ResilientCommInjectedDropRecoversBitwise) {
   comm::CommFaultEvent drop;
   drop.kind = comm::LinkFaultKind::kDropChunk;
   drop.rank = 1;  // collective = -1: fires during the next step's sync
-  victim.trainer().inject_comm_fault(drop);
+  victim.inject_comm_fault(drop);
   victim.run_steps(3);
   EXPECT_EQ(victim.params_digest(), plain.params_digest());
   ASSERT_TRUE(victim.last_comm_report().has_value());
@@ -304,7 +304,7 @@ TEST(Engine, ResilientCommRankDeathAbortsTheStep) {
   comm::CommFaultEvent death;
   death.kind = comm::LinkFaultKind::kRankDeath;
   death.rank = 2;
-  engine.trainer().inject_comm_fault(death);
+  engine.inject_comm_fault(death);
   // A dead worker's EST gradients are unrecoverable mid-step: the engine
   // must surface the condemnation instead of silently dropping them.
   EXPECT_THROW(engine.run_steps(1), comm::RankDeathError);
@@ -319,14 +319,14 @@ TEST(Engine, CommStallAccruesToTheVictimWorker) {
   cfg.resilient_comm = true;
   EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<WorkerSpec>(3));
-  EXPECT_EQ(engine.trainer().comm_stall_per_worker(), std::vector<double>(3, 0.0));
+  EXPECT_EQ(engine.comm_stall_per_worker(), std::vector<double>(3, 0.0));
   comm::CommFaultEvent stall;
   stall.kind = comm::LinkFaultKind::kStallLink;
   stall.rank = 1;
   stall.stall_s = 0.1;  // within recv_deadline_s: slows, does not retry
-  engine.trainer().inject_comm_fault(stall);
+  engine.inject_comm_fault(stall);
   engine.run_steps(1);
-  const auto stalls = engine.trainer().comm_stall_per_worker();
+  const auto stalls = engine.comm_stall_per_worker();
   ASSERT_EQ(stalls.size(), 3u);
   EXPECT_DOUBLE_EQ(stalls[1], 0.1);
   EXPECT_DOUBLE_EQ(stalls[0], 0.0);
@@ -337,7 +337,7 @@ TEST(Engine, CommStallAccruesToTheVictimWorker) {
   // Disabled engines expose no straggler signal.
   EasyScaleEngine off(config(), *wd.train, wd.augment);
   off.configure_workers(std::vector<WorkerSpec>(2));
-  EXPECT_TRUE(off.trainer().comm_stall_per_worker().empty());
+  EXPECT_TRUE(off.comm_stall_per_worker().empty());
 }
 
 TEST(MemoryModel, PackingGrowsEasyScaleFlat) {

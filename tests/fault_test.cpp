@@ -275,7 +275,7 @@ TEST(FaultSupervisor, SupervisedSaveMatchesFreshlyHashedChainFile) {
   const auto got = core::load_checkpoint_file(mgr.path_for(0));
   EXPECT_EQ(got, image);
   const core::CheckpointImage parsed = core::parse_image(got, "generation 0");
-  EXPECT_EQ(parsed.chain, engine.trainer().params_digest_chain());
+  EXPECT_EQ(parsed.chain, engine.params_digest_chain());
   ASSERT_TRUE(mgr.is_blessed(0));
   std::FILE* f = std::fopen((mgr.path_for(0) + ".ok").c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -286,6 +286,71 @@ TEST(FaultSupervisor, SupervisedSaveMatchesFreshlyHashedChainFile) {
   std::snprintf(trailer, sizeof(trailer), "%016llx",
                 static_cast<unsigned long long>(parsed.digest));
   EXPECT_EQ(std::string(sidecar, n), std::string(trailer));
+  mgr.clear();
+}
+
+// The supervisor drives any parallel::Trainer: a ZeRO-1 job (optimizer
+// state sharded four ways) restarts through a crash and a comm rank death
+// and ends on the chain of the unsharded fault-free run.
+TEST(FaultSupervisor, Zero1GangRestartEndsOnUnshardedChain) {
+  constexpr std::int64_t kSteps = 16;
+  auto& wd = shared_data();
+  const std::vector<WorkerSpec> four(4);
+  parallel::TrainerConfig tcfg = core::trainer_config(small_config());
+  parallel::Trainer clean(tcfg, *wd.train, wd.augment, four);
+  clean.run_steps(kSteps);
+
+  tcfg.shard_degree = 4;
+  parallel::Trainer trainer(tcfg, *wd.train, wd.augment, four);
+  CheckpointManager mgr(temp_path("zero1_gang"), 3);
+  mgr.clear();
+  FaultInjector injector({
+      {.kind = FaultKind::kWorkerCrash, .step = 5, .worker = 1},
+      {.kind = FaultKind::kCommRankDeath, .step = 11, .worker = 2},
+  });
+  SupervisorConfig cfg;
+  cfg.policy = RecoveryPolicy::kGangRestart;
+  cfg.checkpoint_every = 4;
+  FaultSupervisor sup(trainer, mgr, std::move(injector), cfg);
+  const auto stats = sup.run_to(kSteps, 4);
+  EXPECT_FALSE(stats.failed);
+  EXPECT_EQ(stats.recoveries, 2);
+  EXPECT_EQ(stats.lost_steps, 4);  // steps 5 and 11 roll back to 4 and 8
+  EXPECT_EQ(trainer.shard_degree(), 4);
+  EXPECT_EQ(trainer.params_digest_chain(), clean.params_digest_chain());
+  mgr.clear();
+}
+
+// The same ZeRO-1 job with peer-replicated snapshots: a replica loss thins
+// one store, and the crash after it still recovers from the peer quorum.
+TEST(FaultSupervisor, Zero1PeerRecoverySurvivesReplicaLoss) {
+  constexpr std::int64_t kSteps = 12;
+  auto& wd = shared_data();
+  const std::vector<WorkerSpec> four(4);
+  parallel::TrainerConfig tcfg = core::trainer_config(small_config());
+  parallel::Trainer clean(tcfg, *wd.train, wd.augment, four);
+  clean.run_steps(kSteps);
+
+  tcfg.shard_degree = 4;
+  parallel::Trainer trainer(tcfg, *wd.train, wd.augment, four);
+  CheckpointManager mgr(temp_path("zero1_peer"), 3);
+  mgr.clear();
+  FaultInjector injector({
+      {.kind = FaultKind::kPeerReplicaLoss, .step = 6, .worker = 1,
+       .payload_seed = 0x10},
+      {.kind = FaultKind::kWorkerCrash, .step = 7, .worker = 2},
+  });
+  SupervisorConfig cfg;
+  cfg.policy = RecoveryPolicy::kGangRestart;
+  cfg.checkpoint_every = 4;
+  cfg.peer_replicas = 2;
+  FaultSupervisor sup(trainer, mgr, std::move(injector), cfg);
+  const auto stats = sup.run_to(kSteps, 4);
+  EXPECT_FALSE(stats.failed);
+  EXPECT_EQ(stats.peer_replicas_lost, 1);
+  EXPECT_EQ(stats.peer_recoveries, 1);
+  EXPECT_EQ(stats.disk_recoveries, 0);
+  EXPECT_EQ(trainer.params_digest_chain(), clean.params_digest_chain());
   mgr.clear();
 }
 

@@ -240,11 +240,11 @@ TEST(EngineWitness, CleanRunPassesAndDoesNotPerturbTraining) {
   EasyScaleEngine engine(cfg, *wd.train, wd.augment);
   engine.configure_workers(std::vector<WorkerSpec>(2));
   engine.run_steps(6);
-  const auto& stats = engine.trainer().witness_stats();
+  const auto& stats = engine.witness_stats();
   EXPECT_EQ(stats.runs, 3);          // steps 2, 4, 6
   EXPECT_EQ(stats.replays, 6);       // one EST per worker per witness step
   EXPECT_EQ(stats.mismatches, 0);
-  EXPECT_EQ(engine.trainer().last_clean_witness_step(), 6);
+  EXPECT_EQ(engine.last_clean_witness_step(), 6);
   // The witness replays on a separate replica: training bits are untouched.
   EXPECT_EQ(engine.params_digest(), fault_free_digest(2, 6));
 }
@@ -267,8 +267,8 @@ TEST(EngineWitness, CorruptWorkerIsDetectedAndNamed) {
     EXPECT_GE(e.est(), 0);
     EXPECT_GE(e.step(), 0);  // 0-based: the step that was in progress
   }
-  EXPECT_GE(engine.trainer().witness_stats().mismatches, 1);
-  EXPECT_EQ(engine.trainer().witness_stats().last_detected_worker, 1);
+  EXPECT_GE(engine.witness_stats().mismatches, 1);
+  EXPECT_EQ(engine.witness_stats().last_detected_worker, 1);
   EXPECT_GT(corr.ops_corrupted(), 0);
 }
 
@@ -281,7 +281,7 @@ TEST(CheckpointManagerVerify, SidecarLifecycle) {
   engine.configure_workers(std::vector<WorkerSpec>(2));
   engine.run_steps(2);
   const auto bytes = engine.checkpoint();
-  const auto chain = engine.trainer().params_digest_chain();
+  const auto chain = engine.params_digest_chain();
 
   CheckpointManager mgr(temp_path("verify_lifecycle"), 3);
   mgr.clear();
@@ -296,7 +296,7 @@ TEST(CheckpointManagerVerify, SidecarLifecycle) {
   const auto verified = mgr.load_latest(Trust::kBlessed);
   ASSERT_TRUE(verified.has_value());
   EXPECT_EQ(verified->bytes, bytes);
-  EXPECT_EQ(verified->chain, chain);  // the image's own chain
+  EXPECT_EQ(verified->image.chain, chain);  // the image's own chain
   mgr.clear();
 }
 

@@ -3,6 +3,7 @@
 // job still trains bitwise-identically to its fixed-DoP reference.
 #include <gtest/gtest.h>
 
+#include "core/engine.hpp"
 #include "models/datasets.hpp"
 #include "parallel/trainer.hpp"
 #include "sched/inter_job.hpp"
@@ -56,6 +57,29 @@ TEST(InterJob, CapacityShrinkForcesScaleIn) {
   cluster.set_capacity(GpuVector{4, 0, 0});
   cluster.reschedule();
   EXPECT_EQ(total(cluster.allocation("bert")), 4);
+}
+
+// A sharded job cannot pack two ESTs on one GPU: when the pool shrinks
+// below one GPU per EST it pauses instead of failing mid-round, and it
+// resumes on one EST per GPU when capacity returns.
+TEST(InterJob, ShardedJobPausesWhenThePoolShrinks) {
+  auto wd = models::make_dataset_for("NeuMF", 128, 16, 2);
+  parallel::TrainerConfig tcfg =
+      core::trainer_config(engine_config("NeuMF", 2));
+  tcfg.shard_degree = 4;
+  parallel::Trainer sharded(tcfg, *wd.train, wd.augment);
+  InterJobScheduler cluster(GpuVector{4, 0, 0});
+  cluster.add_job("zero1", sharded, Companion("NeuMF", 4), true);
+  cluster.reschedule();
+  EXPECT_EQ(total(cluster.allocation("zero1")), 4);
+  sharded.run_steps(1);
+  cluster.revoke(GpuVector{2, 0, 0});
+  EXPECT_EQ(total(cluster.allocation("zero1")), 0);
+  EXPECT_EQ(sharded.num_workers(), 4);
+  cluster.set_capacity(GpuVector{4, 0, 0});
+  cluster.reschedule();
+  EXPECT_EQ(total(cluster.allocation("zero1")), 4);
+  sharded.run_steps(1);
 }
 
 TEST(InterJob, SpotRevocationScalesInWithinTheCall) {

@@ -3,6 +3,7 @@
 // Role-3 slowdown fallback.
 #include <gtest/gtest.h>
 
+#include "core/engine.hpp"
 #include "models/datasets.hpp"
 #include "parallel/trainer.hpp"
 #include "sched/intra_job.hpp"
@@ -27,6 +28,62 @@ TEST(IntraJob, AppliesBestPlanAndMatchesWorkerCount) {
   ASSERT_TRUE(sched.apply_best_plan(GpuVector{2, 1, 0}));
   EXPECT_EQ(engine.num_workers(), total(sched.current_plan().gpus));
   engine.run_steps(2);
+}
+
+// The scheduler drives any parallel::Trainer: a ZeRO-1 job placed on four
+// V100s, one EST each, trains to the bits of its unsharded twin.  A pool
+// too small for one EST per GPU has no plan for it, and its workers cannot
+// be quarantined onto each other: both leave the job as it was.
+TEST(IntraJob, SchedulesAShardedTrainer) {
+  auto wd = models::make_dataset_for("NeuMF", 128, 16, 42);
+  auto cfg = core::EasyScaleConfig{};
+  cfg.workload = "NeuMF";
+  cfg.num_ests = 4;
+  cfg.batch_per_est = 4;
+  parallel::TrainerConfig tcfg = core::trainer_config(cfg);
+  parallel::Trainer unsharded(tcfg, *wd.train, wd.augment);
+  tcfg.shard_degree = 4;
+  parallel::Trainer sharded(tcfg, *wd.train, wd.augment);
+  IntraJobScheduler sched(sharded, Companion("NeuMF", 4), false);
+  ASSERT_TRUE(sched.apply_best_plan(GpuVector{4, 0, 0}));
+  EXPECT_EQ(sharded.num_workers(), 4);
+  sharded.run_steps(3);
+  unsharded.run_steps(3);
+  EXPECT_EQ(sharded.params_digest(), unsharded.params_digest());
+  EXPECT_FALSE(sched.best_plan(GpuVector{2, 0, 0}).valid());
+  EXPECT_FALSE(sched.apply_best_plan(GpuVector{3, 0, 0}));
+  EXPECT_FALSE(sched.quarantine_worker(1));
+  EXPECT_EQ(sharded.num_workers(), 4);
+  EXPECT_EQ(total(sched.current_plan().gpus), 4);
+  // The unsharded twin packs two ESTs per GPU on the same pool.
+  IntraJobScheduler packed(unsharded, Companion("NeuMF", 4), false);
+  ASSERT_TRUE(packed.apply_best_plan(GpuVector{2, 0, 0}));
+  EXPECT_EQ(unsharded.num_workers(), 2);
+  sharded.run_steps(1);
+  unsharded.run_steps(1);
+  EXPECT_EQ(sharded.params_digest(), unsharded.params_digest());
+}
+
+// A heterogeneous sharded job gets one EST on each of the fastest GPUs of
+// a mixed pool, where the companion's own best plan would pack the V100s.
+TEST(IntraJob, ShardedTrainerTakesOneEstPerGpuOnAMixedPool) {
+  auto wd = models::make_dataset_for("NeuMF", 128, 16, 42);
+  auto cfg = core::EasyScaleConfig{};
+  cfg.workload = "NeuMF";
+  cfg.num_ests = 4;
+  cfg.batch_per_est = 4;
+  cfg.determinism.d2 = true;
+  parallel::TrainerConfig tcfg = core::trainer_config(cfg);
+  tcfg.shard_degree = 4;
+  parallel::Trainer sharded(tcfg, *wd.train, wd.augment);
+  IntraJobScheduler sched(sharded, Companion("NeuMF", 4), true);
+  const Plan plan = sched.best_plan(GpuVector{3, 0, 3});
+  ASSERT_TRUE(plan.valid());
+  EXPECT_EQ(plan.ests, (std::vector<std::int64_t>{1, 1, 1, 1}));
+  ASSERT_TRUE(sched.apply_best_plan(GpuVector{3, 0, 3}));
+  EXPECT_EQ(sharded.num_workers(), 4);
+  sharded.run_steps(1);
+  EXPECT_TRUE(sched.make_proposals(GpuVector{4, 4, 4}).empty());
 }
 
 TEST(IntraJob, NoPlanOnEmptyPool) {
@@ -126,20 +183,20 @@ TEST(IntraJob, RebalancesESTsOffAStalledWorkerBitwiseNeutrally) {
     stall.kind = comm::LinkFaultKind::kStallLink;
     stall.rank = 1;
     stall.stall_s = 0.2;
-    engine.trainer().inject_comm_fault(stall);
+    engine.inject_comm_fault(stall);
     engine.run_steps(1);
   }
-  const auto stalls = engine.trainer().comm_stall_per_worker();
+  const auto stalls = engine.comm_stall_per_worker();
   ASSERT_EQ(stalls.size(), 2u);
   EXPECT_GT(stalls[1], 0.5);
 
-  const auto before = engine.trainer().current_assignment();
+  const auto before = engine.current_assignment();
   ASSERT_TRUE(sched.rebalance_stragglers(0.5));
-  const auto after = engine.trainer().current_assignment();
+  const auto after = engine.current_assignment();
   EXPECT_EQ(after[0].size(), before[0].size() + 1);
   EXPECT_EQ(after[1].size(), before[1].size() - 1);
   // The remap rebuilt the fabric: stall counters start over.
-  EXPECT_EQ(engine.trainer().comm_stall_per_worker(), std::vector<double>(2, 0.0));
+  EXPECT_EQ(engine.comm_stall_per_worker(), std::vector<double>(2, 0.0));
   // ... so an immediate second call has no straggler to act on.
   EXPECT_FALSE(sched.rebalance_stragglers(0.5));
 

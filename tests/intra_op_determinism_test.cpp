@@ -255,10 +255,10 @@ TEST(IntraOpDeterminism, ScratchArenaStopsGrowingAfterWarmup) {
   EasyScaleEngine e(cfg, *wd.train, wd.augment);
   e.configure_workers(std::vector<WorkerSpec>(1));
   e.run_steps(1);
-  const std::size_t after_warmup = e.trainer().worker_exec(0).scratch.reserved_bytes();
+  const std::size_t after_warmup = e.worker_exec(0).scratch.reserved_bytes();
   EXPECT_GT(after_warmup, 0u);  // gemm/conv scratch actually in use
   e.run_steps(3);
-  EXPECT_EQ(e.trainer().worker_exec(0).scratch.reserved_bytes(), after_warmup);
+  EXPECT_EQ(e.worker_exec(0).scratch.reserved_bytes(), after_warmup);
 }
 
 TEST(IntraOpDeterminism, DDPTrainerThreadInvariant) {

@@ -125,7 +125,7 @@ TEST(OverlapEquivalence, EngineCommFaultAbortsAndReexecutesBitwise) {
   comm::CommFaultEvent drop;
   drop.kind = comm::LinkFaultKind::kDropChunk;
   drop.rank = 1;  // collective = -1: hits an in-flight bucket next step
-  victim.trainer().inject_comm_fault(drop);
+  victim.inject_comm_fault(drop);
   victim.run_steps(3);
   ASSERT_TRUE(victim.last_comm_report().has_value());
   EXPECT_GT(victim.transport_stats().drops, 0);

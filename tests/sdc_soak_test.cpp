@@ -84,7 +84,7 @@ TEST(SdcSoak, WitnessNeverFalsePositivesOnHealthyDevices) {
     // ... and must stay silent: zero detections, zero condemned devices.
     EXPECT_EQ(stats.sdc_detections, 0) << "seed " << s;
     EXPECT_EQ(stats.devices_quarantined, 0) << "seed " << s;
-    EXPECT_EQ(engine.trainer().witness_stats().mismatches, 0) << "seed " << s;
+    EXPECT_EQ(engine.witness_stats().mismatches, 0) << "seed " << s;
     EXPECT_TRUE(sup.condemned_devices().empty()) << "seed " << s;
     // The witness actually ran (this soak is not vacuous) and the run still
     // ends bitwise clean through every crash/revocation recovery.

@@ -76,7 +76,7 @@ TEST_P(WorkloadEquivalenceTest, EasyScaleMatchesDDPBitwise) {
   engine->run_steps(3);
   engine->configure_workers(std::vector<core::WorkerSpec>(3));  // rescale
   engine->run_steps(3);
-  expect_same_state(*reference, engine->trainer());
+  expect_same_state(*reference, *engine);
 }
 
 TEST_P(WorkloadEquivalenceTest, CheckpointMovesAcrossPackings) {
@@ -88,7 +88,7 @@ TEST_P(WorkloadEquivalenceTest, CheckpointMovesAcrossPackings) {
   restored.configure_workers(std::vector<core::WorkerSpec>(3));
   restored.restore(image);
   restored.run_steps(3);
-  expect_same_state(*reference, restored.trainer());
+  expect_same_state(*reference, restored);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadEquivalenceTest,
