@@ -1,43 +1,28 @@
 // Determinism audit: demonstrates each nondeterminism source §3.3 catalogs,
 // directly at the kernel/communication layer, and the EasyScale control
 // that removes it — then emits a tamper-evident per-layer parameter digest
-// chain from a short training run.
+// chain from a short training run.  Every run also reproduces that chain,
+// link for link, through each feature that must not move a bit: the
+// pipelined comm path, the ZeRO-1 sharded trainer at degrees 1, 2 and 4,
+// four peer snapshot/restore recoveries (across degrees and with a mid-run
+// reshard), and the replicated control plane under leader crashes and
+// partitions at 2 and 4 workers.  Any divergence exits nonzero.
 //
 //   determinism_audit                  print the audit + the chain
 //   determinism_audit --emit FILE      also write the chain to FILE
 //   determinism_audit --compare FILE   exit nonzero unless the freshly
 //                                      computed chain matches FILE record
 //                                      for record (CI pins builds this way)
-//   determinism_audit --shard-degree N additionally run the planner-driven
-//                                      trainer with ZeRO-1 optimizer-state
-//                                      sharding at degree N; its chain must
-//                                      match the engine's link for link (CI
-//                                      pins degree 1 vs 4 against one file)
-//   determinism_audit --peer-recovery  additionally run the reference
-//                                      trajectory through a mid-run peer
-//                                      snapshot/restore (checkpoint_bytes)
-//                                      at shard degrees 1 and 4, across
-//                                      degrees, and with a reshard-on-
-//                                      recover; every recovered chain must
-//                                      match the clean chain link for link
-//   determinism_audit --controller-failover
-//                                      additionally run the reference
-//                                      trajectory under the replicated
-//                                      control plane (5 replicas) with f=2
-//                                      leader crashes plus partitions, at
-//                                      worker counts 2 and 4 and against
-//                                      the ZeRO-1 trainer at shard degrees
-//                                      1 and 4; every chain and the
-//                                      decision-content tail must match
-//                                      the controller-quiet run link for
-//                                      link (bitwise failover)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "comm/ring.hpp"
 #include "common/digest.hpp"
@@ -154,7 +139,12 @@ easyscale::DigestChain controller_chain(bool stormy, std::int64_t workers,
   cfg.seed = 7;
   cfg.determinism.level = core::DeterminismLevel::kD1;
   core::EasyScaleEngine engine(cfg, *wd.train, wd.augment);
-  core::CheckpointManager mgr("/tmp/es_audit_controller", 4);
+  // One prefix per process: concurrent audits never share generations.
+  core::CheckpointManager mgr(
+      (std::filesystem::temp_directory_path() /
+       ("es_audit_controller." + std::to_string(::getpid())))
+          .string(),
+      4);
   mgr.clear();
   std::vector<fault::FaultEvent> events;
   if (stormy) {
@@ -192,6 +182,19 @@ easyscale::DigestChain controller_chain(bool stormy, std::int64_t workers,
   return engine.params_digest_chain();
 }
 
+/// Whether `got` reproduces the clean chain link for link; prints the
+/// verdict on `what`.
+bool agrees(const easyscale::DigestChain& clean,
+            const easyscale::DigestChain& got, const std::string& what) {
+  if (got != clean) {
+    std::fprintf(stderr, "   => FATAL: %s diverged from the clean chain\n",
+                 what.c_str());
+    return false;
+  }
+  std::printf("   (%s agrees link for link)\n", what.c_str());
+  return true;
+}
+
 void write_chain(std::ostream& os, const easyscale::DigestChain& chain) {
   for (const auto& rec : chain.records()) {
     char line[64];
@@ -225,29 +228,13 @@ int main(int argc, char** argv) {
   using namespace easyscale;
   std::string emit_path;
   std::string compare_path;
-  int shard_degree = 0;
-  bool peer_recovery = false;
-  bool controller_failover = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--emit") == 0 && i + 1 < argc) {
       emit_path = argv[++i];
     } else if (std::strcmp(argv[i], "--compare") == 0 && i + 1 < argc) {
       compare_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shard-degree") == 0 && i + 1 < argc) {
-      shard_degree = std::atoi(argv[++i]);
-      if (shard_degree < 1) {
-        std::fprintf(stderr, "--shard-degree must be >= 1\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--peer-recovery") == 0) {
-      peer_recovery = true;
-    } else if (std::strcmp(argv[i], "--controller-failover") == 0) {
-      controller_failover = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--emit FILE] [--compare FILE] "
-                   "[--shard-degree N] [--peer-recovery] "
-                   "[--controller-failover]\n",
+      std::fprintf(stderr, "usage: %s [--emit FILE] [--compare FILE]\n",
                    argv[0]);
       return 2;
     }
@@ -334,108 +321,68 @@ int main(int argc, char** argv) {
   std::printf("4) end-to-end parameter digest chain (NeuMF, 2 workers, "
               "4 steps, seed 7)\n");
   const DigestChain chain = audit_chain(/*overlap=*/false);
-  const DigestChain overlapped = audit_chain(/*overlap=*/true);
-  if (chain != overlapped) {
-    std::fprintf(stderr,
-                 "   => FATAL: overlapped comm path diverged from the "
-                 "sequential chain\n");
+  if (!agrees(chain, audit_chain(/*overlap=*/true), "pipelined comm path")) {
     return 1;
   }
-  std::printf("   (sequential and pipelined comm paths agree link for "
-              "link)\n");
-  if (shard_degree > 0) {
-    const DigestChain sharded = shard_chain(shard_degree);
-    if (chain != sharded) {
-      std::fprintf(stderr,
-                   "   => FATAL: shard_degree %d trajectory diverged from "
-                   "the engine chain\n",
-                   shard_degree);
+  for (const int degree : {1, 2, 4}) {
+    if (!agrees(chain, shard_chain(degree),
+                "ZeRO-1 trainer at shard degree " + std::to_string(degree))) {
       return 1;
     }
-    std::printf("   (ZeRO-1 sharded trainer at degree %d agrees link for "
-                "link)\n",
-                shard_degree);
   }
-  if (peer_recovery) {
-    // save degree, restore degree, optional mid-run reshard degree.
-    struct Case {
-      int save, restore, mid;
-      const char* label;
-    };
-    for (const Case& c :
-         {Case{1, 1, 0, "save@1 -> recover@1"},
-          Case{4, 4, 0, "save@4 -> recover@4"},
-          Case{4, 1, 0, "save@4 -> recover@1 (reshard-on-recover)"},
-          Case{4, 4, 2, "save@4 -> recover@4 -> mid-run reshard to 2"}}) {
-      const DigestChain rec = recovered_chain(c.save, c.restore, c.mid);
-      if (chain != rec) {
-        std::fprintf(stderr,
-                     "   => FATAL: peer-recovered trajectory [%s] diverged "
-                     "from the clean chain\n",
-                     c.label);
-        return 1;
-      }
-      std::printf("   (peer recovery [%s] agrees link for link)\n", c.label);
+  // save degree, restore degree, optional mid-run reshard degree.
+  struct Case {
+    int save, restore, mid;
+    const char* label;
+  };
+  for (const Case& c :
+       {Case{1, 1, 0, "save@1 -> recover@1"},
+        Case{4, 4, 0, "save@4 -> recover@4"},
+        Case{4, 1, 0, "save@4 -> recover@1 (reshard-on-recover)"},
+        Case{4, 4, 2, "save@4 -> recover@4 -> mid-run reshard to 2"}}) {
+    if (!agrees(chain, recovered_chain(c.save, c.restore, c.mid),
+                std::string("peer recovery [") + c.label + "]")) {
+      return 1;
     }
   }
-  if (controller_failover) {
-    // The replicated control plane under attack: f = 2 of 2f+1 = 5
-    // replicas crash (including the bootstrap leader) with partitions on
-    // top, at both worker counts.  Params chain AND decision-content tail
-    // must match the controller-quiet run bit for bit, and the ZeRO-1
-    // trainer at shard degrees 1 and 4 must still reproduce the same
-    // chain — controller failover is invisible at every extent.
-    for (const std::int64_t workers : {std::int64_t{2}, std::int64_t{4}}) {
-      std::uint64_t quiet_tail = 0;
-      std::uint64_t stormy_tail = 0;
-      std::int64_t quiet_failovers = 0;
-      std::int64_t stormy_failovers = 0;
-      const DigestChain quiet = controller_chain(
-          /*stormy=*/false, workers, &quiet_tail, &quiet_failovers);
-      const DigestChain stormy = controller_chain(
-          /*stormy=*/true, workers, &stormy_tail, &stormy_failovers);
-      if (chain != quiet || chain != stormy) {
-        std::fprintf(stderr,
-                     "   => FATAL: controller-supervised trajectory at %lld "
-                     "worker(s) diverged from the clean chain\n",
-                     static_cast<long long>(workers));
-        return 1;
-      }
-      if (quiet_tail != stormy_tail) {
-        std::fprintf(stderr,
-                     "   => FATAL: decision stream forked under controller "
-                     "faults at %lld worker(s) (%016llx vs %016llx)\n",
-                     static_cast<long long>(workers),
-                     static_cast<unsigned long long>(quiet_tail),
-                     static_cast<unsigned long long>(stormy_tail));
-        return 1;
-      }
-      if (quiet_failovers != 0 || stormy_failovers < 1) {
-        std::fprintf(stderr,
-                     "   => FATAL: failover counts wrong at %lld worker(s) "
-                     "(quiet %lld, stormy %lld)\n",
-                     static_cast<long long>(workers),
-                     static_cast<long long>(quiet_failovers),
-                     static_cast<long long>(stormy_failovers));
-        return 1;
-      }
-      std::printf("   (controller failover at %lld worker(s): %lld "
-                  "failover(s), chain and decision tail agree link for "
-                  "link)\n",
-                  static_cast<long long>(workers),
-                  static_cast<long long>(stormy_failovers));
+  // The replicated control plane under attack: f = 2 of 2f+1 = 5 replicas
+  // crash (including the bootstrap leader) with partitions on top, at both
+  // worker counts.  Params chain AND decision-content tail must match the
+  // controller-quiet run bit for bit.
+  for (const std::int64_t workers : {std::int64_t{2}, std::int64_t{4}}) {
+    std::uint64_t quiet_tail = 0;
+    std::uint64_t stormy_tail = 0;
+    std::int64_t quiet_failovers = 0;
+    std::int64_t stormy_failovers = 0;
+    const DigestChain quiet = controller_chain(
+        /*stormy=*/false, workers, &quiet_tail, &quiet_failovers);
+    const DigestChain stormy = controller_chain(
+        /*stormy=*/true, workers, &stormy_tail, &stormy_failovers);
+    const std::string at = " at " + std::to_string(workers) + " workers";
+    if (!agrees(chain, quiet, "controller-quiet run" + at) ||
+        !agrees(chain, stormy, "controller failover run" + at)) {
+      return 1;
     }
-    for (const int degree : {1, 4}) {
-      if (chain != shard_chain(degree)) {
-        std::fprintf(stderr,
-                     "   => FATAL: shard degree %d diverged from the "
-                     "controller-failover chain\n",
-                     degree);
-        return 1;
-      }
+    if (quiet_tail != stormy_tail) {
+      std::fprintf(stderr,
+                   "   => FATAL: decision stream forked under controller "
+                   "faults at %lld worker(s) (%016llx vs %016llx)\n",
+                   static_cast<long long>(workers),
+                   static_cast<unsigned long long>(quiet_tail),
+                   static_cast<unsigned long long>(stormy_tail));
+      return 1;
     }
-    std::printf("   (ZeRO-1 shard degrees 1 and 4 agree with the "
-                "controller-failover chain)\n");
+    if (quiet_failovers != 0 || stormy_failovers < 1) {
+      std::fprintf(stderr,
+                   "   => FATAL: failover counts wrong at %lld worker(s) "
+                   "(quiet %lld, stormy %lld)\n",
+                   static_cast<long long>(workers),
+                   static_cast<long long>(quiet_failovers),
+                   static_cast<long long>(stormy_failovers));
+      return 1;
+    }
+    std::printf("   (%lld failover(s)%s, decision tails agree)\n",
+                static_cast<long long>(stormy_failovers), at.c_str());
   }
   for (const auto& rec : chain.records()) {
     std::printf("   layer %3llu digest %016llx chain %016llx\n",

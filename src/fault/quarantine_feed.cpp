@@ -8,19 +8,6 @@
 
 namespace easyscale::fault {
 
-void QuarantineLedger::record(double t_s, int device_type) {
-  ES_CHECK(device_type >= 0 && device_type < kernels::kNumDeviceTypes,
-           "quarantine device type out of range");
-  events_.push_back({t_s, device_type});
-}
-
-std::array<std::int64_t, kernels::kNumDeviceTypes> QuarantineLedger::by_type()
-    const {
-  std::array<std::int64_t, kernels::kNumDeviceTypes> out{};
-  for (const auto& e : events_) ++out[static_cast<std::size_t>(e.device_type)];
-  return out;
-}
-
 std::vector<QuarantineEvent> sdc_quarantine_trace(
     const QuarantineTraceConfig& cfg) {
   ES_CHECK(cfg.horizon_s > 0.0, "quarantine horizon must be positive");

@@ -3,14 +3,13 @@
 // When the integrity witness condemns a device (fault/supervisor.cpp,
 // docs/FAULT_TOLERANCE.md), that hardware must never be scheduled again —
 // not just by the job that caught it, but by the whole cluster.  The
-// QuarantineLedger records condemnations as (time, device type) events; a
-// cluster-level scheduler replays the ledger to keep condemned capacity
-// out of every placement decision.
+// cluster service takes condemnations as (time, device type) events
+// (ClusterServiceConfig::quarantines) and keeps condemned capacity out of
+// every placement decision.
 //
-// For simulation-scale studies, `sdc_quarantine_trace` generates the same
-// kind of feed synthetically: a seeded per-device-type Poisson
-// condemnation process (the long-run output of the witness over a fleet
-// with a given SDC rate), deterministic for a seed.
+// `sdc_quarantine_trace` generates that feed synthetically: a seeded
+// per-device-type Poisson condemnation process (the long-run output of the
+// witness over a fleet with a given SDC rate), deterministic for a seed.
 #pragma once
 
 #include <array>
@@ -27,25 +26,6 @@ namespace easyscale::fault {
 struct QuarantineEvent {
   double t_s = 0.0;
   int device_type = 0;
-};
-
-/// Append-only condemnation record.  Not synchronized: one supervisor (or
-/// one scheduling loop) owns a ledger.
-class QuarantineLedger {
- public:
-  void record(double t_s, int device_type);
-  [[nodiscard]] const std::vector<QuarantineEvent>& events() const {
-    return events_;
-  }
-  [[nodiscard]] std::int64_t total() const {
-    return static_cast<std::int64_t>(events_.size());
-  }
-  /// Condemnations per device type so far.
-  [[nodiscard]] std::array<std::int64_t, kernels::kNumDeviceTypes> by_type()
-      const;
-
- private:
-  std::vector<QuarantineEvent> events_;
 };
 
 struct QuarantineTraceConfig {

@@ -11,6 +11,33 @@
 
 namespace easyscale::fault {
 
+namespace {
+
+/// Whether `trainer` already runs on `workers` default workers under the
+/// balanced split configure_workers builds for them, so that a repack
+/// would only snapshot, rebuild and restore the same packing.
+bool on_default_packing(const parallel::Trainer& trainer,
+                        std::int64_t workers) {
+  if (trainer.num_workers() != workers) return false;
+  for (const auto& spec : trainer.current_worker_specs()) {
+    if (spec.device != parallel::WorkerSpec{}.device) return false;
+  }
+  const parallel::Assignment packing = trainer.current_assignment();
+  const std::int64_t world = trainer.world_size();
+  std::int64_t next = 0;
+  for (std::int64_t i = 0; i < workers; ++i) {
+    const auto& ranks = packing[static_cast<std::size_t>(i)];
+    const std::int64_t count = world / workers + (i < world % workers ? 1 : 0);
+    if (static_cast<std::int64_t>(ranks.size()) != count) return false;
+    for (const std::int64_t r : ranks) {
+      if (r != next++) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int resolve_peer_replicas(int config_replicas) {
   ES_CHECK(config_replicas >= 0,
            "peer_replicas must be >= 0, got " << config_replicas);
@@ -348,11 +375,6 @@ bool FaultSupervisor::recover_from_sdc(const core::IntegrityError& e,
   // Nothing the corrupt device holds is trusted again — not even replica
   // frames it stored for OTHER ranks (its DRAM integrity is in question).
   peer_mark_device_dead(device);
-  if (ledger_ != nullptr) {
-    const auto specs = trainer_->current_worker_specs();
-    ledger_->record(stats_.total_wall_s,
-                    static_cast<int>(specs[static_cast<std::size_t>(slot)].device));
-  }
   const auto it = corrupt_.find(device);
   if (it != corrupt_.end()) {
     stats_.sdc_detect_latency_steps += before - it->second.since_step;
@@ -448,7 +470,13 @@ GoodputStats FaultSupervisor::run_to(std::int64_t target_step,
     ccfg.replicas = config_.controller_replicas;
     control_ = std::make_unique<ControlPlane>(ccfg);
   }
-  reshape_workers();
+  // A trainer already built on this packing keeps its workers and fabric;
+  // the hooks are re-armed all the same.
+  if (on_default_packing(*trainer_, workers_)) {
+    rearm_hooks();
+  } else {
+    reshape_workers();
+  }
   try {
     // The run opens with a committed membership epoch: the initial worker
     // set is itself a decision a failed-over leader must replay.

@@ -31,7 +31,6 @@
 
 #include "comm/transport.hpp"
 #include "core/checkpoint_manager.hpp"
-#include "fault/quarantine_feed.hpp"
 #include "core/integrity.hpp"
 #include "fault/controller.hpp"
 #include "fault/injector.hpp"
@@ -206,12 +205,6 @@ class FaultSupervisor {
   /// Route quarantine through an external scheduler (see QuarantineFn).
   void set_quarantine(QuarantineFn fn) { quarantine_ = std::move(fn); }
 
-  /// Publish condemnations to a cluster-level ledger (not owned): each
-  /// witness-condemned device is recorded as (simulated wall-time, device
-  /// type), the feed the cluster service's placement consumes to keep
-  /// condemned hardware out of every future allocation.
-  void set_quarantine_ledger(QuarantineLedger* ledger) { ledger_ = ledger; }
-
   /// Configure `initial_workers`, then drive the trainer to `target_step`
   /// global steps under the fault schedule.  Returns the goodput stats;
   /// `stats().failed` is true when recovery was exhausted (gang restart
@@ -313,7 +306,6 @@ class FaultSupervisor {
   SupervisorConfig config_;
   GoodputStats stats_;
   QuarantineFn quarantine_;
-  QuarantineLedger* ledger_ = nullptr;
   std::int64_t workers_ = 0;
   std::int64_t initial_workers_ = 0;
   /// Physical device identity per worker slot.  Slots are positions in the

@@ -1,7 +1,8 @@
 // Multi-tenant cluster service: the calendar event core against the heap
 // reference, fair-share/preemption properties, tenant traces, the
-// end-to-end service determinism contract (docs/SCHEDULER.md), and the
-// kGreedy/kGang allocation policies behind the Figs 14-15 trace experiment.
+// end-to-end service determinism contract (docs/SCHEDULER.md), serving
+// co-location as Fig 16 runs it, and the kGreedy/kGang allocation policies
+// behind the Figs 14-15 trace experiment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "common/error.hpp"
 #include "fault/quarantine_feed.hpp"
 #include "rng/philox.hpp"
+#include "sched/companion.hpp"
 #include "trace/generators.hpp"
 
 namespace easyscale::cluster {
@@ -397,6 +399,132 @@ TEST(ClusterService, ServingColocationLendsAndReturnsCapacity) {
   EXPECT_EQ(m.schedule_digest, replay.schedule_digest);
 }
 
+// --- serving co-location: the Fig 16 model ----------------------------------
+//
+// The suite name (Colocation) is kept from the minute loop these checks
+// were first written against.
+
+/// Fig 16 in miniature: one 100-GPU device type lends GPUs to the two-day
+/// serving curve every minute (a peak fraction of (curve peak + 0.5) /
+/// capacity makes the lent count the curve's value: the service truncates,
+/// and the half GPU keeps rounding error from landing one GPU short), and
+/// six ResNet50 jobs of maxP 4 arrive at the start of day 2.
+struct ColocationFixture {
+  static constexpr double kDayS = 86400.0;
+  static constexpr std::int64_t kGpus = 100;
+  static constexpr std::int64_t kDemand = 24;  // the jobs' summed maxP
+  std::vector<std::int64_t> curve;
+  ClusterServiceConfig cfg;
+  std::vector<sim::JobSpec> jobs;
+
+  ColocationFixture() {
+    cfg.serving.total_gpus = kGpus;
+    curve = trace::serving_load_curve(cfg.serving);
+    cfg.capacity = {kGpus, 0, 0};
+    cfg.serving_colocation = true;
+    cfg.serving_update_period_s = 60.0;
+    cfg.serving_peak_fraction =
+        (static_cast<double>(*std::max_element(curve.begin(), curve.end())) +
+         0.5) /
+        static_cast<double>(kGpus);
+    // Two days of steps at full width: no job drains before day 2 ends.
+    const double full_rate =
+        sched::Companion("ResNet50", 4).make_plan({4, 0, 0}).steps_per_second;
+    for (std::int64_t i = 0; i < kDemand / 4; ++i) {
+      sim::JobSpec s;
+      s.id = i;
+      s.max_p = 4;
+      s.arrival_s = kDayS;
+      s.total_steps = static_cast<std::int64_t>(2.0 * kDayS * full_rate);
+      jobs.push_back(s);
+    }
+  }
+
+  [[nodiscard]] ClusterMetrics run(AllocationPolicy policy) {
+    cfg.policy = policy;
+    ClusterService service({Tenant{}}, single_tenant_jobs(jobs, true), cfg);
+    return service.run();
+  }
+
+  /// Serving GPUs during the minute that holds `t_s` (0 past the curve).
+  [[nodiscard]] std::int64_t served_at(double t_s) const {
+    const auto m = static_cast<std::size_t>(t_s / 60.0);
+    return m < curve.size() ? curve[m] : 0;
+  }
+};
+
+/// Allocated GPUs at time `t_s` on a step timeline.
+std::int64_t allocated_at(const ClusterMetrics& m, double t_s) {
+  std::int64_t gpus = 0;
+  for (const auto& p : m.allocated_gpus) {
+    if (p.t_s > t_s) break;
+    gpus = p.gpus;
+  }
+  return gpus;
+}
+
+TEST(Colocation, ConservationAndBounds) {
+  ColocationFixture fx;
+  const auto m = fx.run(AllocationPolicy::kGreedy);
+  ASSERT_EQ(m.jobs_finished, static_cast<std::int64_t>(fx.jobs.size()));
+  EXPECT_GT(m.makespan, 2.0 * ColocationFixture::kDayS);
+  ASSERT_FALSE(m.allocated_gpus.empty());
+  for (const auto& p : m.allocated_gpus) {
+    EXPECT_GE(p.t_s, ColocationFixture::kDayS);  // day 1 is serving-only
+    EXPECT_GE(p.gpus, 0);
+    EXPECT_LE(p.gpus, ColocationFixture::kDemand);
+    EXPECT_LE(fx.served_at(p.t_s) + p.gpus, ColocationFixture::kGpus)
+        << "at t=" << p.t_s;
+  }
+}
+
+TEST(Colocation, Day2ImprovesAllocation) {
+  ColocationFixture fx;
+  const auto m = fx.run(AllocationPolicy::kGreedy);
+  const std::size_t day = fx.curve.size() / 2;
+  std::int64_t day1 = 0, day2 = 0, training = 0;
+  for (std::size_t i = 0; i < day; ++i) {
+    day1 += fx.curve[i];
+    const std::int64_t t = allocated_at(
+        m, ColocationFixture::kDayS + 60.0 * static_cast<double>(i));
+    day2 += fx.curve[day + i] + t;
+    training += t;
+  }
+  EXPECT_GT(day2, day1);
+  EXPECT_GT(training, 0);
+  EXPECT_EQ(m.failed_jobs, 0);
+}
+
+TEST(Colocation, ScaleInIsImmediate) {
+  // Wherever a serving step leaves fewer free GPUs than training holds,
+  // training must shrink at that same capacity step.
+  ColocationFixture fx;
+  const auto m = fx.run(AllocationPolicy::kGreedy);
+  std::int64_t spikes = 0;
+  for (std::size_t i = fx.curve.size() / 2 + 1; i < fx.curve.size(); ++i) {
+    const double t = 60.0 * static_cast<double>(i);
+    const std::int64_t free = ColocationFixture::kGpus - fx.curve[i];
+    if (allocated_at(m, t - 60.0) <= free) continue;
+    ++spikes;
+    EXPECT_LE(allocated_at(m, t), free) << "minute " << i;
+  }
+  EXPECT_GT(spikes, 0);
+  EXPECT_GT(m.preemptions, 0);
+}
+
+TEST(Colocation, GangModeFailsJobsWhereElasticPreempts) {
+  // The same jobs gang-scheduled (§2.1 baseline): a gang cannot shrink,
+  // so every reclamation kills one.
+  ColocationFixture fx;
+  const auto elastic = fx.run(AllocationPolicy::kGreedy);
+  const auto gang = fx.run(AllocationPolicy::kGang);
+  EXPECT_GT(elastic.preemptions, 0);
+  EXPECT_EQ(elastic.failed_jobs, 0);
+  EXPECT_GT(gang.failed_jobs, 0);
+  EXPECT_EQ(gang.failed_jobs, gang.preemptions);
+  EXPECT_GT(gang.lost_steps, 0);
+}
+
 // --- allocation policies: the Figs 14-15 trace experiment ------------------
 //
 // The suite names below (PolicyTest, Simulator*, SimSdc) are kept from the
@@ -750,18 +878,6 @@ TEST(QuarantineFeed, TraceIsDeterministicSortedAndBounded) {
     EXPECT_LE(per_type[static_cast<std::size_t>(t)],
               cfg.cluster[static_cast<std::size_t>(t)]);
   }
-}
-
-TEST(QuarantineFeed, LedgerCountsByType) {
-  fault::QuarantineLedger ledger;
-  ledger.record(1.0, 0);
-  ledger.record(2.0, 2);
-  ledger.record(3.0, 2);
-  EXPECT_EQ(ledger.total(), 3);
-  const auto by_type = ledger.by_type();
-  EXPECT_EQ(by_type[0], 1);
-  EXPECT_EQ(by_type[1], 0);
-  EXPECT_EQ(by_type[2], 2);
 }
 
 }  // namespace

@@ -321,6 +321,29 @@ TEST(FaultSupervisor, Zero1GangRestartEndsOnUnshardedChain) {
   mgr.clear();
 }
 
+// A trainer the supervisor finds already packed on its initial workers is
+// not repacked: its workers (warm scratch arenas) and its fabric (counters)
+// carry into the run unchanged.
+TEST(FaultSupervisor, BuiltTrainerIsNotRepackedAtTheStart) {
+  auto& wd = shared_data();
+  parallel::TrainerConfig tcfg = core::trainer_config(small_config());
+  tcfg.resilient_comm = true;
+  parallel::Trainer trainer(tcfg, *wd.train, wd.augment,
+                            std::vector<WorkerSpec>(4));
+  trainer.run_steps(2);
+  const std::size_t warm = trainer.worker_exec(0).scratch.reserved_bytes();
+  const std::int64_t collectives = trainer.transport_stats().collectives;
+  ASSERT_GT(warm, 0u);
+  ASSERT_GT(collectives, 0);
+  CheckpointManager mgr(temp_path("built_trainer"), 3);
+  mgr.clear();
+  FaultSupervisor sup(trainer, mgr, FaultInjector(), SupervisorConfig{});
+  ASSERT_FALSE(sup.run_to(2, 4).failed);
+  EXPECT_EQ(trainer.worker_exec(0).scratch.reserved_bytes(), warm);
+  EXPECT_EQ(trainer.transport_stats().collectives, collectives);
+  mgr.clear();
+}
+
 // The same ZeRO-1 job with peer-replicated snapshots: a replica loss thins
 // one store, and the crash after it still recovers from the peer quorum.
 TEST(FaultSupervisor, Zero1PeerRecoverySurvivesReplicaLoss) {
