@@ -45,7 +45,10 @@ struct AllocationPoint {
 struct ClusterMetrics {
   double makespan = 0.0;
   std::int64_t jobs_finished = 0;
-  std::int64_t preemptions = 0;        // elastic shrink revocations
+  /// Allocation drops: every apply_plan that leaves a job fewer GPUs than
+  /// it held.  An elastic shrink counts once, and so does a kGang kill
+  /// (which failed_jobs counts too).
+  std::int64_t preemptions = 0;
   std::int64_t reallocations = 0;      // allocator rounds executed
   std::int64_t events_processed = 0;   // events drained from the queue
   std::int64_t plan_cache_hits = 0;

@@ -516,22 +516,28 @@ void backward_im2col(const ExecContext& ctx, const Conv2dDims& d,
     }
   }
   if (!grad_bias.empty()) {
-    // Each filter's bias gradient is independent; within a filter the
-    // samples are reduced in ascending n with the per-slot tree order the
-    // sequential code used.
-    parallel_for(ctx, d.out_channels, work_grain(d.batch * oh * ow),
-                 [&](int /*chunk*/, std::int64_t f0, std::int64_t f1) {
-                   for (std::int64_t f = f0; f < f1; ++f) {
-                     for (std::int64_t n = 0; n < d.batch; ++n) {
-                       std::span<const float> go_f(
-                           grad_out.data() +
-                               ((n * d.out_channels + f) * oh * ow),
-                           static_cast<std::size_t>(oh * ow));
-                       grad_bias[static_cast<std::size_t>(f)] +=
-                           reduce_sum(ctx, go_f);
-                     }
-                   }
-                 });
+    // Each filter's bias gradient is independent.  Within a filter, one
+    // segmented reduction sums up to kReduceChains samples' planes at a
+    // time, each with the tree one reduce_sum call gives it, and the plane
+    // sums are added in ascending n.
+    const std::int64_t plane = oh * ow, sample = d.out_channels * plane;
+    parallel_for(
+        ctx, d.out_channels, work_grain(d.batch * plane),
+        [&](int /*chunk*/, std::int64_t f0, std::int64_t f1) {
+          float sums[kReduceChains];
+          for (std::int64_t f = f0; f < f1; ++f) {
+            float& gb = grad_bias[static_cast<std::size_t>(f)];
+            for (std::int64_t n0 = 0; n0 < d.batch; n0 += kReduceChains) {
+              const std::int64_t nb =
+                  std::min<std::int64_t>(kReduceChains, d.batch - n0);
+              const auto at =
+                  static_cast<std::size_t>(n0 * sample + f * plane);
+              reduce_sum_segments(ctx, grad_out.subspan(at), sample, plane,
+                                  {sums, static_cast<std::size_t>(nb)});
+              for (std::int64_t k = 0; k < nb; ++k) gb += sums[k];
+            }
+          }
+        });
   }
 }
 

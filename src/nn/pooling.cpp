@@ -79,12 +79,13 @@ Tensor GlobalAvgPool::forward(StepContext& ctx, const Tensor& x) {
       ctx.ex(), n * c,
       std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, hw)),
       [&](int /*chunk*/, std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-          std::span<const float> plane(x.raw() + p * hw,
-                                       static_cast<std::size_t>(hw));
-          out.at(p) =
-              kernels::reduce_sum(ctx.ex(), plane) / static_cast<float>(hw);
-        }
+        // One segmented reduction over the chunk's planes, then the means.
+        const std::span<const float> planes(
+            x.raw() + p0 * hw, static_cast<std::size_t>((p1 - p0) * hw));
+        const std::span<float> sums(out.raw() + p0,
+                                    static_cast<std::size_t>(p1 - p0));
+        kernels::reduce_sum_segments(ctx.ex(), planes, hw, hw, sums);
+        for (float& v : sums) v /= static_cast<float>(hw);
       });
   return out;
 }
